@@ -7,6 +7,12 @@ single-spin flips only; classical annealing (CA) keeps the same rate between
 every pair of configurations.  Diagonal elements are fixed by probability
 conservation, A_ii = -sum_{k != i} A_ki.  The temperature is annealed as
 T(t) = d / sqrt(t + t0).
+
+Each mode has one rate kernel.  SA gathers the n single-flip partners of
+every state.  CA rates depend only on the two energies, so the all-pairs
+generator is applied exactly through the L distinct energy levels at
+O(2^n + L^2) cost per application.  CA has no spin-count limit of its own:
+only the diagonal's 20-spin guard and the bound on L apply.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .graph import validate_coupling_matrix
-from .quantum import QAConfig, _mix_spin_pairs, build_diagonal, transverse_angle
+from .quantum import QAConfig, _mix_spin_pairs, build_diagonal, ground_set, transverse_angle
 
 __all__ = [
     "AnnealSchedule",
@@ -31,8 +37,7 @@ __all__ = [
     "temperature",
 ]
 
-MAX_CA_SPINS = 12  # 4^n work per step
-CA_BLOCK = 1 << 11  # row-block size keeping the chunked CA action at O(2^n * B) memory
+MAX_CA_LEVELS = 1 << 12  # the all-pairs rates between L levels are an L x L matrix
 NEGATIVITY_TOL = -1e-10
 
 
@@ -52,44 +57,54 @@ def temperature(t: float, schedule: AnnealSchedule) -> float:
     return schedule.d / np.sqrt(t + schedule.t0)
 
 
-def sa_generator_apply(p: np.ndarray, energies: np.ndarray, T: float) -> np.ndarray:
-    """dp/dt under single-spin-flip rates, computed sparsely (n terms per state)."""
-    if T <= 0:
-        raise ValueError("temperature must be positive")
-    p = np.asarray(p, dtype=float)
-    E = np.asarray(energies, dtype=float)
+def _sa_rates(E: np.ndarray):
+    """Single-spin-flip generator: E -> (T -> rhs), n rates per state."""
     n = int(round(np.log2(E.size)))
-    dp = np.zeros_like(p)
-    for k in range(n):
-        shape = (1 << (n - 1 - k), 2, 1 << k)
-        E_sw = np.ascontiguousarray(E.reshape(shape)[:, ::-1, :]).reshape(-1)
-        p_sw = np.ascontiguousarray(p.reshape(shape)[:, ::-1, :]).reshape(-1)
-        w_in = expit((E_sw - E) / T)      # rate into each state from its bit-k partner
-        dp += w_in * p_sw - (1.0 - w_in) * p
-    return dp
+    partner = np.arange(E.size) ^ (1 << np.arange(n))[:, None]  # (n, 2^n) bit-k partners
+    dE = E[partner] - E
+
+    def at(T: float):
+        w_in = expit(dE / T)  # rate into each state from its bit-k partner
+        w_out = n - w_in.sum(axis=0)  # A_ij + A_ji = 1 for every pair
+        return lambda q: (w_in * q[partner]).sum(axis=0) - w_out * q
+
+    return at
 
 
-def ca_generator_apply(p: np.ndarray, energies: np.ndarray, T: float,
-                       block: int = CA_BLOCK) -> np.ndarray:
-    """dp/dt under all-pairs rates; the 2^n x 2^n action is built blockwise.
+def _ca_rates(E: np.ndarray):
+    """All-pairs generator applied exactly through the energy levels: E -> (T -> rhs).
 
-    Inflow and outflow share one logistic evaluation because
-    A_ij + A_ji = 1 for every pair.
+    A_ij depends only on E_i and E_j, so with P_b the probability summed over
+    level b and g_b its degeneracy, dp_i = (W P)_a - p_i (2^n - W g)_a at
+    a = level(i), where W_ab = 1 / (1 + exp((E_a - E_b)/T)).  This holds for
+    any p, not only level-uniform ones.
     """
+    levels, level, g = np.unique(E, return_inverse=True, return_counts=True)
+    L = levels.size
+    if L > MAX_CA_LEVELS:
+        raise ValueError(f"all-pairs rates guarded to {MAX_CA_LEVELS} energy levels, got {L}")
+    dE = levels[None, :] - levels[:, None]
+
+    def at(T: float):
+        W = expit(dE / T)
+        w_out = (E.size - W @ g)[level]
+        return lambda q: (W @ np.bincount(level, weights=q, minlength=L))[level] - w_out * q
+
+    return at
+
+
+def sa_generator_apply(p: np.ndarray, energies: np.ndarray, T: float) -> np.ndarray:
+    """dp/dt under single-spin-flip rates (n terms per state)."""
     if T <= 0:
         raise ValueError("temperature must be positive")
-    p = np.asarray(p, dtype=float)
-    E = np.asarray(energies, dtype=float)
-    dim = E.size
-    n = int(round(np.log2(dim)))
-    if n > MAX_CA_SPINS:
-        raise ValueError(f"all-pairs action guarded to n <= {MAX_CA_SPINS}, got {n}")
-    dp = np.empty_like(p)
-    for lo in range(0, dim, block):
-        hi = min(lo + block, dim)
-        w_in = expit((E[None, :] - E[lo:hi, None]) / T)
-        dp[lo:hi] = w_in @ p - p[lo:hi] * (dim - w_in.sum(axis=1))
-    return dp
+    return _sa_rates(np.asarray(energies, dtype=float))(T)(np.asarray(p, dtype=float))
+
+
+def ca_generator_apply(p: np.ndarray, energies: np.ndarray, T: float) -> np.ndarray:
+    """dp/dt under all-pairs rates, applied through the energy levels."""
+    if T <= 0:
+        raise ValueError("temperature must be positive")
+    return _ca_rates(np.asarray(energies, dtype=float))(T)(np.asarray(p, dtype=float))
 
 
 @dataclass
@@ -107,15 +122,6 @@ class MasterRun:
     snapshots: list
 
 
-def _sa_weights(E: np.ndarray, T: float, n: int):
-    w = []
-    for k in range(n):
-        shape = (1 << (n - 1 - k), 2, 1 << k)
-        E_sw = np.ascontiguousarray(E.reshape(shape)[:, ::-1, :]).reshape(-1)
-        w.append(expit((E_sw - E) / T))
-    return w
-
-
 def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
                   mode: str = "sa", dt: float = 0.01, t_end: float = 500.0,
                   sample_every: int = 1000, keep_snapshots: bool = False) -> MasterRun:
@@ -128,39 +134,12 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
     if mode not in ("sa", "ca"):
         raise ValueError(f"mode must be 'sa' or 'ca', got {mode!r}")
     J = validate_coupling_matrix(J)
-    n = J.shape[0]
-    if mode == "ca" and n > MAX_CA_SPINS:
-        raise ValueError(f"classical annealing guarded to n <= {MAX_CA_SPINS}")
     E = build_diagonal(J, h)
-    ground = np.flatnonzero(np.round(E - E.min(), 9) == 0.0)
+    ground = ground_set(E)
     dim = E.size
     p = np.full(dim, 1.0 / dim)
-
+    make_rhs = (_sa_rates if mode == "sa" else _ca_rates)(E)
     steps = int(round(t_end / dt))
-    use_dense_ca = mode == "ca" and dim <= 1024
-    use_cached_sa = mode == "sa" and n <= 14
-    dE = E[:, None] - E[None, :] if use_dense_ca else None
-
-    def make_rhs(T: float):
-        if use_dense_ca:
-            w_in = expit(-dE / T)
-            outflow = dim - w_in.sum(axis=1)
-            return lambda q: w_in @ q - q * outflow
-        if use_cached_sa:
-            weights = _sa_weights(E, T, n)
-
-            def rhs(q):
-                dq = np.zeros_like(q)
-                for k, w in enumerate(weights):
-                    shape = (1 << (n - 1 - k), 2, 1 << k)
-                    q_sw = np.ascontiguousarray(q.reshape(shape)[:, ::-1, :]).reshape(-1)
-                    dq += w * q_sw - (1.0 - w) * q
-                return dq
-
-            return rhs
-        if mode == "sa":
-            return lambda q: sa_generator_apply(q, E, T)
-        return lambda q: ca_generator_apply(q, E, T)
 
     times, temps, pgs, per_state, snaps = [], [], [], [], []
     negativity = 0
@@ -217,7 +196,7 @@ def boltzmann_reference(energies: np.ndarray, T: float,
         raise ValueError("temperature must be positive")
     E = np.asarray(energies, dtype=float)
     if ground_indices is None:
-        ground_indices = np.flatnonzero(np.round(E - E.min(), 9) == 0.0)
+        ground_indices = ground_set(E)
     w = np.exp(-(E - E.min()) / T)
     return float(w[ground_indices].sum() / w.sum())
 
@@ -240,7 +219,7 @@ def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig)
     J = validate_coupling_matrix(J)
     n = J.shape[0]
     E = build_diagonal(J, h)
-    ground = np.flatnonzero(np.round(E - E.min(), 9) == 0.0)
+    ground = ground_set(E)
     psi = np.full(1 << n, 2.0 ** (-n / 2))
     dt = config.dt
     half = np.exp(-0.5 * dt * (E - E.min()))  # shift for overflow safety only

@@ -29,6 +29,7 @@ __all__ = [
     "bloch_vector",
     "build_diagonal",
     "gamma",
+    "ground_set",
     "ground_state_probability",
     "index_spins",
     "initial_state",
@@ -130,6 +131,11 @@ def build_diagonal(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
             raise ValueError(f"field must have shape ({n},), got {h.shape}")
         E = E - S @ h
     return E
+
+
+def ground_set(E: np.ndarray) -> np.ndarray:
+    """Indices of the minimizers of E, ties taken to 9 decimals above the minimum."""
+    return np.flatnonzero(np.round(E - E.min(), 9) == 0.0)
 
 
 def initial_state(n: int) -> QuantumState:
@@ -266,7 +272,7 @@ def run_qa(J: np.ndarray, config: QAConfig) -> QARun:
     if n > MAX_QUBITS:
         raise ValueError(f"state vector for n = {n} exceeds the {MAX_QUBITS}-spin guard")
     energies = build_diagonal(J, config.h)
-    ground = np.flatnonzero(np.round(energies - energies.min(), 9) == 0.0)
+    ground = ground_set(energies)
 
     state = initial_state(n)
     psi = state.amplitudes

@@ -390,7 +390,6 @@ def success_probability(J: np.ndarray, config: SolverConfig, runs: int, seed: in
     gset = _ground_sign_set(J) if ground_spins is None else ground_spins
     res = run_ensemble(J, config, runs, seed)
     hits = sum(1 for row in res.spins if tuple(int(v) for v in row) in gset)
-    ok = ~res.diverged
     p = hits / runs
     return SuccessStats(
         p_gs=p,

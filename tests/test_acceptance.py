@@ -94,9 +94,10 @@ def test_criterion_03_branch_crossing_pump():
     with _Timer() as t:
         pc = softspin.branch_crossing_pump(0.4, 8, 1.0)
     ok = pc is not None and abs(pc - (-0.0872)) <= 5e-4 and t.elapsed < budget
+    detail = "no crossing found" if pc is None else f"p_c = {pc:.6f}"
     _report("criterion-3 soft-spin branch crossing", ok,
-            f"p_c = {pc:.6f} (target -0.0872 +- 0.0005)", t.elapsed, budget)
-    assert abs(pc - (-0.0872)) <= 5e-4
+            f"{detail} (target -0.0872 +- 0.0005)", t.elapsed, budget)
+    assert pc is not None and abs(pc - (-0.0872)) <= 5e-4
     assert t.elapsed < budget
 
 

@@ -86,9 +86,14 @@ class TestSweepCommand:
         path.write_text(json.dumps({"instance": {"n": 8, "j_grid": []}}))
         assert main(["sweep", "--config", str(path)]) == 1
 
-    def test_unknown_field_rejected(self, tmp_path):
+    @pytest.mark.parametrize("config", [
+        {"bogus": 1},
+        {"instance": {"n": 8, "j": 0.3}, "softspin": {"t_endd": 100}},
+        {"instance": {"n": 8, "j": 0.3}, "qa": {"bogus": 1}},
+    ], ids=["top-level", "softspin", "qa"])
+    def test_unknown_field_rejected(self, tmp_path, config):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"bogus": 1}))
+        path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(path)]) == 1
 
     def test_parse_error_reports_position(self, tmp_path, capsys):

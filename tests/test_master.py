@@ -15,6 +15,32 @@ from isinglab.master import (
 from isinglab.quantum import QAConfig, build_diagonal
 
 
+def _random_instance(rng, n, integer=False):
+    """Seeded symmetric couplings; integer ones (no field) give degenerate levels."""
+    if integer:
+        A = rng.integers(-2, 3, (n, n)).astype(float)
+        h = None
+    else:
+        A = rng.normal(size=(n, n))
+        h = rng.normal(size=n)
+    J = np.triu(A, 1) + np.triu(A, 1).T
+    return J, h
+
+
+def _dense_generator(E, T, single_flip_only):
+    """Rate matrix built entry by entry; columns sum to zero."""
+    dim = E.size
+    G = np.zeros((dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            if i == j or (single_flip_only and bin(i ^ j).count("1") != 1):
+                continue
+            G[i, j] = expit((E[j] - E[i]) / T)  # rate into i from j
+    for j in range(dim):
+        G[j, j] = -G[:, j].sum()
+    return G
+
+
 class TestRates:
     def test_equal_energies_give_half(self):
         E = np.zeros(4)
@@ -105,9 +131,30 @@ class TestRates:
         with pytest.raises(ValueError):
             sa_generator_apply(np.ones(2), np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_generators_match_dense_matrix(self, n, integer):
+        rng = np.random.default_rng(100 * n + integer)
+        J, h = _random_instance(rng, n, integer)
+        E = build_diagonal(J, h)
+        p = rng.random(1 << n)
+        p /= p.sum()
+        for T in (0.3, 1.0, 4.0):
+            for apply_fn, single_flip_only in ((sa_generator_apply, True),
+                                               (ca_generator_apply, False)):
+                expected = _dense_generator(E, T, single_flip_only) @ p
+                np.testing.assert_allclose(apply_fn(p, E, T), expected, rtol=0, atol=1e-12)
+
     def test_ca_size_guard(self):
+        # the all-pairs action runs on energy levels, so 2^13 states need no
+        # spin guard; only the L x L level matrix is bounded
+        rng = np.random.default_rng(13)
+        E = rng.integers(-20, 20, 2**13).astype(float)
+        p = rng.random(2**13)
+        p /= p.sum()
+        assert abs(ca_generator_apply(p, E, 1.0).sum()) < 1e-12
         with pytest.raises(ValueError):
-            ca_generator_apply(np.ones(2**13), np.zeros(2**13), 1.0)
+            ca_generator_apply(p, np.arange(2.0**13), 1.0)
 
 
 class TestAnnealMaster:
@@ -144,9 +191,35 @@ class TestAnnealMaster:
             anneal_master(graph.build_mobius_ladder(4, 0.4), None, AnnealSchedule(),
                           mode="metropolis")
 
+    @pytest.mark.parametrize("mode", ["sa", "ca"])
+    def test_matches_dense_rk4(self, mode):
+        rng = np.random.default_rng(41)
+        J, h = _random_instance(rng, 4)
+        E = build_diagonal(J, h)
+        schedule = AnnealSchedule(d=2.0, t0=0.5)
+        dt = 0.01
+        run = anneal_master(J, h, schedule, mode=mode, dt=dt, t_end=0.3)
+        p = np.full(16, 1.0 / 16.0)
+        t = 0.0
+        for _ in range(30):
+            G_a, G_m, G_e = (_dense_generator(E, temperature(s, schedule), mode == "sa")
+                             for s in (t, t + 0.5 * dt, t + dt))
+            k1 = G_a @ p
+            k2 = G_m @ (p + 0.5 * dt * k1)
+            k3 = G_m @ (p + 0.5 * dt * k2)
+            k4 = G_e @ (p + dt * k3)
+            p = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+        np.testing.assert_allclose(run.probabilities, p, rtol=0, atol=1e-12)
+
     def test_ca_guard(self):
+        # only the diagonal's 20-spin guard bounds CA; 14 spins now run
         with pytest.raises(ValueError):
-            anneal_master(np.zeros((14, 14)), None, AnnealSchedule(), mode="ca")
+            anneal_master(np.zeros((21, 21)), None, AnnealSchedule(), mode="ca")
+        J = graph.build_mobius_ladder(14, 0.35)
+        h = quantum.symmetry_breaking_field(14, 0.05, 0.0)
+        run = anneal_master(J, h, AnnealSchedule(), mode="ca", dt=0.01, t_end=1.0)
+        assert abs(run.probabilities.sum() - 1.0) < 1e-12
 
     def test_temperature_schedule(self):
         schedule = AnnealSchedule(d=5.0, t0=0.5)
