@@ -128,24 +128,6 @@ def _resolve_j_grid(instance: dict) -> np.ndarray:
     return grid
 
 
-def _ground_sign_set(n: int, j: float) -> set:
-    """Ground readout patterns; exact enumeration when feasible, analytic otherwise."""
-    if n <= oracle.MAX_SPINS:
-        J = graph.build_mobius_ladder(n, j)
-        return {tuple(s.astype(int)) for s in oracle.exhaustive_ground_state(J).ground_states}
-    info = graph.analytic_ground_state(n, j)
-    configs = []
-    if info.label in ("S0", "tie"):
-        configs.append(graph.build_s0(n))
-    if info.label in ("S1", "tie"):
-        configs.extend(graph.build_s1(n, i0) for i0 in range(n // 2))
-    out = set()
-    for s in configs:
-        out.add(tuple(s.astype(int)))
-        out.add(tuple((-s).astype(int)))
-    return out
-
-
 def _family_shares(spins: np.ndarray) -> tuple[float, float, float]:
     runs = len(spins)
     sp0 = sp1 = sp2 = 0
@@ -160,39 +142,45 @@ def _family_shares(spins: np.ndarray) -> tuple[float, float, float]:
     return sp0 / runs, sp1 / runs, sp2 / runs
 
 
-def _sweep_configs(cfg: dict, j: float) -> tuple[list, quantum.QAConfig | None]:
+def _sweep_configs(cfg: dict, j: float) -> tuple[list, quantum.QAConfig | None, dict]:
     """Every solver config of one sweep point, built before any work is done."""
     try:
         soft_over = dict(cfg.get("softspin", {}))
         solvers = [(v, softspin.default_solver_config(j, variant=v, **soft_over))
                    for v in cfg["variants"] if v != "qa"]
         qa_cfg = quantum.QAConfig(**cfg.get("qa", {})) if "qa" in cfg["variants"] else None
+        cim3 = dict(cfg.get("cim3", {}))
+        unknown = sorted(set(cim3) - {"prelim_runs", "delta_grid"})
+        if unknown:
+            raise ValueError(f"unknown cim3 fields {unknown}")
+        grid = cim3.get("delta_grid")
+        grid = None if grid is None else np.asarray(grid, dtype=float)
+        tuning = {"prelim_runs": int(cim3.get("prelim_runs", 200)), "grid": grid}
+        if tuning["prelim_runs"] < 1 or (grid is not None and not (
+                grid.ndim == 1 and grid.size and np.all((grid >= 0.0) & (grid <= 1.0)))):
+            raise ValueError("cim3 needs prelim_runs >= 1 and a nonempty delta_grid in [0, 1]")
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid solver config: {exc}")
-    return solvers, qa_cfg
+    return solvers, qa_cfg, tuning
 
 
 def _sweep_one_j(args) -> list:
-    cfg, j, solvers, qa_cfg = args
+    cfg, j, solvers, qa_cfg, tuning = args
     n = int(cfg["instance"]["n"])
     runs = int(cfg["runs"])
     seed = int(cfg["seed"])
     J = graph.build_mobius_ladder(n, j)
-    gset = _ground_sign_set(n, j)
+    ground = softspin.ground_readouts(J)
     rows = []
     for variant, config in solvers:
         delta = ""
         if variant == "cim3":
-            prelim = int(cfg["cim3"].get("prelim_runs", 200))
-            grid = cfg["cim3"].get("delta_grid")
-            grid = None if grid is None else np.asarray(grid, dtype=float)
-            best, _ = softspin.tune_delta(J, config, seed=seed + 7, grid=grid,
-                                          prelim_runs=prelim, ground_spins=gset)
+            best, _ = softspin.tune_delta(J, config, seed=seed + 7, ground_spins=ground,
+                                          **tuning)
             config = replace(config, delta=best)
             delta = best
         res = softspin.run_ensemble(J, config, runs, seed)
-        hits = sum(1 for row in res.spins if tuple(int(v) for v in row) in gset)
-        p = hits / runs
+        p = int(softspin.ground_hits(res.spins, ground).sum()) / runs
         se = float(np.sqrt(p * (1.0 - p) / runs))
         sp0, sp1, sp2 = _family_shares(res.spins)
         rows.append([variant, float(j), delta, runs, p, se, sp0, sp1, sp2])
@@ -273,10 +261,9 @@ def cmd_graph(ns) -> int:
 def cmd_oracle(ns) -> int:
     J = graph.build_mobius_ladder(ns.n, ns.j)
     summary = oracle.exhaustive_ground_state(J)
-    indices = oracle.ground_state_projector(J)
     rows = [["ground_energy", summary.ground_energy],
             ["degeneracy", len(summary.ground_states)],
-            ["ground_indices", ";".join(str(int(i)) for i in indices)]]
+            ["ground_indices", ";".join(str(int(i)) for i in summary.ground_indices)]]
     for energy in sorted(summary.histogram):
         rows.append([f"count@{energy!r}", summary.histogram[energy]])
     _write_rows(ns.out, "exhaustive-ground-state", {"n": ns.n, "j": ns.j},

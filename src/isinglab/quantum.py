@@ -7,8 +7,10 @@ Ising energy used everywhere else.  Time stepping is a second-order Strang
 splitting: half step of the diagonal phase, one full transverse rotation with
 the analytically integrated angle, then another half phase step.
 
-Basis convention: basis state index xi has bit k equal to 1 when spin k is up
-(s_k = +1); the all-down configuration is index 0.
+The basis convention (bit k of index xi set when spin k is up), the
+all-state energy table behind the diagonal and the ground-set tie rule are
+owned by :mod:`isinglab.oracle`; this module re-exports `basis_index`,
+`index_spins`, `spins_table` and `ground_set` from there.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .graph import validate_coupling_matrix
+from .oracle import all_energies, basis_index, ground_set, index_spins, spins_table
 
 __all__ = [
     "BlochVector",
@@ -94,27 +97,6 @@ class BlochVector:
         return float(np.sqrt(self.u**2 + self.v**2 + self.w**2))
 
 
-def basis_index(s: np.ndarray) -> int:
-    """Basis index of a hard-spin configuration (bit k set iff s_k = +1)."""
-    s = np.asarray(s)
-    bits = (s > 0).astype(np.int64)
-    return int(bits @ (1 << np.arange(len(s), dtype=np.int64)))
-
-
-def index_spins(idx: int, n: int) -> np.ndarray:
-    """Spin configuration of a basis index; inverse of :func:`basis_index`."""
-    if not 0 <= idx < (1 << n):
-        raise ValueError(f"index {idx} out of range for {n} spins")
-    bits = (idx >> np.arange(n)) & 1
-    return 2.0 * bits - 1.0
-
-
-def spins_table(n: int) -> np.ndarray:
-    """(2^n, n) array whose row xi is the spin configuration of index xi."""
-    idx = np.arange(1 << n)
-    return 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1) - 1.0
-
-
 def build_diagonal(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     """Classical energies E(xi) = H_I(xi) - sum_i h_i s_i for every basis state."""
     J = np.asarray(J, dtype=float)
@@ -123,19 +105,11 @@ def build_diagonal(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     n = J.shape[0]
     if n > MAX_QUBITS:
         raise ValueError(f"diagonal for n = {n} exceeds the {MAX_QUBITS}-spin guard")
-    S = spins_table(n)
-    E = -0.5 * np.einsum("bi,bi->b", S @ J, S)
     if h is not None:
         h = np.asarray(h, dtype=float)
         if h.shape != (n,):
             raise ValueError(f"field must have shape ({n},), got {h.shape}")
-        E = E - S @ h
-    return E
-
-
-def ground_set(E: np.ndarray) -> np.ndarray:
-    """Indices of the minimizers of E, ties taken to 9 decimals above the minimum."""
-    return np.flatnonzero(np.round(E - E.min(), 9) == 0.0)
+    return all_energies(J, h)
 
 
 def initial_state(n: int) -> QuantumState:

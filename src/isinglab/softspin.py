@@ -19,12 +19,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .graph import (
+    analytic_ground_state,
     build_mobius_ladder,
     build_s0,
     build_s1,
     ising_energy,
     validate_coupling_matrix,
 )
+from .oracle import MAX_SPINS, exhaustive_ground_state
 
 __all__ = [
     "BranchSolution",
@@ -45,6 +47,8 @@ __all__ = [
     "default_delta_grid",
     "default_solver_config",
     "descent_state_probabilities",
+    "ground_hits",
+    "ground_readouts",
     "homogenize_intensities",
     "ht_rhs",
     "manifold_reduce",
@@ -130,14 +134,17 @@ def homogenize_intensities(x, frac):
     Scale-free counterpart of :func:`manifold_reduce` used inside cim3 steps:
     it preserves signs and the total squared radius, so it homogenizes
     amplitude patterns at any overall scale (at frac = 1 every magnitude
-    becomes the root mean square).  Zero components stay at zero.
+    becomes the root mean square).  Zero components stay at zero, and
+    frac = 0 returns x unchanged.  frac is a scalar or broadcasts against the
+    batch axes of x, e.g. one fraction per run of shape (runs, 1).
     """
-    if not 0.0 <= frac <= 1.0:
+    frac = np.asarray(frac, dtype=float)
+    if not (0.0 <= frac.min() and frac.max() <= 1.0):  # NaN fails too
         raise ValueError(f"mixing fraction must lie in [0, 1], got {frac}")
     x = np.asarray(x, dtype=float)
     intensity = x**2
     R = np.mean(intensity, axis=-1, keepdims=True)
-    return np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R)
+    return np.where(frac > 0.0, np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R), x)
 
 
 def spin_readout(x):
@@ -162,7 +169,6 @@ class SolverConfig:
     delta: float = 0.0
     init_amplitude: float = 0.001
     seed: int = 0
-    method: str = "euler"  # "euler" (baseline) or "rk4" (convergence checks)
     sample_every: int = 0
     early_stop: bool = True
 
@@ -175,8 +181,6 @@ class SolverConfig:
             raise ValueError("delta must lie in [0, 1]")
         if self.c <= 0:
             raise ValueError("c must be positive")
-        if self.method not in ("euler", "rk4"):
-            raise ValueError(f"method must be 'euler' or 'rk4', got {self.method!r}")
 
 
 def default_solver_config(j: float, variant: str = "cim1", **overrides) -> SolverConfig:
@@ -264,14 +268,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     for step in range(steps):
         p = pump_tanh(t, p0, eps)
         if variant == "ht":
-            if config.method == "rk4":
-                k1 = ht_rhs(x, p, J)
-                k2 = ht_rhs(x + 0.5 * dt * k1, pump_tanh(t + 0.5 * dt, p0, eps), J)
-                k3 = ht_rhs(x + 0.5 * dt * k2, pump_tanh(t + 0.5 * dt, p0, eps), J)
-                k4 = ht_rhs(x + dt * k3, pump_tanh(t + dt, p0, eps), J)
-                x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            else:
-                x = x + dt * ht_rhs(x, p, J)
+            x = x + dt * ht_rhs(x, p, J)
             hit = (np.max(np.abs(x), axis=1) >= 1.0) & ~ht_done
             if np.any(hit):
                 ht_spins[hit] = spin_readout(x[hit])
@@ -281,26 +278,11 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                 t += dt
                 break
         else:
-            p_eff = pump_i if variant == "cim2" else p
-            if config.method == "rk4" and variant != "cim2":
-                k1 = cim_rhs(x, p)
-                pm = pump_tanh(t + 0.5 * dt, p0, eps)
-                k2 = cim_rhs(x + 0.5 * dt * k1, pm)
-                k3 = cim_rhs(x + 0.5 * dt * k2, pm)
-                k4 = cim_rhs(x + dt * k3, pump_tanh(t + dt, p0, eps))
-                x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            else:
-                x = x + dt * cim_rhs(x, p_eff)
+            x = x + dt * cim_rhs(x, pump_i if variant == "cim2" else p)
             if variant == "cim2":
                 pump_i = cim2_pump_step(pump_i, x, eps, dt)
             if variant == "cim3":
-                if delta_per_run is None:
-                    if config.delta > 0.0:
-                        x = homogenize_intensities(x, config.delta)
-                else:
-                    intensity = x**2
-                    R = np.mean(intensity, axis=1, keepdims=True)
-                    x = np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R)
+                x = homogenize_intensities(x, frac)
             with np.errstate(invalid="ignore"):
                 bad = ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
             fresh = bad & ~diverged
@@ -315,13 +297,8 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
         t += dt
 
         if collect_samples and config.sample_every > 0 and (step + 1) % config.sample_every == 0:
-            if variant == "cim2":
-                pv = pump_i[0].copy()
-                energy = 0.25 * c * np.sum((pv - x[0] ** 2) ** 2) - 0.5 * x[0] @ J @ x[0]
-            else:
-                pv = pump_tanh(t, p0, eps)
-                energy = soft_energy(x[0], pv, c, J)
-            samples.append((t, pv, x[0].copy(), float(energy)))
+            pv = pump_i[0].copy() if variant == "cim2" else pump_tanh(t, p0, eps)
+            samples.append((t, pv, x[0].copy(), soft_energy(x[0], pv, c, J)))
 
         if variant != "ht":
             new_signs = np.sign(x)
@@ -376,20 +353,45 @@ def run_ensemble(J: np.ndarray, config: SolverConfig, runs: int, seed: int,
     return EnsembleResult(spins=spins, final_x=x, diverged=diverged, steps_run=steps)
 
 
-def _ground_sign_set(J: np.ndarray) -> set:
-    from .oracle import exhaustive_ground_state
+def ground_readouts(J: np.ndarray) -> np.ndarray:
+    """(G, n) int8 rows of every Ising ground state of J, as :func:`spin_readout` gives them.
 
-    summary = exhaustive_ground_state(J)
-    return {tuple(s.astype(int)) for s in summary.ground_states}
+    Exhaustive enumeration up to the oracle's spin limit.  Beyond it J must
+    be a Mobius ladder, whose ground set is analytic: S0 and/or the n/2
+    rotations of S1, each with its global flip.
+    """
+    J = validate_coupling_matrix(J)
+    n = J.shape[0]
+    if n <= MAX_SPINS:
+        return np.array(exhaustive_ground_state(J).ground_states, dtype=np.int8)
+    j = -float(J[0, n // 2])
+    if j <= 0.0 or not np.array_equal(J, build_mobius_ladder(n, j)):
+        raise ValueError(f"ground set for n = {n} > {MAX_SPINS} spins is known "
+                         "only for Mobius ladders")
+    label = analytic_ground_state(n, j).label
+    configs = [build_s0(n)] if label in ("S0", "tie") else []
+    if label in ("S1", "tie"):
+        configs.extend(build_s1(n, i0) for i0 in range(n // 2))
+    configs = np.array(configs, dtype=np.int8)
+    return np.concatenate([configs, -configs])
+
+
+def ground_hits(spins: np.ndarray, ground: np.ndarray) -> np.ndarray:
+    """Mask over the +-1 rows of `spins` that equal some row of `ground`, at any n."""
+    def keys(rows):  # sign bits packed into bytes: one opaque key per row
+        packed = np.packbits(np.asarray(rows) > 0, axis=-1)
+        return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[-1])))[:, 0]
+
+    return np.isin(keys(spins), keys(ground))
 
 
 def success_probability(J: np.ndarray, config: SolverConfig, runs: int, seed: int = 0,
-                        ground_spins: set | None = None) -> SuccessStats:
-    """Fraction of runs whose spin readout lands in the Ising ground set."""
+                        ground_spins: np.ndarray | None = None) -> SuccessStats:
+    """Fraction of runs whose readout is a row of `ground_spins` (default: ground_readouts(J))."""
     J = validate_coupling_matrix(J)
-    gset = _ground_sign_set(J) if ground_spins is None else ground_spins
+    ground = ground_readouts(J) if ground_spins is None else ground_spins
     res = run_ensemble(J, config, runs, seed)
-    hits = sum(1 for row in res.spins if tuple(int(v) for v in row) in gset)
+    hits = int(ground_hits(res.spins, ground).sum())
     p = hits / runs
     return SuccessStats(
         p_gs=p,
@@ -407,7 +409,7 @@ def default_delta_grid() -> np.ndarray:
 
 def tune_delta(J: np.ndarray, config: SolverConfig, seed: int = 0,
                grid: np.ndarray | None = None, prelim_runs: int = 200,
-               ground_spins: set | None = None):
+               ground_spins: np.ndarray | None = None):
     """Pick the cim3 delta maximizing ground-state probability on preliminary runs.
 
     Scans the grid with `prelim_runs` trajectories per candidate (one batched
@@ -415,20 +417,14 @@ def tune_delta(J: np.ndarray, config: SolverConfig, seed: int = 0,
     the smaller delta.
     """
     J = validate_coupling_matrix(J)
-    gset = _ground_sign_set(J) if ground_spins is None else ground_spins
+    ground = ground_readouts(J) if ground_spins is None else ground_spins
     grid = default_delta_grid() if grid is None else np.asarray(grid, dtype=float)
     deltas = np.repeat(grid, prelim_runs)
     cfg = replace(config, variant="cim3")
     res = run_ensemble(J, cfg, len(deltas), seed, delta_per_run=deltas)
-    table = []
-    best_delta, best_p = None, -1.0
-    for i, d in enumerate(grid):
-        block = res.spins[i * prelim_runs:(i + 1) * prelim_runs]
-        p = sum(1 for row in block if tuple(int(v) for v in row) in gset) / prelim_runs
-        table.append((float(d), p))
-        if p > best_p:
-            best_delta, best_p = float(d), p
-    return best_delta, table
+    hits = ground_hits(res.spins, ground).reshape(grid.size, prelim_runs).sum(axis=1)
+    table = [(float(d), int(k) / prelim_runs) for d, k in zip(grid, hits)]
+    return max(table, key=lambda row: row[1])[0], table  # max keeps the first of ties
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_criterion_10_homogenization_dominance():
         results = []
         for j in (0.30, 0.35, 0.40, 0.45):
             J = graph.build_mobius_ladder(8, j)
-            gset = softspin._ground_sign_set(J)
+            gset = softspin.ground_readouts(J)
             cfg1 = softspin.default_solver_config(j)
             s1 = softspin.success_probability(J, cfg1, runs, seed=23, ground_spins=gset)
             cfg3 = softspin.default_solver_config(j, variant="cim3")

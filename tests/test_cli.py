@@ -81,6 +81,19 @@ class TestSweepCommand:
         assert rows[0][0] == "cim1"
         assert 0.0 <= float(rows[0][4]) <= 1.0
 
+    def test_analytic_ground_set_above_oracle_limit(self, tmp_path):
+        # n = 64: the ground set comes from the closed form, and readouts no
+        # longer fit a packed 62-bit index
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "instance": {"n": 64, "j": 0.3}, "variants": ["cim1", "cim3"], "runs": 3,
+            "softspin": {"t_end": 30.0}, "cim3": {"prelim_runs": 2, "delta_grid": [0.1]}}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        _, _, rows = _read_csv(out)
+        assert [r[0] for r in rows] == ["cim1", "cim3"]
+        assert all(0.0 <= float(r[4]) <= 1.0 for r in rows)
+
     def test_empty_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"instance": {"n": 8, "j_grid": []}}))
@@ -90,7 +103,10 @@ class TestSweepCommand:
         {"bogus": 1},
         {"instance": {"n": 8, "j": 0.3}, "softspin": {"t_endd": 100}},
         {"instance": {"n": 8, "j": 0.3}, "qa": {"bogus": 1}},
-    ], ids=["top-level", "softspin", "qa"])
+        {"instance": {"n": 8, "j": 0.3}, "cim3": {"prelim_runss": 3}},
+        {"instance": {"n": 8, "j": 0.3}, "cim3": {"delta_grid": [0.1, 1.5]}},
+        {"instance": {"n": 8, "j": 0.3}, "cim3": {"prelim_runs": 0}},
+    ], ids=["top-level", "softspin", "qa", "cim3", "cim3-grid", "cim3-runs"])
     def test_unknown_field_rejected(self, tmp_path, config):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))

@@ -1,12 +1,50 @@
 import numpy as np
 import pytest
 
-from isinglab import graph, oracle
+from isinglab import graph, oracle, quantum
 from isinglab.quantum import basis_index, spins_table
 
 
 def _sign_set(states):
     return {tuple(s.astype(int)) for s in states}
+
+
+def _random_couplings(rng, n, integer=False):
+    A = rng.integers(-2, 3, size=(n, n)).astype(float) if integer else rng.normal(size=(n, n))
+    J = np.triu(A, 1)
+    return J + J.T
+
+
+class TestAllEnergies:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_entrywise_energy(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            J = _random_couplings(rng, n)
+            h = rng.normal(size=n)
+            S = spins_table(n)
+            direct = np.array([graph.ising_energy(J, s) - h @ s for s in S])
+            scale = max(1.0, np.abs(direct).max())
+            np.testing.assert_allclose(oracle.all_energies(J, h), direct,
+                                       rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(oracle.all_energies(J), direct + S @ h,
+                                       rtol=0, atol=1e-13 * scale)
+
+
+class TestOneGroundRule:
+    def test_oracle_projector_and_quantum_agree(self):
+        rng = np.random.default_rng(12)
+        instances = [graph.build_mobius_ladder(n, j)
+                     for n, j in ((8, 0.4), (8, 0.5), (8, 0.6), (12, 0.35))]
+        for n in (3, 5, 6, 9):
+            instances.append(_random_couplings(rng, n))
+            instances.append(_random_couplings(rng, n, integer=True))  # degenerate levels
+        for J in instances:
+            summary = oracle.exhaustive_ground_state(J)
+            via_quantum = quantum.ground_set(quantum.build_diagonal(J))
+            np.testing.assert_array_equal(summary.ground_indices, via_quantum)
+            np.testing.assert_array_equal(oracle.ground_state_projector(J), via_quantum)
+            assert [basis_index(s) for s in summary.ground_states] == list(via_quantum)
 
 
 class TestExhaustiveGroundState:

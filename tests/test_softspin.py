@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from isinglab import graph, softspin
+from isinglab import graph, oracle, softspin
 from isinglab.softspin import (
     SolverConfig,
     basin_descriptors,
@@ -264,6 +266,70 @@ class TestTrajectories:
             run_trajectory(J8, SolverConfig())  # p0 unset
         with pytest.raises(ValueError):
             run_ensemble(J8, default_solver_config(0.4), runs=0, seed=0)
+
+
+class TestGroundReadouts:
+    @pytest.mark.parametrize("n", [8, 30, 70])  # 70 spins do not fit a packed int64 index
+    def test_hit_count_matches_tuple_set_loop(self, n):
+        rng = np.random.default_rng(n)
+        spins = np.where(rng.random((300, n)) < 0.5, 1, -1).astype(np.int8)
+        for size in (1, 5, 40):
+            ground = np.concatenate([spins[rng.choice(300, size, replace=False)],
+                                     np.where(rng.random((size, n)) < 0.5, 1, -1)]).astype(np.int8)
+            gset = {tuple(int(v) for v in row) for row in ground}
+            loop = [tuple(int(v) for v in row) in gset for row in spins]
+            np.testing.assert_array_equal(softspin.ground_hits(spins, ground), loop)
+
+    def test_oracle_rows_up_to_the_spin_limit(self):
+        for j in (0.4, 0.6):
+            J = graph.build_mobius_ladder(8, j)
+            rows = softspin.ground_readouts(J)
+            assert rows.dtype == np.int8
+            expected = oracle.exhaustive_ground_state(J).ground_states
+            np.testing.assert_array_equal(rows, np.array(expected))
+
+    @pytest.mark.parametrize("j,family,count", [(0.1, "S0", 2), (0.3, "S1", 28),
+                                                (4.0 / 28, None, 30)])
+    def test_analytic_rows_beyond_the_spin_limit(self, j, family, count):
+        n = 28
+        J = graph.build_mobius_ladder(n, j)
+        rows = softspin.ground_readouts(J)
+        assert len({tuple(r) for r in rows}) == len(rows) == count
+        energy = graph.analytic_ground_state(n, j).energy
+        for r in rows:
+            assert graph.ising_energy(J, r) == pytest.approx(energy, abs=1e-9)
+            assert family is None or softspin.spin_family(r) == family
+
+    def test_analytic_rows_need_a_mobius_ladder(self):
+        J = graph.build_mobius_ladder(26, 0.3)
+        J[0, 5] = J[5, 0] = -0.1
+        with pytest.raises(ValueError):
+            softspin.ground_readouts(J)
+
+
+class TestCim3Homogenization:
+    def test_per_run_deltas_equal_config_delta(self):
+        j = 0.35
+        J = graph.build_mobius_ladder(8, j)
+        for d in (0.0, 0.01, 0.3):
+            cfg = default_solver_config(j, variant="cim3", delta=d, t_end=400.0)
+            a = run_ensemble(J, cfg, runs=30, seed=4)
+            b = run_ensemble(J, replace(cfg, delta=0.7), runs=30, seed=4,
+                             delta_per_run=np.full(30, d))
+            np.testing.assert_array_equal(a.final_x, b.final_x)
+            np.testing.assert_array_equal(a.spins, b.spins)
+            assert a.steps_run == b.steps_run
+
+    def test_zero_delta_is_cim1(self):
+        j = 0.35
+        J = graph.build_mobius_ladder(8, j)
+        cim1 = run_ensemble(J, default_solver_config(j, t_end=400.0), runs=30, seed=4)
+        cim3 = run_ensemble(J, default_solver_config(j, variant="cim3", t_end=400.0),
+                            runs=30, seed=4)
+        np.testing.assert_array_equal(cim1.final_x, cim3.final_x)
+        np.testing.assert_array_equal(cim1.spins, cim3.spins)
+        x = np.array([[0.5, -2.0, 0.0], [1e-200, 3.0, -1.0]])
+        np.testing.assert_array_equal(homogenize_intensities(x, np.zeros((2, 1))), x)
 
 
 class TestDeltaTuning:
