@@ -3,11 +3,12 @@
 Subpackages by theme: `graph` (instances, spectra, analytic ground states),
 `oracle` (exhaustive enumeration), `softspin` (gain-based soft-spin solvers,
 branches, basins), `landscape` (critical points and barriers), `quantum`
-(state-vector annealing), `master` (master-equation annealing), `cli`
-(experiment runner).
+(state-vector annealing), `master` (master-equation annealing),
+`invariants` (the check registry shared by `isinglab verify` and the tests),
+`cli` (experiment runner).
 """
 
-from . import graph, landscape, master, oracle, quantum, softspin
+from . import graph, invariants, landscape, master, oracle, quantum, softspin
 from .graph import (
     analytic_ground_state,
     build_mobius_ladder,

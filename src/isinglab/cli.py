@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import graph, landscape, master, oracle, quantum, softspin
+from . import graph, invariants, landscape, master, oracle, quantum, softspin
 
 __all__ = ["main"]
 
@@ -397,10 +397,9 @@ def cmd_master_run(ns) -> int:
     schedule = master.AnnealSchedule(d=ns.d, t0=ns.t0)
     run = master.anneal_master(J, h, schedule, mode=ns.mode, dt=ns.dt,
                                t_end=ns.t_end, sample_every=ns.sample_every)
-    energies = quantum.build_diagonal(J, h)
     rows = []
     for i in range(len(run.times)):
-        ref = master.boltzmann_reference(energies, run.temps[i], run.ground_indices)
+        ref = master.boltzmann_reference(run.energies, run.temps[i], run.ground_indices)
         rows.append([run.times[i], run.temps[i], run.p_gs[i], ref])
     _write_rows(ns.out, "master-equation-time-series", params,
                 ["t", "temperature", "p_gs", "equilibrium_p_gs"], rows, ns.format)
@@ -411,167 +410,25 @@ def cmd_master_run(ns) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_checks() -> list:
-    checks = []
-
-    def check(name):
-        def wrap(fn):
-            checks.append((name, fn))
-            return fn
-        return wrap
-
-    @check("spectral-exactness")
-    def _spectral():
-        worst = 0.0
-        for n in (4, 6, 8, 10, 12):
-            for j in (0.1, 0.5, 1.0):
-                J = graph.build_mobius_ladder(n, j)
-                dense = np.sort(np.linalg.eigvalsh(J))
-                analytic = np.sort(graph.mobius_spectrum(n, j))
-                worst = max(worst, float(np.max(np.abs(dense - analytic))))
-        return worst, 1e-10
-
-    @check("ground-state-crossing")
-    def _crossing():
-        worst = 0.0
-        for n in (8, 12):
-            jc = graph.j_crit(n)
-            J_lo = graph.build_mobius_ladder(n, jc - 1e-3)
-            J_hi = graph.build_mobius_ladder(n, jc + 1e-3)
-            lo = oracle.exhaustive_ground_state(J_lo).ground_states[0]
-            hi = oracle.exhaustive_ground_state(J_hi).ground_states[0]
-            ok = softspin.spin_family(lo.astype(int)) == "S0" and \
-                softspin.spin_family(hi.astype(int)) == "S1"
-            worst = max(worst, 0.0 if ok else 1.0)
-        return worst, 0.5
-
-    @check("branch-crossing-pump")
-    def _pc():
-        pc = softspin.branch_crossing_pump(0.4, 8, 1.0)
-        return abs(pc - (-0.0872)), 5e-4
-
-    @check("gradient-consistency")
-    def _grad():
-        rng = np.random.default_rng(3)
-        J = graph.build_mobius_ladder(8, 0.4)
-        worst = 0.0
-        hstep = 1e-5
-        for _ in range(20):
-            x = rng.uniform(-1.5, 1.5, 8)
-            p = rng.uniform(-1.0, 2.0)
-            g = softspin.soft_gradient(x, p, 1.0, J)
-            for i in range(8):
-                e = np.zeros(8)
-                e[i] = hstep
-                fd = (softspin.soft_energy(x + e, p, 1.0, J)
-                      - softspin.soft_energy(x - e, p, 1.0, J)) / (2 * hstep)
-                worst = max(worst, abs(-fd - g[i]) / max(1.0, abs(g[i])))
-        return worst, 1e-6
-
-    @check("strang-norm")
-    def _norm():
-        J = graph.build_mobius_ladder(6, 0.5)
-        config = quantum.QAConfig(b=5.0, dt=0.05, t_end=500.0, sample_every=10**9)
-        run = quantum.run_qa(J, config)
-        return run.state.norm_error(), 1e-10
-
-    @check("strang-order")
-    def _order():
-        J = graph.build_mobius_ladder(4, 0.4)
-        E = quantum.build_diagonal(J)
-
-        def evolve(dt):
-            state = quantum.initial_state(4)
-            cfg = quantum.QAConfig(b=5.0, dt=dt, t_end=5.0)
-            for _ in range(int(round(5.0 / dt))):
-                state = quantum.strang_step(state, E, cfg, dt)
-            return state.amplitudes
-
-        ref = evolve(5.0 / 3200)
-        r = np.linalg.norm(evolve(0.05) - ref) / np.linalg.norm(evolve(0.025) - ref)
-        return abs(r - 4.0), 0.5
-
-    @check("master-conservation")
-    def _conserve():
-        J = graph.build_mobius_ladder(6, 0.5)
-        worst = 0.0
-        for mode in ("sa", "ca"):
-            run = master.anneal_master(J, None, master.AnnealSchedule(), mode=mode,
-                                       dt=0.01, t_end=20.0)
-            worst = max(worst, abs(float(run.probabilities.sum()) - 1.0))
-        return worst, 1e-8
-
-    @check("detailed-balance")
-    def _balance():
-        E = quantum.build_diagonal(graph.build_mobius_ladder(4, 0.7))
-        worst = 0.0
-        from scipy.special import expit
-        for T in (0.3, 1.0, 5.0):
-            for i in (0, 3, 7, 12):
-                for k in range(4):
-                    jj = i ^ (1 << k)
-                    a_ij = expit((E[jj] - E[i]) / T)
-                    a_ji = expit((E[i] - E[jj]) / T)
-                    shift = min(E[i], E[jj])
-                    worst = max(worst, abs(a_ij * np.exp(-(E[jj] - shift) / T)
-                                           - a_ji * np.exp(-(E[i] - shift) / T)))
-        return worst, 1e-12
-
-    @check("bloch-bounds")
-    def _bloch():
-        state = quantum.initial_state(6)
-        worst = 0.0
-        for k in range(6):
-            mag = quantum.bloch_vector(quantum.reduced_density_matrix(state, k)).magnitude
-            worst = max(worst, abs(mag - 1.0))
-        return worst, 1e-8
-
-    @check("flip-symmetry")
-    def _flip():
-        J = graph.build_mobius_ladder(6, 0.5)
-        config = quantum.QAConfig(b=5.0, dt=0.1, t_end=50.0, sample_every=10**9)
-        run = quantum.run_qa(J, config)
-        probs = np.abs(run.state.amplitudes) ** 2
-        comp = probs[::-1]  # bit complement reverses the index order
-        return float(np.max(np.abs(probs - comp))), 1e-10
-
-    @check("oracle-vs-analytic")
-    def _oracle_analytic():
-        worst = 0.0
-        for n in (6, 8, 10, 12):
-            for j in np.linspace(0.05, 1.0, 20):
-                if abs(j - graph.j_crit(n)) < 1e-9:
-                    continue
-                J = graph.build_mobius_ladder(n, j)
-                summary = oracle.exhaustive_ground_state(J)
-                info = graph.analytic_ground_state(n, j)
-                ok = abs(summary.ground_energy - info.energy) < 1e-9 and \
-                    len(summary.ground_states) == info.degeneracy
-                worst = max(worst, 0.0 if ok else 1.0)
-        return worst, 0.5
-
-    return checks
-
-
 def cmd_verify(ns) -> int:
-    only = set(ns.only.split(",")) if ns.only else None
+    known = invariants.names()
+    only = ns.only.split(",") if ns.only else known
+    unknown = [name for name in only if name not in known]
+    if unknown:
+        raise ValidationError(f"unknown check names {unknown}; known: {', '.join(known)}")
     failures = 0
-    print(f"{'check':28s} {'measured':>12s} {'threshold':>12s} result")
-    for name, fn in _verify_checks():
-        if only is not None and name not in only:
+    print(invariants.HEADER)
+    for name in known:
+        if name not in only:
             continue
-        t0 = time.monotonic()
         try:
-            measured, threshold = fn()
-            ok = measured <= threshold
+            outcome = invariants.run(name)
         except Exception as exc:  # a crash is a failure, not an abort
             print(f"{name:28s} {'error':>12s} {'-':>12s} FAIL ({exc})")
             failures += 1
             continue
-        status = "PASS" if ok else "FAIL"
-        print(f"{name:28s} {measured:12.3e} {threshold:12.3e} {status}"
-              f"  [{time.monotonic() - t0:.1f}s]")
-        failures += 0 if ok else 1
+        print(outcome.line())
+        failures += not outcome.passed
     return 0 if failures == 0 else 2
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .graph import validate_coupling_matrix
 from .softspin import (
+    _cluster_rows,
     _descend_batch,
     soft_energy,
     soft_gradient,
@@ -112,17 +113,7 @@ def find_critical_points(J: np.ndarray, p: float, c: float,
     converged = np.vstack([converged, -converged])  # -x is critical whenever x is
 
     points: list[CriticalPoint] = []
-    reps: list[np.ndarray] = []
-    key_cache: set[tuple] = set()
-    for x in converged:
-        key = tuple(np.round(x / (10.0 * DEDUP_TOL)).astype(np.int64))
-        if key in key_cache:
-            continue
-        if any(np.max(np.abs(x - r)) < DEDUP_TOL for r in reps):
-            key_cache.add(key)
-            continue
-        reps.append(x)
-        key_cache.add(key)
+    for x in _cluster_rows(converged, DEDUP_TOL)[0]:
         evals = np.linalg.eigvalsh(soft_hessian(x, p, c, J))
         points.append(CriticalPoint(
             x=x,

@@ -17,7 +17,7 @@ only the diagonal's 20-spin guard and the bound on L apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -120,6 +120,7 @@ class MasterRun:
     negativity_events: int
     mode: str
     snapshots: list
+    energies: np.ndarray = field(repr=False)  # the diagonal the run annealed on
 
 
 def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
@@ -186,6 +187,7 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
         negativity_events=negativity,
         mode=mode,
         snapshots=snaps,
+        energies=E,
     )
 
 

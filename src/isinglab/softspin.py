@@ -260,9 +260,6 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     signs = np.sign(x)
     last_change = np.zeros(runs, dtype=np.int64)
 
-    def cim_rhs(y, p):
-        return c * (p * y - y**3) + y @ J.T
-
     t = 0.0
     step = 0
     for step in range(steps):
@@ -278,7 +275,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                 t += dt
                 break
         else:
-            x = x + dt * cim_rhs(x, pump_i if variant == "cim2" else p)
+            x = x + dt * soft_gradient(x, pump_i if variant == "cim2" else p, c, J)
             if variant == "cim2":
                 pump_i = cim2_pump_step(pump_i, x, eps, dt)
             if variant == "cim3":
@@ -778,39 +775,42 @@ def _descend_batch(J: np.ndarray, p: float, c: float, x0: np.ndarray,
     return x, converged
 
 
+def _cluster_rows(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy clustering at infinity-norm distance tol: (representative rows, label per row).
+
+    Rows are assumed polished far tighter than tol, so a rounding key at
+    10 tol groups most repeats before the distance check against earlier
+    representatives.
+    """
+    reps: list[int] = []
+    labels = np.empty(len(points), dtype=int)
+    key_cache: dict[tuple, int] = {}
+    for i, x in enumerate(points):
+        key = tuple(np.round(x / (10.0 * tol)).astype(np.int64))
+        label = key_cache.get(key)
+        if label is None:
+            for label, rep in enumerate(reps):
+                if np.max(np.abs(x - points[rep])) < tol:
+                    break
+            else:
+                label = len(reps)
+                reps.append(i)
+            key_cache[key] = label
+        labels[i] = label
+    return points[reps], labels
+
+
 def _catalog_minima(J: np.ndarray, p: float, c: float, endpoints: np.ndarray,
                     converged: np.ndarray, match_tol: float = 1e-4):
-    """Cluster converged endpoints into distinct minima and label each sample.
-
-    Endpoints are Newton-polished to ~1e-9, far tighter than the matching
-    tolerance, so a coarse rounding key groups them before the tolerance check.
-    """
-    minima: list[MinimumInfo] = []
-    reps: list[np.ndarray] = []
+    """Cluster converged endpoints into distinct minima and label each sample."""
+    reps, labels_conv = _cluster_rows(endpoints[converged], match_tol)
     labels = np.full(len(endpoints), -1, dtype=int)
-    key_cache: dict[tuple, int] = {}
-    for i in np.flatnonzero(converged):
-        x = endpoints[i]
-        key = tuple(np.round(x / (10.0 * match_tol)).astype(np.int64))
-        cached = key_cache.get(key)
-        if cached is not None:
-            labels[i] = cached
-            continue
-        for m_idx, rep in enumerate(reps):
-            if np.max(np.abs(x - rep)) < match_tol:
-                labels[i] = m_idx
-                break
-        else:
-            reps.append(x)
-            spins = spin_readout(x)
-            minima.append(MinimumInfo(
-                x=x.copy(),
-                energy=float(soft_energy(x, p, c, J)),
-                spins=spins,
-                family=spin_family(spins),
-            ))
-            labels[i] = len(reps) - 1
-        key_cache[key] = int(labels[i])
+    labels[converged] = labels_conv
+    minima = []
+    for x in reps:
+        spins = spin_readout(x)
+        minima.append(MinimumInfo(x=x, energy=float(soft_energy(x, p, c, J)), spins=spins,
+                                  family=spin_family(spins)))
     if minima:
         e_min = min(m.energy for m in minima)
         for m in minima:

@@ -154,6 +154,23 @@ class TestRunCommands:
         assert header == ["t", "temperature", "p_gs", "equilibrium_p_gs"]
         assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
 
+    def test_master_run_builds_diagonal_once(self, tmp_path, monkeypatch):
+        from isinglab import master as master_module
+        from isinglab import quantum as quantum_module
+
+        original, calls = quantum_module.build_diagonal, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (quantum_module, master_module):  # master binds it by name
+            monkeypatch.setattr(module, "build_diagonal", counting)
+        rc = main(["master-run", "--mode", "sa", "--n", "6", "--j", "0.5", "--t-end", "5",
+                   "--out", str(tmp_path / "sa.csv")])
+        assert rc == 0
+        assert len(calls) == 1
+
     def test_imaginary_mode(self, tmp_path):
         out = tmp_path / "imag.csv"
         rc = main(["master-run", "--mode", "imag", "--n", "6", "--j", "0.5",
@@ -257,3 +274,11 @@ class TestVerifyCommand:
         rc = main(["verify", "--only", "spectral-exactness"])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_unknown_check_name_rejected(self, capsys):
+        rc = main(["verify", "--only", "spectral-exactness,bogus-name"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "bogus-name" in captured.err
+        assert "gradient-consistency" in captured.err  # the known names are listed
+        assert "PASS" not in captured.out  # rejected before any check runs
