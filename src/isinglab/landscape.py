@@ -1,9 +1,10 @@
 """Critical points of the soft-spin energy: enumeration, Hessian classes, barriers.
 
 Critical points solve dE/dx = 0; their Morse index is the number of negative
-Hessian eigenvalues.  Enumeration is sampled (multistart Newton), so reported
-counts carry the start budget alongside; completeness is checked only in the
-sense that the known analytic states are recovered.
+Hessian eigenvalues.  Enumeration is sampled: multistart runs of softspin's
+batched Newton root-finder, the same one that solves the E1 branch, so
+reported counts carry the start budget alongside; completeness is checked
+only in the sense that the known analytic states are recovered.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .graph import validate_coupling_matrix
 from .softspin import (
     _cluster_rows,
     _descend_batch,
+    _newton_roots,
     soft_energy,
-    soft_gradient,
     soft_hessian,
     spin_family,
     spin_readout,
@@ -33,7 +34,6 @@ __all__ = [
 
 DEDUP_TOL = 1e-6
 DEGENERATE_TOL = 1e-8
-GRADIENT_TOL = 1e-9
 
 
 @dataclass
@@ -46,50 +46,6 @@ class CriticalPoint:
     distance_from_origin: float
     degenerate: bool
     family: str
-
-
-def _newton_critical(J: np.ndarray, p: float, c: float, x0: np.ndarray,
-                     tol: float = 1e-12, max_iter: int = 80) -> np.ndarray:
-    """Batched undamped Newton on dE/dx = 0; converges to saddles as well.
-
-    Returns the subset of rows that converged below tol.
-    """
-    x = x0.copy()
-    nb, n = x.shape
-    active = np.ones(nb, dtype=bool)
-    for _ in range(max_iter):
-        g = -soft_gradient(x[active], p, c, J)
-        res = np.max(np.abs(g), axis=1)
-        done = res < tol
-        if done.all():
-            break
-        idx = np.flatnonzero(active)
-        sub = ~done
-        H = soft_hessian(x[idx[sub]], p, c, J)
-        try:
-            step = np.linalg.solve(H, -g[sub][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # retry rows individually, dropping the singular ones
-            step = np.zeros_like(g[sub])
-            keep = np.ones(len(step), dtype=bool)
-            for r in range(len(step)):
-                try:
-                    step[r] = np.linalg.solve(H[r], -g[sub][r])
-                except np.linalg.LinAlgError:
-                    keep[r] = False
-            drop = idx[sub][~keep]
-            active[drop] = False
-            sub_idx = idx[sub][keep]
-            norm = np.max(np.abs(step[keep]), axis=1, keepdims=True)
-            step_k = step[keep] * np.minimum(1.0, 2.0 / np.maximum(norm, 1e-30))
-            x[sub_idx] += step_k
-            continue
-        norm = np.max(np.abs(step), axis=1, keepdims=True)
-        step *= np.minimum(1.0, 2.0 / np.maximum(norm, 1e-30))
-        x[idx[sub]] += step
-    g = -soft_gradient(x, p, c, J)
-    ok = active & (np.max(np.abs(g), axis=1) < GRADIENT_TOL)
-    return x[ok]
 
 
 def find_critical_points(J: np.ndarray, p: float, c: float,
@@ -109,8 +65,8 @@ def find_critical_points(J: np.ndarray, p: float, c: float,
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(-half, half, size=(starts, n))
     x0 = np.vstack([np.zeros((1, n)), x0])
-    converged = _newton_critical(J, p, c, x0)
-    converged = np.vstack([converged, -converged])  # -x is critical whenever x is
+    x, ok = _newton_roots(J, p, c, x0)
+    converged = np.vstack([x[ok], -x[ok]])  # -x is critical whenever x is
 
     points: list[CriticalPoint] = []
     for x in _cluster_rows(converged, DEDUP_TOL)[0]:
@@ -159,11 +115,6 @@ class BarrierResult:
     saddle_x: np.ndarray | None = None
 
 
-def _flow_endpoint(J: np.ndarray, p: float, c: float, x0: np.ndarray) -> np.ndarray:
-    xf, ok = _descend_batch(J, p, c, x0[None, :])
-    return xf[0] if ok[0] else None
-
-
 def barrier_height(J: np.ndarray, p: float, c: float,
                    starts: int = 4000, seed: int = 0) -> BarrierResult:
     """Height of the lowest index-1 saddle connecting the S0 and S1 minima.
@@ -185,30 +136,20 @@ def barrier_height(J: np.ndarray, p: float, c: float,
     targets0 = [cp.x for cp in e0]
     targets1 = [cp.x for cp in e1]
 
+    def hits(end, targets):
+        return any(np.max(np.abs(end - t)) < 1e-4 for t in targets)
+
     best = None
-    for cp in points:
+    for cp in points:  # sorted by (index, energy): the first connecting saddle is the lowest
         if cp.index != 1:
             continue
-        if best is not None and cp.energy >= best.energy:
+        v = np.linalg.eigh(soft_hessian(cp.x, p, c, J))[1][:, 0]
+        (a, b), ok = _descend_batch(J, p, c, cp.x + np.outer([1e-4, -1e-4], v))
+        if not ok.all():
             continue
-        H = soft_hessian(cp.x, p, c, J)
-        evals, evecs = np.linalg.eigh(H)
-        v = evecs[:, 0]
-        ends = []
-        for sign in (+1.0, -1.0):
-            end = _flow_endpoint(J, p, c, cp.x + sign * 1e-4 * v)
-            ends.append(end)
-        if any(e is None for e in ends):
-            continue
-
-        def hits(end, targets):
-            return any(np.max(np.abs(end - t)) < 1e-4 for t in targets)
-
-        a, b = ends
-        connects = (hits(a, targets0) and hits(b, targets1)) or \
-                   (hits(a, targets1) and hits(b, targets0))
-        if connects:
+        if (hits(a, targets0) and hits(b, targets1)) or (hits(a, targets1) and hits(b, targets0)):
             best = cp
+            break
     if best is None:
         return BarrierResult(False, e0_minus_e1=e0_energy - e1_energy)
     return BarrierResult(

@@ -9,6 +9,11 @@ variants: "ht" (linear Hopfield-Tank), "cim1" (gradient flow with a scalar
 pump schedule), "cim2" (per-spin pump feedback), "cim3" (cim1 plus per-step
 amplitude homogenization of configurable strength delta).  Spins are read out
 as s_i = sign(x_i).
+
+Critical points of E at a fixed pump (zeros of soft_gradient) come from one
+batched Newton root-finder, `_newton_roots`: the E1 branch is one call of it
+seeded from the two-amplitude ansatz, and landscape's critical-point search
+runs it once on a batch of random starts.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ __all__ = [
 VARIANTS = ("ht", "cim1", "cim2", "cim3")
 DIVERGENCE_LIMIT = 1e6
 FREEZE_STEPS = 200  # early stop after this many steps without a sign change
+GRADIENT_TOL = 1e-9  # a Newton root counts as critical below this gradient
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +446,44 @@ class BranchSolution:
     amplitudes: np.ndarray | None = None
 
 
+def _newton_roots(J: np.ndarray, p: float, c: float, x0: np.ndarray,
+                  tol: float = 1e-12, max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
+    """Batched undamped Newton on dE/dx = 0 from the rows of x0: (x, converged).
+
+    The one root-finder for soft-spin critical points (minima and saddles
+    alike).  Each step is capped at infinity norm 2; a row stops once its
+    gradient is below tol and is dropped if its Hessian is singular.
+    converged marks the rows whose final gradient is below GRADIENT_TOL.
+    """
+    x = x0.copy()
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(max_iter):
+        g = -soft_gradient(x[active], p, c, J)
+        done = np.max(np.abs(g), axis=1) < tol
+        if done.all():
+            break
+        rows = np.flatnonzero(active)[~done]
+        g = g[~done]
+        H = soft_hessian(x[rows], p, c, J)
+        try:
+            step = np.linalg.solve(H, -g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # retry rows individually, dropping the singular ones
+            step = np.zeros_like(g)
+            keep = np.ones(len(step), dtype=bool)
+            for r in range(len(step)):
+                try:
+                    step[r] = np.linalg.solve(H[r], -g[r])
+                except np.linalg.LinAlgError:
+                    keep[r] = False
+            active[rows[~keep]] = False
+            rows, step = rows[keep], step[keep]
+        norm = np.max(np.abs(step), axis=1, keepdims=True)
+        x[rows] += step * np.minimum(1.0, 2.0 / np.maximum(norm, 1e-30))
+    g = soft_gradient(x, p, c, J)
+    return x, active & (np.max(np.abs(g), axis=1) < GRADIENT_TOL)
+
+
 def _e1_amplitude_vector(n: int, x_l: float, x_b: float, i0: int = 0) -> np.ndarray:
     signs = build_s1(n, i0)
     mags = np.full(n, x_b)
@@ -462,97 +506,34 @@ def branch_e0(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
     return BranchSolution("E0", True, x_l=X, x_b=X, energy=soft_energy(x, p, c, J), amplitudes=x)
 
 
-def _candidate_roots_e1(p: float, j: float, c: float):
-    """Real roots of the steady-state resultant for the n = 8 two-amplitude ansatz.
-
-    From the flow steady states: x_b = (1 - j - c p) x_l + c x_l^3 (low-amplitude
-    nodes) and (c p + 1 + j) x_b + x_l = c x_b^3 (the others); the second
-    relation carries c factors that reduce to the standard form at c = 1.
-    """
-    a = 1.0 - j - c * p
-    g = np.polynomial.Polynomial([0.0, a, 0.0, c])
-    poly = c * g**3 - (c * p + 1.0 + j) * g - np.polynomial.Polynomial([0.0, 1.0])
-    out = []
-    for r in poly.roots():
-        if abs(r.imag) > 1e-9 or r.real <= 1e-10:
-            continue
-        x_l = float(r.real)
-        x_b = a * x_l + c * x_l**3
-        if x_b > 1e-10:
-            out.append((x_l, x_b))
-    return out
-
-
 def branch_e1(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
     """Two-amplitude steady state on the S1 pattern (four low, rest high spins).
 
-    For n = 8 the coupled polynomial system is solved exactly through its
-    resultant; picked is the minimum-energy root whose reconstructed state is
-    a true local minimum.  Other even n with n/2 even use a damped Newton
-    solve of the full steady-state system seeded from the two-amplitude
-    ansatz.  Returns an absent branch when no physical root exists.
+    One call of the shared Newton root-finder, seeded from the two-amplitude
+    ansatz; the root is the branch when it keeps the ansatz's sign pattern,
+    is not the origin and is a local minimum (smallest Hessian eigenvalue
+    >= -1e-8).  x_l is the mean magnitude on the four defect-adjacent nodes,
+    x_b the mean over the rest (x_l when none remain, n = 4).  Needs n/2
+    even; returns an absent branch otherwise or when no such root is found.
     """
     if n % 2 != 0 or (n // 2) % 2 != 0:
         return BranchSolution("E1", False)
     J = build_mobius_ladder(n, j)
-    if n == 8:
-        best = None
-        for x_l, x_b in _candidate_roots_e1(p, j, c):
-            x = _e1_amplitude_vector(n, x_l, x_b)
-            if np.max(np.abs(soft_gradient(x, p, c, J))) > 1e-8 * max(1.0, x_b**2):
-                continue
-            evals = np.linalg.eigvalsh(soft_hessian(x, p, c, J))
-            if np.any(evals < -1e-8):
-                continue
-            e = soft_energy(x, p, c, J)
-            if best is None or e < best[0]:
-                best = (e, x_l, x_b, x)
-        if best is None:
-            return BranchSolution("E1", False)
-        e, x_l, x_b, x = best
-        return BranchSolution("E1", True, x_l=x_l, x_b=x_b, energy=e, amplitudes=x)
-    return _branch_e1_newton(p, j, n, c, J)
-
-
-def _branch_e1_newton(p: float, j: float, n: int, c: float, J: np.ndarray) -> BranchSolution:
     x_b0 = np.sqrt(max(p + (2.0 + j) / c, 0.05))
-    x = _e1_amplitude_vector(n, 0.6 * x_b0, x_b0)
-    target_signs = np.sign(x)
-    for _ in range(200):
-        g = soft_gradient(x, p, c, J)
-        if np.max(np.abs(g)) < 1e-12:
-            break
-        H = soft_hessian(x, p, c, J)
-        try:
-            step = np.linalg.solve(H, g)  # Newton step for dE/dx = -g = 0
-        except np.linalg.LinAlgError:
-            return BranchSolution("E1", False)
-        # damped Newton on the residual norm
-        scale = 1.0
-        r0 = np.linalg.norm(g)
-        for _ in range(30):
-            trial = x + scale * step
-            if np.linalg.norm(soft_gradient(trial, p, c, J)) < r0:
-                x = trial
-                break
-            scale *= 0.5
-        else:
-            return BranchSolution("E1", False)
-    g = soft_gradient(x, p, c, J)
-    if np.max(np.abs(g)) > 1e-9:
-        return BranchSolution("E1", False)
-    if not np.array_equal(np.sign(x), target_signs):
-        return BranchSolution("E1", False)
-    evals = np.linalg.eigvalsh(soft_hessian(x, p, c, J))
-    if np.any(evals < -1e-8):
+    seed = _e1_amplitude_vector(n, 0.6 * x_b0, x_b0)
+    roots, ok = _newton_roots(J, p, c, seed[None, :])
+    x = roots[0]
+    if not (ok[0] and np.array_equal(np.sign(x), np.sign(seed))
+            and np.min(np.abs(x)) > 1e-10  # Newton's near-origin residue keeps the signs
+            and np.linalg.eigvalsh(soft_hessian(x, p, c, J))[0] >= -1e-8):
         return BranchSolution("E1", False)
     mags = np.abs(x)
-    lows = sorted(range(n), key=lambda i: mags[i])[:4]
-    rest = np.delete(mags, lows)
+    low = np.abs(seed) < x_b0  # the four defect-adjacent nodes, seeded at 0.6 x_b0
+    x_l = float(np.mean(mags[low]))
     return BranchSolution(
         "E1", True,
-        x_l=float(np.mean(mags[lows])),
-        x_b=float(np.mean(rest)) if rest.size else float(np.mean(mags[lows])),
+        x_l=x_l,
+        x_b=float(np.mean(mags[~low])) if (~low).any() else x_l,
         energy=soft_energy(x, p, c, J),
         amplitudes=x,
     )

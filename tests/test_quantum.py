@@ -206,11 +206,6 @@ class TestReducedDensityMatrix:
 
 
 class TestRunQA:
-    def test_norm_conservation_long_run(self):
-        J = graph.build_mobius_ladder(6, 0.5)
-        run = run_qa(J, QAConfig(dt=0.05, t_end=500.0, sample_every=10**9))
-        assert run.state.norm_error() < 1e-10  # 10^4 Strang steps
-
     def test_matches_strang_steps(self):
         # run_qa inlines the split step; the registry checks strang_step's order
         J = graph.build_mobius_ladder(4, 0.4)
@@ -221,12 +216,6 @@ class TestRunQA:
             state = strang_step(state, E, cfg)
         np.testing.assert_allclose(run_qa(J, cfg).state.amplitudes, state.amplitudes,
                                    rtol=0, atol=1e-12)
-
-    def test_flip_symmetry_without_field(self):
-        J = graph.build_mobius_ladder(6, 0.5)
-        run = run_qa(J, QAConfig(t_end=30.0, sample_every=10**9))
-        probs = np.abs(run.state.amplitudes) ** 2
-        np.testing.assert_allclose(probs, probs[::-1], atol=1e-10)
 
     def test_hard_region_with_field(self):
         J = graph.build_mobius_ladder(8, 0.35)
@@ -253,11 +242,6 @@ class TestRunQA:
         J = graph.build_mobius_ladder(8, 0.35)
         run = run_qa(J, QAConfig(sample_every=100))
         assert run.bloch_mag[-1].mean() < 0.3
-
-    def test_bloch_magnitude_bounded(self):
-        J = graph.build_mobius_ladder(6, 0.5)
-        run = run_qa(J, QAConfig(t_end=100.0, sample_every=20))
-        assert np.max(run.bloch_mag) <= 1.0 + 1e-12
 
     def test_strong_frustration_spin_resolved(self):
         J = graph.build_mobius_ladder(8, 0.6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isinglab import graph, oracle, softspin
+from isinglab.cli import main
 from isinglab.softspin import (
     SolverConfig,
     basin_descriptors,
@@ -391,6 +392,32 @@ class TestBranches:
         assert np.max(np.abs(soft_gradient(b.amplitudes, 1.0, 1.0, J12))) < 1e-9
         # adjacency to the defects splits the high-amplitude class for n = 12
         assert len(set(np.round(np.abs(b.amplitudes), 6))) == 3
+
+    @pytest.mark.parametrize("c", [0.7, 1.0, 1.5, 4.0])
+    def test_e1_n8_solves_two_amplitude_relations(self, c):
+        # the steady-state relations of the two-amplitude ansatz at n = 8
+        found = 0
+        for j in (0.1, 0.4, 0.7, 0.95):
+            for p in np.linspace(-2.0, 2.0, 9):
+                b = branch_e1(p, j, 8, c)
+                if not b.exists:
+                    continue
+                found += 1
+                x_l, x_b = b.x_l, b.x_b
+                assert abs(x_b - ((1.0 - j - c * p) * x_l + c * x_l**3)) < 1e-9
+                assert abs((c * p + 1.0 + j) * x_b + x_l - c * x_b**3) < 1e-9
+        assert found >= 20
+
+    @pytest.mark.parametrize("p,j,n", [(-2.5, 0.5, 4), (-3.0, 0.3, 12), (-2.5, 0.5, 16)])
+    def test_e1_absent_where_newton_reaches_the_origin(self, p, j, n, tmp_path):
+        # below the bifurcation the ansatz seed falls into the origin, which
+        # is no E1 state; E0 is absent here too, so the region label is neither
+        assert not branch_e1(p, j, n).exists
+        out = tmp_path / "region.csv"
+        assert main(["branches", "--what", "region", "--n", str(n), "--j-grid", str(j),
+                     f"--p-grid={p}", "--out", str(out)]) == 0
+        header, *rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert [row.split(",")[2] for row in rows] == ["neither"]
 
     def test_n4_uniform_branch(self):
         b = branch_e1(0.5, 0.9, 4)
