@@ -108,19 +108,49 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config_shape(cfg: dict) -> None:
+    """Reject a sweep config whose fields have the wrong JSON shape or type."""
+    instance = cfg["instance"]
+    if not isinstance(instance, dict):
+        raise ValidationError("instance must be an object")
+    unknown = sorted(set(instance) - {"n", "j", "j_grid"})
+    if unknown:
+        raise ValidationError(f"unknown instance fields {unknown}")
+    grid = instance.get("j_grid")
+    if isinstance(grid, dict):
+        if set(grid) != {"start", "stop", "points"}:
+            raise ValidationError(f"instance.j_grid needs exactly the fields start, stop and "
+                                  f"points, got {sorted(grid)}")
+        if not _is_int(grid["points"]):
+            raise ValidationError("instance.j_grid.points must be an integer")
+    elif grid is not None and not isinstance(grid, list):
+        raise ValidationError("instance.j_grid must be a list or a {start, stop, points} object")
+    for name, value in (("instance.n", instance.get("n")), ("runs", cfg["runs"]),
+                        ("seed", cfg["seed"])):
+        if not _is_int(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(cfg["variants"], list):
+        raise ValidationError("variants must be a list")
+
+
 def _resolve_j_grid(instance: dict) -> np.ndarray:
-    if "j" in instance:
-        return np.array([float(instance["j"])])
     grid_spec = instance.get("j_grid")
-    if grid_spec is None:
+    if "j" not in instance and grid_spec is None:
         raise ValidationError("instance needs field 'j' or 'j_grid'")
-    if isinstance(grid_spec, dict):
-        for fieldname in ("start", "stop", "points"):
-            if fieldname not in grid_spec:
-                raise ValidationError(f"instance.j_grid missing field {fieldname!r}")
-        grid = np.linspace(float(grid_spec["start"]), float(grid_spec["stop"]), int(grid_spec["points"]))
-    else:
-        grid = np.asarray([float(v) for v in grid_spec], dtype=float)
+    try:
+        if "j" in instance:
+            grid = np.array([float(instance["j"])])
+        elif isinstance(grid_spec, dict):
+            grid = np.linspace(float(grid_spec["start"]), float(grid_spec["stop"]),
+                               grid_spec["points"])
+        else:
+            grid = np.asarray([float(v) for v in grid_spec], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid instance.j or instance.j_grid: {exc}")
     if grid.size == 0:
         raise ValidationError("instance.j_grid is empty")
     if np.any(grid <= 0):
@@ -166,9 +196,7 @@ def _sweep_configs(cfg: dict, j: float) -> tuple[list, quantum.QAConfig | None, 
 
 def _sweep_one_j(args) -> list:
     cfg, j, solvers, qa_cfg, tuning = args
-    n = int(cfg["instance"]["n"])
-    runs = int(cfg["runs"])
-    seed = int(cfg["seed"])
+    n, runs, seed = cfg["instance"]["n"], cfg["runs"], cfg["seed"]
     J = graph.build_mobius_ladder(n, j)
     ground = softspin.ground_readouts(J)
     rows = []
@@ -199,13 +227,14 @@ def cmd_sweep(ns) -> int:
         cfg["runs"] = ns.runs
     if ns.seed is not None:
         cfg["seed"] = ns.seed
-    if int(cfg["runs"]) < 1:
+    _check_config_shape(cfg)
+    if cfg["runs"] < 1:
         raise ValidationError("runs must be >= 1")
     unknown = [v for v in cfg["variants"] if v not in (*softspin.VARIANTS, "qa")]
     if unknown:
         raise ValidationError(f"unknown variants in config: {unknown}")
     j_grid = _resolve_j_grid(cfg["instance"])
-    n = int(cfg["instance"]["n"])
+    n = cfg["instance"]["n"]
     if n % 2 != 0 or n < 4:
         raise ValidationError(f"instance.n must be even and >= 4, got {n}")
 

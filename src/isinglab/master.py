@@ -12,7 +12,9 @@ Each mode has one rate kernel.  SA gathers the n single-flip partners of
 every state.  CA rates depend only on the two energies, so the all-pairs
 generator is applied exactly through the L distinct energy levels at
 O(2^n + L^2) cost per application.  CA has no spin-count limit of its own:
-only the diagonal's 20-spin guard and the bound on L apply.
+only the diagonal's 20-spin guard and the bound on L apply.  Imaginary time
+runs the QA split step with real factors, and every evolution here steps on
+the QA time grid.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .graph import validate_coupling_matrix
-from .quantum import QAConfig, _mix_spin_pairs, build_diagonal, ground_set, transverse_angle
+from .quantum import QAConfig, _split_step, _time_grid, build_diagonal, ground_set, transverse_angle
 
 __all__ = [
     "AnnealSchedule",
@@ -119,13 +121,12 @@ class MasterRun:
     probabilities: np.ndarray          # final distribution
     negativity_events: int
     mode: str
-    snapshots: list
     energies: np.ndarray = field(repr=False)  # the diagonal the run annealed on
 
 
 def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
                   mode: str = "sa", dt: float = 0.01, t_end: float = 500.0,
-                  sample_every: int = 1000, keep_snapshots: bool = False) -> MasterRun:
+                  sample_every: int = 1000) -> MasterRun:
     """Anneal the probability vector from uniform with RK4 at fixed step dt.
 
     The ground projector is taken from the minimizers of the full diagonal
@@ -134,15 +135,14 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
     """
     if mode not in ("sa", "ca"):
         raise ValueError(f"mode must be 'sa' or 'ca', got {mode!r}")
+    grid = _time_grid(dt, t_end, sample_every)
     J = validate_coupling_matrix(J)
     E = build_diagonal(J, h)
     ground = ground_set(E)
-    dim = E.size
-    p = np.full(dim, 1.0 / dim)
+    p = np.full(E.size, 1.0 / E.size)
     make_rhs = (_sa_rates if mode == "sa" else _ca_rates)(E)
-    steps = int(round(t_end / dt))
 
-    times, temps, pgs, per_state, snaps = [], [], [], [], []
+    times, temps, pgs, per_state = [], [], [], []
     negativity = 0
 
     def record(t):
@@ -150,13 +150,11 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
         temps.append(temperature(t, schedule))
         pgs.append(float(p[ground].sum()))
         per_state.append(p[ground].copy())
-        if keep_snapshots:
-            snaps.append(p.copy())
 
     record(0.0)
     t = 0.0
     rhs_end = make_rhs(temperature(0.0, schedule))
-    for step in range(steps):
+    for sampled in grid:
         rhs_a = rhs_end  # T(t) matches the previous step's endpoint temperature
         rhs_m = make_rhs(temperature(t + 0.5 * dt, schedule))
         rhs_end = make_rhs(temperature(t + dt, schedule))
@@ -174,7 +172,7 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
         total = p.sum()
         if abs(total - 1.0) > 1e-8:
             raise RuntimeError(f"probability conservation breach {abs(total - 1.0):.3e} at t = {t:.2f}")
-        if (step + 1) % sample_every == 0 or step == steps - 1:
+        if sampled:
             record(t)
 
     return MasterRun(
@@ -186,7 +184,6 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
         probabilities=p,
         negativity_events=negativity,
         mode=mode,
-        snapshots=snaps,
         energies=E,
     )
 
@@ -214,10 +211,11 @@ class ImagRun:
 def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig) -> ImagRun:
     """Norm-preserved imaginary-time analog of the quantum anneal.
 
-    Runs the same split-step machinery with real decay factors exp(-dt E/2)
-    and per-spin cosh/sinh mixing; renormalizing after every step plays the
-    role of the energy-shift term that keeps the wavefunction normalized.
+    Runs the QA split step with real decay factors exp(-dt E/2) and cosh/sinh
+    mixing; renormalizing after every step plays the role of the energy-shift
+    term that keeps the wavefunction normalized.
     """
+    grid = _time_grid(config.dt, config.t_end, config.sample_every)
     J = validate_coupling_matrix(J)
     n = J.shape[0]
     E = build_diagonal(J, h)
@@ -225,22 +223,17 @@ def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig)
     psi = np.full(1 << n, 2.0 ** (-n / 2))
     dt = config.dt
     half = np.exp(-0.5 * dt * (E - E.min()))  # shift for overflow safety only
-    steps = int(round(config.t_end / dt))
-    sample_every = max(1, config.sample_every)
 
     times, pgs = [0.0], [float(np.sum(psi[ground] ** 2))]
     t = 0.0
-    for step in range(steps):
-        theta = transverse_angle(t, t + dt, config.b, config.t0)
-        psi = psi * half
-        psi = _mix_spin_pairs(psi, n, np.cosh(theta), np.sinh(theta))
-        psi = psi * half
+    for sampled in grid:
+        _split_step(psi, half, transverse_angle(t, t + dt, config.b, config.t0), n)
         norm = np.linalg.norm(psi)
         if norm == 0.0 or not np.isfinite(norm):
             raise RuntimeError(f"norm underflow at t = {t:.2f}")
         psi /= norm
         t += dt
-        if (step + 1) % sample_every == 0 or step == steps - 1:
+        if sampled:
             times.append(t)
             pgs.append(float(np.sum(psi[ground] ** 2)))
 

@@ -5,7 +5,10 @@ H_D(xi) = -(1/2) sum_{i != j} J_ij s_i s_j - sum_i h_i s_i, using Pauli
 operators with eigenvalues +-1 so the diagonal coincides with the classical
 Ising energy used everywhere else.  Time stepping is a second-order Strang
 splitting: half step of the diagonal phase, one full transverse rotation with
-the analytically integrated angle, then another half phase step.
+the analytically integrated angle, then another half phase step.  This one
+split step serves `run_qa`, `strang_step` and master's imaginary time; one
+time grid sets the steps and samples of QA and of both master evolutions and
+rejects a bad dt, t_end or sample_every before any work.
 
 The basis convention (bit k of index xi set when spin k is up), the
 all-state energy table behind the diagonal and the ground-set tie rule are
@@ -82,8 +85,9 @@ class QAConfig:
 
     def __post_init__(self):
         # b = 0 is allowed: it disables the transverse drive (pure phase evolution)
-        if self.b < 0 or self.t0 <= 0 or self.dt <= 0:
-            raise ValueError("b must be >= 0, t0 and dt must be positive")
+        if self.b < 0 or self.t0 <= 0:
+            raise ValueError("b must be >= 0 and t0 must be positive")
+        _time_grid(self.dt, self.t_end, self.sample_every)  # a bad grid fails here, not mid-sweep
 
 
 @dataclass
@@ -132,19 +136,34 @@ def transverse_angle(t_start: float, t_end: float, b: float, t0: float) -> float
     return 2.0 * b * (np.sqrt(t_end + t0) - np.sqrt(t_start + t0))
 
 
-def _mix_spin_pairs(psi: np.ndarray, n: int, diag, off) -> np.ndarray:
-    """Apply the same 2x2 mixing [[diag, off], [off, diag]] to every spin.
+def _time_grid(dt: float, t_end: float, sample_every: int):
+    """Lazy "sampled" flags of the round(t_end / dt) steps: every sample_every-th and the last.
 
-    Used with (cos, i sin) for the unitary transverse rotation and with
-    (cosh, sinh) for imaginary-time evolution; the per-spin factors commute.
+    Raises ValueError at the call unless finite dt > 0, finite t_end >= 0 and sample_every >= 1.
     """
+    if not (0.0 < dt < np.inf and 0.0 <= t_end < np.inf and t_end / dt < np.inf):
+        raise ValueError(f"need finite dt > 0 and t_end >= 0, got dt = {dt}, t_end = {t_end}")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    steps = int(round(t_end / dt))
+    return ((step + 1) % sample_every == 0 or step == steps - 1 for step in range(steps))
+
+
+def _split_step(psi: np.ndarray, half: np.ndarray, z, n: int) -> None:
+    """Strang step in place: psi <- half * prod_k exp(z Sx_k) * half * psi.
+
+    exp(z Sx) mixes each spin pair with (cosh z, sinh z).  QA passes z = i theta
+    (exactly cos theta, i sin theta), imaginary time a real z = theta.
+    """
+    diag, off = np.cosh(z), np.sinh(z)
+    psi *= half
     for k in range(n):
         a = psi.reshape(1 << (n - 1 - k), 2, 1 << k)
         lo = a[:, 0, :].copy()
         hi = a[:, 1, :].copy()
         a[:, 0, :] = diag * lo + off * hi
         a[:, 1, :] = off * lo + diag * hi
-    return psi
+    psi *= half
 
 
 def strang_step(state: QuantumState, energies: np.ndarray, schedule: QAConfig,
@@ -155,11 +174,9 @@ def strang_step(state: QuantumState, energies: np.ndarray, schedule: QAConfig,
     step, applied as exp(+i theta Sx_k) on every spin.
     """
     dt = schedule.dt if dt is None else dt
-    n = state.n
     theta = transverse_angle(state.t, state.t + dt, schedule.b, schedule.t0)
-    psi = state.amplitudes * np.exp(-0.5j * dt * energies)
-    psi = _mix_spin_pairs(psi, n, np.cos(theta), 1j * np.sin(theta))
-    psi *= np.exp(-0.5j * dt * energies)
+    psi = np.array(state.amplitudes, dtype=complex)
+    _split_step(psi, np.exp(-0.5j * dt * energies), 1j * theta, state.n)
     return QuantumState(psi, state.t + dt)
 
 
@@ -241,60 +258,43 @@ def run_qa(J: np.ndarray, config: QAConfig) -> QARun:
 
     Aborts with RuntimeError if the state norm drifts by more than 1e-8.
     """
+    grid = _time_grid(config.dt, config.t_end, config.sample_every)
     J = validate_coupling_matrix(J)
     n = J.shape[0]
-    if n > MAX_QUBITS:
-        raise ValueError(f"state vector for n = {n} exceeds the {MAX_QUBITS}-spin guard")
-    energies = build_diagonal(J, config.h)
+    energies = build_diagonal(J, config.h)  # guards n <= MAX_QUBITS
     ground = ground_set(energies)
 
-    state = initial_state(n)
-    psi = state.amplitudes
+    psi = initial_state(n).amplitudes
     half_phase = np.exp(-0.5j * config.dt * energies)
-    steps = int(round(config.t_end / config.dt))
-    sample_every = max(1, config.sample_every)
 
-    rec_t, rec_g, rec_pgs, rec_per, rec_up, rec_mag = [], [], [], [], [], []
+    samples = []  # one (t, gamma, p_gs, p_gs_per_state, prob_up, bloch_mag) row per sample
 
     def record(t: float):
-        total, per = ground_state_probability(psi, ground)
-        up, mag = _single_spin_observables(psi, n)
-        rec_t.append(t)
-        rec_g.append(gamma(t, config.b, config.t0))
-        rec_pgs.append(total)
-        rec_per.append(per)
-        rec_up.append(up)
-        rec_mag.append(mag)
+        samples.append((t, gamma(t, config.b, config.t0),
+                        *ground_state_probability(psi, ground),
+                        *_single_spin_observables(psi, n)))
 
     record(0.0)
     t = 0.0
-    for step in range(steps):
+    for sampled in grid:
         theta = transverse_angle(t, t + config.dt, config.b, config.t0)
-        psi *= half_phase
-        psi = _mix_spin_pairs(psi, n, np.cos(theta), 1j * np.sin(theta))
-        psi *= half_phase
+        _split_step(psi, half_phase, 1j * theta, n)
         t += config.dt
         norm2 = float(np.vdot(psi, psi).real)
         if abs(norm2 - 1.0) > 1e-8:
             raise RuntimeError(f"norm drift {abs(norm2 - 1.0):.3e} at t = {t:.2f}")
-        if (step + 1) % sample_every == 0 or step == steps - 1:
+        if sampled:
             record(t)
 
-    return QARun(
-        times=np.array(rec_t),
-        gammas=np.array(rec_g),
-        p_gs=np.array(rec_pgs),
-        p_gs_per_state=np.array(rec_per),
-        prob_up=np.array(rec_up),
-        bloch_mag=np.array(rec_mag),
-        ground_indices=ground,
-        state=QuantumState(psi, t),
-        energies=energies,
-    )
+    times, gammas, p_gs, per_state, prob_up, bloch_mag = map(np.array, zip(*samples))
+    return QARun(times=times, gammas=gammas, p_gs=p_gs, p_gs_per_state=per_state,
+                 prob_up=prob_up, bloch_mag=bloch_mag, ground_indices=ground,
+                 state=QuantumState(psi, t), energies=energies)
 
 
 def _hamiltonian_operator(energies: np.ndarray, gamma_now: float, n: int) -> LinearOperator:
     def matvec(v):
+        v = v.reshape(-1)  # LinearOperator passes (dim, 1) columns to matmat
         out = energies * v
         for k in range(n):
             a = v.reshape(1 << (n - 1 - k), 2, 1 << k)
@@ -317,16 +317,12 @@ def instantaneous_ground_overlap(state: QuantumState | np.ndarray, J: np.ndarray
     n = J.shape[0]
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"instantaneous eigensolve guarded to n <= {MAX_DENSE_QUBITS}")
-    energies = build_diagonal(J, h)
     dim = 1 << n
+    H = _hamiltonian_operator(build_diagonal(J, h), gamma_now, n)
     if dim <= 16:
-        H = np.diag(energies).astype(float)
-        for k in range(n):
-            idx = np.arange(dim)
-            H[idx, idx ^ (1 << k)] -= gamma_now
-        vals, vecs = np.linalg.eigh(H)
+        vals, vecs = np.linalg.eigh(H @ np.eye(dim))
     else:
-        vals, vecs = eigsh(_hamiltonian_operator(energies, gamma_now, n), k=2, which="SA")
+        vals, vecs = eigsh(H, k=2, which="SA")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     overlap = abs(np.vdot(vecs[:, 0], psi)) ** 2

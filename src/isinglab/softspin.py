@@ -181,8 +181,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        finite = 0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf
+        if not (finite and self.t_end / self.dt < np.inf):  # a finite step count too
+            raise ValueError("dt and t_end must be positive and finite")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
         if self.c <= 0:

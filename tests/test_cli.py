@@ -106,7 +106,15 @@ class TestSweepCommand:
         {"instance": {"n": 8, "j": 0.3}, "cim3": {"prelim_runss": 3}},
         {"instance": {"n": 8, "j": 0.3}, "cim3": {"delta_grid": [0.1, 1.5]}},
         {"instance": {"n": 8, "j": 0.3}, "cim3": {"prelim_runs": 0}},
-    ], ids=["top-level", "softspin", "qa", "cim3", "cim3-grid", "cim3-runs"])
+        {"instance": 5},
+        {"instance": {"n": 8, "j_grid": 5}},
+        {"runs": None},
+        {"instance": {"n": 8, "j": 0.3, "extra": 1}, "variants": ["cim1"], "runs": 3},
+        {"instance": {"n": 8.5, "j": 0.3}, "variants": ["cim1"], "runs": 3},
+        {"instance": {"n": 8, "j": 0.3}, "variants": ["qa"], "qa": {"t_end": -1}},
+    ], ids=["top-level", "softspin", "qa", "cim3", "cim3-grid", "cim3-runs",
+            "instance-not-object", "j-grid-not-list", "runs-null", "instance-extra-key",
+            "n-not-integer", "qa-time-grid"])
     def test_unknown_field_rejected(self, tmp_path, config):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -239,6 +247,26 @@ class TestRunCommands:
         assert main(["sweep", "--config", str(path), "--out", str(threaded),
                      "--threads", "2"]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["master-run", "--mode", "sa", "--sample-every", "0"],
+        ["master-run", "--mode", "sa", "--dt", "0"],
+        ["master-run", "--mode", "ca", "--sample-every", "-5"],
+        ["qa-run", "--t-end", "-1"],
+        ["qa-run", "--t-end", "inf"],
+    ], ids=["sa-sample-every-0", "sa-dt-0", "ca-sample-every-negative", "qa-t-end-negative",
+            "qa-t-end-inf"])
+    def test_bad_time_grid_rejected(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--n", "4", "--j", "0.5", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--t-end", "inf"], ["--dt", "1e-300", "--t-end", "1e10"]],
+                             ids=["t-end-inf", "step-count-overflow"])
+    def test_non_finite_trajectory_grid_rejected(self, capsys, argv):
+        assert main(["trajectory", "--n", "4", "--j", "0.5", *argv]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_required_flag(self):
         assert main(["qa-run", "--n", "8"]) == 1

@@ -207,7 +207,7 @@ class TestReducedDensityMatrix:
 
 class TestRunQA:
     def test_matches_strang_steps(self):
-        # run_qa inlines the split step; the registry checks strang_step's order
+        # run_qa and strang_step share one split step; the registry checks its order
         J = graph.build_mobius_ladder(4, 0.4)
         h = symmetry_breaking_field(4, 0.05, 0.05)
         cfg = QAConfig(h=h, dt=0.05, t_end=5.0, sample_every=10**9)

@@ -487,3 +487,12 @@ class TestSpinFamily:
         assert spin_family(np.array([-1, -1, 1, -1, 1, -1, -1, 1])) == "2-defect(sep=3)"
         assert spin_family(np.array([1, -1, -1, 1, 1, -1, 1, -1])) == "2-defect(sep=2)"
         assert spin_family(np.array([1, -1, -1, 1, 1, -1, -1, 1])) == "4-defect"
+
+    def test_invariant_under_rotation_and_flip(self):
+        rng = np.random.default_rng(46)
+        for _ in range(300):
+            row = rng.choice([-1, 1], size=int(rng.integers(4, 17)))
+            family = spin_family(row)
+            assert spin_family(-row) == family
+            for shift in range(1, len(row)):
+                assert spin_family(np.roll(row, shift)) == family
