@@ -208,6 +208,8 @@ def _sweep_one_j(args) -> list:
             config = replace(config, delta=best)
             delta = best
         res = softspin.run_ensemble(J, config, runs, seed)
+        print(f"# stats: variant={variant} j={j!r} steps_run={res.steps_run} "
+              f"diverged={int(res.diverged.sum())}", file=sys.stderr)
         p = int(softspin.ground_hits(res.spins, ground).sum()) / runs
         se = float(np.sqrt(p * (1.0 - p) / runs))
         sp0, sp1, sp2 = _family_shares(res.spins)
@@ -361,6 +363,8 @@ def cmd_branches(ns) -> int:
 
 
 def cmd_trajectory(ns) -> int:
+    if ns.sample_every < 1:  # a trajectory dump without samples writes no rows
+        raise ValidationError(f"--sample-every must be >= 1, got {ns.sample_every}")
     J = graph.build_mobius_ladder(ns.n, ns.j)
     config = softspin.default_solver_config(
         ns.j, variant=ns.variant, delta=ns.delta, seed=ns.seed,

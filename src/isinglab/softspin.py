@@ -89,9 +89,14 @@ def soft_energy(x, p, c, J):
 
 
 def soft_gradient(x, p, c, J):
-    """Flow right-hand side c (p x - x^3) + J x, equal to -dE/dx."""
+    """Flow right-hand side c (p x - x^3) + J x, equal to -dE/dx.
+
+    The cube is a product: numpy raises an array to the power 3 through
+    `pow` per element, about fifty times slower than `x * x * x` on an
+    ensemble batch.
+    """
     x = np.asarray(x, dtype=float)
-    return c * (p * x - x**3) + x @ J.T
+    return c * (p * x - x * x * x) + x @ J.T
 
 
 def soft_hessian(x, p, c, J):
@@ -144,11 +149,20 @@ def homogenize_intensities(x, frac):
     frac = 0 returns x unchanged.  frac is a scalar or broadcasts against the
     batch axes of x, e.g. one fraction per run of shape (runs, 1).
     """
+    return _mix_intensities(np.asarray(x, dtype=float), _mixing_fraction(frac))
+
+
+def _mixing_fraction(frac) -> np.ndarray:
+    """frac as a float array, raising ValueError unless every entry lies in [0, 1]."""
     frac = np.asarray(frac, dtype=float)
     if not (0.0 <= frac.min() and frac.max() <= 1.0):  # NaN fails too
         raise ValueError(f"mixing fraction must lie in [0, 1], got {frac}")
-    x = np.asarray(x, dtype=float)
-    intensity = x**2
+    return frac
+
+
+def _mix_intensities(x: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """The homogenization of :func:`homogenize_intensities`, for a checked frac."""
+    intensity = x * x
     R = np.mean(intensity, axis=-1, keepdims=True)
     return np.where(frac > 0.0, np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R), x)
 
@@ -243,7 +257,10 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     Returns (x, spins, diverged, steps, samples).  HT runs read spins out at
     the first time max|x_i| >= 1 (the linear dynamics has no saturation);
     the other variants stop early once every run's signs have been stable for
-    FREEZE_STEPS steps in the locked regime.
+    FREEZE_STEPS steps in the locked regime.  A run whose amplitudes leave
+    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] or stop being finite is clipped
+    into that box, flagged as diverged and frozen there.  Each step checks the
+    whole batch with one reduction; per-run masks are built only when it fails.
     """
     if config.p0 is None:
         raise ValueError("SolverConfig.p0 is unset; use default_solver_config(j, ...)")
@@ -254,10 +271,9 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     steps = int(round(config.t_end / dt))
     samples = []
 
-    if delta_per_run is None:
-        frac = np.full((runs, 1), config.delta)
-    else:
-        frac = np.asarray(delta_per_run, dtype=float).reshape(runs, 1)
+    if variant == "cim3":  # one mixing fraction per run, range-checked once
+        frac = np.full(runs, config.delta) if delta_per_run is None else delta_per_run
+        frac = _mixing_fraction(frac).reshape(runs, 1)
 
     pump_i = np.full((runs, n), p0) if variant == "cim2" else None
     ht_spins = np.zeros((runs, n), dtype=np.int8)
@@ -265,7 +281,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     diverged = np.zeros(runs, dtype=bool)
     frozen_x = np.zeros_like(x)
     signs = np.sign(x)
-    last_change = np.zeros(runs, dtype=np.int64)
+    last_change = 0  # last step at which some run's signs changed
 
     t = 0.0
     step = 0
@@ -273,31 +289,29 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
         p = pump_tanh(t, p0, eps)
         if variant == "ht":
             x = x + dt * ht_rhs(x, p, J)
-            hit = (np.max(np.abs(x), axis=1) >= 1.0) & ~ht_done
-            if np.any(hit):
-                ht_spins[hit] = spin_readout(x[hit])
-                ht_done[hit] = True
-            if ht_done.all():
-                step += 1
-                t += dt
-                break
+            if np.abs(x).max() >= 1.0:
+                hit = (np.max(np.abs(x), axis=1) >= 1.0) & ~ht_done
+                if np.any(hit):
+                    ht_spins[hit] = spin_readout(x[hit])
+                    ht_done[hit] = True
+                if ht_done.all():
+                    step += 1
+                    t += dt
+                    break
         else:
             x = x + dt * soft_gradient(x, pump_i if variant == "cim2" else p, c, J)
             if variant == "cim2":
                 pump_i = cim2_pump_step(pump_i, x, eps, dt)
             if variant == "cim3":
-                x = homogenize_intensities(x, frac)
-            with np.errstate(invalid="ignore"):
-                bad = ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
-            fresh = bad & ~diverged
-            if fresh.any():
-                x[fresh] = np.nan_to_num(
-                    np.clip(x[fresh], -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT),
-                    nan=0.0, posinf=DIVERGENCE_LIMIT, neginf=-DIVERGENCE_LIMIT)
-                diverged |= fresh
-                frozen_x[diverged] = x[diverged]
-            elif diverged.any():
+                x = _mix_intensities(x, frac)
+            if diverged.any():
                 x[diverged] = frozen_x[diverged]  # diverged runs stay flagged, not evolved
+            if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # NaN fails too
+                with np.errstate(invalid="ignore"):
+                    bad = ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
+                x[bad] = np.nan_to_num(np.clip(x[bad], -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT))
+                frozen_x[bad] = x[bad]
+                diverged |= bad
         t += dt
 
         if collect_samples and config.sample_every > 0 and (step + 1) % config.sample_every == 0:
@@ -306,12 +320,12 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
 
         if variant != "ht":
             new_signs = np.sign(x)
-            changed = np.any(new_signs != signs, axis=1)
-            last_change[changed] = step
+            if (new_signs != signs).any():
+                last_change = step
             signs = new_signs
             if config.early_stop and not collect_samples:
                 locked = p > 0.9 if variant != "cim2" else t > 2.0 / eps
-                if locked and (step - last_change.max()) >= FREEZE_STEPS:
+                if locked and (step - last_change) >= FREEZE_STEPS:
                     step += 1
                     break
     else:

@@ -70,7 +70,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_row_schema(self, tmp_path):
+    def test_row_schema(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         out = tmp_path / "sweep.csv"
         main(["sweep", "--config", str(cfg), "--out", str(out)])
@@ -80,6 +80,15 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert rows[0][0] == "cim1"
         assert 0.0 <= float(rows[0][4]) <= 1.0
+        # run statistics go to stderr, one line per variant and j, never into the CSV
+        stats = [line.split() for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("# stats:")]
+        assert len(stats) == 1
+        fields = dict(item.split("=") for item in stats[0][2:])
+        assert fields["variant"] == "cim1" and fields["j"] == "0.3"
+        assert 0 < int(fields["steps_run"]) <= 6000  # t_end 600 at dt 0.1
+        assert fields["diverged"] == "0"
+        assert "steps_run" not in out.read_text()
 
     def test_analytic_ground_set_above_oracle_limit(self, tmp_path):
         # n = 64: the ground set comes from the closed form, and readouts no
@@ -254,8 +263,10 @@ class TestRunCommands:
         ["master-run", "--mode", "ca", "--sample-every", "-5"],
         ["qa-run", "--t-end", "-1"],
         ["qa-run", "--t-end", "inf"],
+        ["trajectory", "--t-end", "10", "--sample-every", "0"],
+        ["trajectory", "--t-end", "10", "--sample-every", "-3"],
     ], ids=["sa-sample-every-0", "sa-dt-0", "ca-sample-every-negative", "qa-t-end-negative",
-            "qa-t-end-inf"])
+            "qa-t-end-inf", "trajectory-sample-every-0", "trajectory-sample-every--3"])
     def test_bad_time_grid_rejected(self, tmp_path, capsys, argv):
         rc = main([*argv, "--n", "4", "--j", "0.5", "--out", str(tmp_path / "x.csv")])
         assert rc == 1

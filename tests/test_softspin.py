@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from isinglab.softspin import (
 )
 
 J8 = graph.build_mobius_ladder(8, 0.4)
+GOLDEN = json.loads((Path(__file__).parent / "data" / "softspin_golden.json").read_text())
 
 
 class TestSoftEnergy:
@@ -268,6 +271,48 @@ class TestTrajectories:
             run_ensemble(J8, default_solver_config(0.4), runs=0, seed=0)
 
 
+class TestGoldenEnsembles:
+    """Ensemble outputs recorded while soft_gradient still cubed with `x**3`.
+
+    The early-stop step depends on the last step at which any run's signs
+    changed, and the divergence flags on the whole-batch range check; both
+    must come out exactly as recorded, the amplitudes to 1e-12.
+    """
+
+    @pytest.mark.parametrize("variant", softspin.VARIANTS)
+    def test_early_stopped_ensemble(self, variant):
+        g = GOLDEN
+        J = graph.build_mobius_ladder(g["n"], g["j"])
+        deltas = np.array(g["cim3_deltas"]) if variant == "cim3" else None
+        res = run_ensemble(J, default_solver_config(g["j"], variant=variant), g["runs"], g["seed"],
+                           delta_per_run=deltas)
+        want = g["ensembles"][variant]
+        assert res.steps_run == want["steps_run"]
+        np.testing.assert_array_equal(res.spins, want["spins"])
+        np.testing.assert_allclose(res.final_x, want["final_x"], rtol=0.0, atol=1e-12)
+        assert not res.diverged.any()
+
+    @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
+    def test_diverged_runs_are_flagged_clipped_and_frozen(self, variant):
+        g = GOLDEN["divergence"]
+        j = GOLDEN["j"]
+        J = graph.build_mobius_ladder(GOLDEN["n"], j)
+        cfg = default_solver_config(j, variant=variant, dt=g["dt"], t_end=g["t_end"],
+                                    early_stop=False,
+                                    delta=g["cim3_delta"] if variant == "cim3" else 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_ensemble(J, cfg, g["runs"], g["seed"])
+            # runs diverging in the next five steps must leave those flagged by t_end in place
+            later = run_ensemble(J, replace(cfg, t_end=g["t_end"] + 5 * g["dt"]), g["runs"], g["seed"])
+        np.testing.assert_array_equal(res.diverged, np.array(g["diverged"][variant], dtype=bool))
+        assert 0 < res.diverged.sum() < g["runs"]
+        x = res.final_x[res.diverged]
+        assert np.isfinite(x).all()
+        assert np.abs(x).max() <= softspin.DIVERGENCE_LIMIT
+        assert later.diverged.all()
+        np.testing.assert_array_equal(later.final_x[res.diverged], x)
+
+
 class TestGroundReadouts:
     @pytest.mark.parametrize("n", [8, 30, 70])  # 70 spins do not fit a packed int64 index
     def test_hit_count_matches_tuple_set_loop(self, n):
@@ -330,6 +375,18 @@ class TestCim3Homogenization:
         np.testing.assert_array_equal(cim1.spins, cim3.spins)
         x = np.array([[0.5, -2.0, 0.0], [1e-200, 3.0, -1.0]])
         np.testing.assert_array_equal(homogenize_intensities(x, np.zeros((2, 1))), x)
+
+    def test_mixing_fraction_range_checked(self):
+        j = 0.35
+        J = graph.build_mobius_ladder(8, j)
+        cfg = default_solver_config(j, variant="cim3", t_end=10.0)
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError, match="mixing fraction"):
+                run_ensemble(J, cfg, runs=3, seed=0, delta_per_run=np.array([0.1, bad, 0.0]))
+            with pytest.raises(ValueError, match="mixing fraction"):
+                homogenize_intensities(np.ones((3, 4)), np.array([[0.1], [bad], [0.0]]))
+        with pytest.raises(ValueError, match="mixing fraction"):
+            softspin.tune_delta(J, cfg, grid=[1.5], prelim_runs=2)
 
 
 class TestDeltaTuning:
