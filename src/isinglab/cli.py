@@ -392,6 +392,11 @@ def _field_from_flags(n: int, h0: float, h1: float) -> np.ndarray | None:
     return quantum.symmetry_breaking_field(n, h0, h1)
 
 
+def _steps_taken(times: np.ndarray, dt: float) -> int:
+    """Steps of an evolution from its sampled times: the last step is always sampled."""
+    return int(round(times[-1] / dt))
+
+
 def cmd_qa_run(ns) -> int:
     J = graph.build_mobius_ladder(ns.n, ns.j)
     config = quantum.QAConfig(b=ns.b, t0=ns.t0, dt=ns.dt, t_end=ns.t_end,
@@ -412,6 +417,8 @@ def cmd_qa_run(ns) -> int:
     _write_rows(ns.out, "quantum-annealing-time-series", params, header, rows, ns.format)
     if ns.snapshot:
         quantum.save_state(ns.snapshot, run.state)
+    print(f"# stats: steps={_steps_taken(run.times, ns.dt)} "
+          f"max_norm_drift={run.max_norm_drift:.3e}", file=sys.stderr)
     return 0
 
 
@@ -421,11 +428,15 @@ def cmd_master_run(ns) -> int:
     params = {"n": ns.n, "j": ns.j, "d": ns.d, "t0": ns.t0, "dt": ns.dt,
               "t_end": ns.t_end, "h0": ns.h0, "h1": ns.h1, "mode": ns.mode}
     if ns.mode == "imag":
+        if not (ns.d >= 0 and ns.t0 > 0):  # QAConfig would name its own field, b
+            raise ValidationError(f"d must be >= 0 and t0 must be positive, got d = {ns.d}, "
+                                  f"t0 = {ns.t0}")
         config = quantum.QAConfig(b=ns.d, t0=ns.t0, dt=ns.dt, t_end=ns.t_end,
                                   sample_every=ns.sample_every)
         run = master.imaginary_time_evolve(J, h, config)
         rows = [[run.times[i], run.p_gs[i]] for i in range(len(run.times))]
         _write_rows(ns.out, "imaginary-time-series", params, ["t", "p_gs"], rows, ns.format)
+        print(f"# stats: mode=imag steps={_steps_taken(run.times, ns.dt)}", file=sys.stderr)
         return 0
     schedule = master.AnnealSchedule(d=ns.d, t0=ns.t0)
     run = master.anneal_master(J, h, schedule, mode=ns.mode, dt=ns.dt,
@@ -436,6 +447,8 @@ def cmd_master_run(ns) -> int:
         rows.append([run.times[i], run.temps[i], run.p_gs[i], ref])
     _write_rows(ns.out, "master-equation-time-series", params,
                 ["t", "temperature", "p_gs", "equilibrium_p_gs"], rows, ns.format)
+    print(f"# stats: mode={ns.mode} steps={_steps_taken(run.times, ns.dt)} "
+          f"negativity_events={run.negativity_events}", file=sys.stderr)
     return 0
 
 

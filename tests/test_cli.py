@@ -142,8 +142,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path)]) == 1
 
 
+def _stats(err: str) -> dict:
+    """The fields of the one `# stats:` line a run command prints to stderr."""
+    lines = [line for line in err.splitlines() if line.startswith("# stats:")]
+    assert len(lines) == 1, err
+    return dict(field.split("=") for field in lines[0].removeprefix("# stats:").split())
+
+
 class TestRunCommands:
-    def test_qa_run_schema(self, tmp_path):
+    def test_qa_run_schema(self, tmp_path, capsys):
         out = tmp_path / "qa.csv"
         rc = main(["qa-run", "--n", "6", "--j", "0.5", "--t-end", "20",
                    "--sample-every", "50", "--out", str(out)])
@@ -152,17 +159,23 @@ class TestRunCommands:
         assert header[:3] == ["t", "gamma", "p_gs_total"]
         assert len(header) == 3 + 2 + 6 + 6  # two degenerate ground states
         assert float(rows[0][0]) == 0.0
+        stats = _stats(capsys.readouterr().err)
+        assert stats.keys() == {"steps", "max_norm_drift"}
+        assert int(stats["steps"]) == 200
+        assert 0.0 < float(stats["max_norm_drift"]) < 1e-8
 
     def test_qa_snapshot(self, tmp_path):
         out = tmp_path / "qa.csv"
-        snap = tmp_path / "state.npz"
-        main(["qa-run", "--n", "4", "--j", "0.5", "--t-end", "5",
-              "--out", str(out), "--snapshot", str(snap)])
+        snap = tmp_path / "state"  # written as given, without an added ".npz"
+        rc = main(["qa-run", "--n", "4", "--j", "0.5", "--t-end", "5",
+                   "--out", str(out), "--snapshot", str(snap)])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["qa.csv", "state"]
         from isinglab.quantum import load_state
         state = load_state(str(snap))
         assert state.amplitudes.size == 16
 
-    def test_master_run_includes_equilibrium_reference(self, tmp_path):
+    def test_master_run_includes_equilibrium_reference(self, tmp_path, capsys):
         out = tmp_path / "sa.csv"
         rc = main(["master-run", "--n", "6", "--j", "0.5", "--t-end", "5",
                    "--sample-every", "100", "--out", str(out)])
@@ -170,6 +183,8 @@ class TestRunCommands:
         _, header, rows = _read_csv(out)
         assert header == ["t", "temperature", "p_gs", "equilibrium_p_gs"]
         assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
+        assert _stats(capsys.readouterr().err) == {"mode": "sa", "steps": "500",
+                                                    "negativity_events": "0"}
 
     def test_master_run_builds_diagonal_once(self, tmp_path, monkeypatch):
         from isinglab import master as master_module
@@ -188,13 +203,23 @@ class TestRunCommands:
         assert rc == 0
         assert len(calls) == 1
 
-    def test_imaginary_mode(self, tmp_path):
+    def test_imaginary_mode(self, tmp_path, capsys):
         out = tmp_path / "imag.csv"
         rc = main(["master-run", "--mode", "imag", "--n", "6", "--j", "0.5",
                    "--dt", "0.1", "--t-end", "10", "--out", str(out)])
         assert rc == 0
         _, header, rows = _read_csv(out)
         assert header == ["t", "p_gs"]
+        assert _stats(capsys.readouterr().err) == {"mode": "imag", "steps": "100"}
+
+    def test_imaginary_mode_negative_drive_names_d(self, tmp_path, capsys):
+        rc = main(["master-run", "--mode", "imag", "--n", "4", "--j", "0.5", "--d", "-1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: d must be >= 0")
+        assert "b must" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_branches_region_contains_crossing(self, tmp_path):
         out = tmp_path / "region.csv"
@@ -263,10 +288,11 @@ class TestRunCommands:
         ["master-run", "--mode", "ca", "--sample-every", "-5"],
         ["qa-run", "--t-end", "-1"],
         ["qa-run", "--t-end", "inf"],
+        ["qa-run", "--b", "nan"],
         ["trajectory", "--t-end", "10", "--sample-every", "0"],
         ["trajectory", "--t-end", "10", "--sample-every", "-3"],
     ], ids=["sa-sample-every-0", "sa-dt-0", "ca-sample-every-negative", "qa-t-end-negative",
-            "qa-t-end-inf", "trajectory-sample-every-0", "trajectory-sample-every--3"])
+            "qa-t-end-inf", "qa-b-nan", "trajectory-sample-every-0", "trajectory-sample-every--3"])
     def test_bad_time_grid_rejected(self, tmp_path, capsys, argv):
         rc = main([*argv, "--n", "4", "--j", "0.5", "--out", str(tmp_path / "x.csv")])
         assert rc == 1

@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from isinglab import graph, oracle, quantum
+from isinglab import graph, master, oracle, quantum
 from isinglab.quantum import (
     QAConfig,
     basis_index,
@@ -21,6 +24,21 @@ from isinglab.quantum import (
     symmetry_breaking_field,
     transverse_angle,
 )
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "quantum_golden.json").read_text())
+
+
+def _butterfly_split_step(psi, half, z, n):
+    """The per-spin transverse mixer the block mixer replaced: one pair update per spin."""
+    diag, off = np.cosh(z), np.sinh(z)
+    psi *= half
+    for k in range(n):
+        a = psi.reshape(1 << (n - 1 - k), 2, 1 << k)
+        lo = a[:, 0, :].copy()
+        hi = a[:, 1, :].copy()
+        a[:, 0, :] = diag * lo + off * hi
+        a[:, 1, :] = off * lo + diag * hi
+    psi *= half
 
 
 class TestBasisConvention:
@@ -116,6 +134,54 @@ class TestStrangStep:
         for _ in range(200):
             state = strang_step(state, E, cfg)
         assert state.norm_error() < 1e-12
+
+
+class TestSplitStep:
+    @pytest.mark.parametrize("n", range(1, 14))  # every remainder of n mod 4
+    @pytest.mark.parametrize("kind", ["real-time", "imaginary-time"])
+    def test_matches_per_spin_butterfly(self, n, kind):
+        rng = np.random.default_rng(100 + n)
+        theta = rng.uniform(0.05, 0.7)  # QA's first step at the default schedule turns 0.68
+        if kind == "real-time":
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            half = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, size=1 << n))
+            z = 1j * theta
+        else:
+            psi = rng.normal(size=1 << n)
+            half = np.exp(-rng.uniform(0.0, 1.0, size=1 << n))
+            z = theta
+        psi /= np.linalg.norm(psi)
+        expected = psi.copy()
+        _butterfly_split_step(expected, half, z, n)
+        quantum._split_step(psi, half, z, n)
+        assert psi.dtype == expected.dtype
+        # imaginary time grows the norm by up to e^(n theta); compare the
+        # renormalized state it goes on with (the unitary case has norm 1)
+        scale = np.linalg.norm(expected)
+        np.testing.assert_allclose(psi / scale, expected / scale, rtol=0, atol=1e-13)
+
+
+class TestGoldenEvolutions:
+    """Outputs recorded with the per-spin mixer; restructured evolutions must match to 1e-12."""
+
+    J = graph.build_mobius_ladder(GOLDEN["n"], GOLDEN["j"])
+    h = symmetry_breaking_field(GOLDEN["n"], GOLDEN["h0"], GOLDEN["h1"])
+
+    def _config(self, **kwargs):
+        return QAConfig(b=GOLDEN["b"], t0=GOLDEN["t0"], dt=GOLDEN["dt"],
+                        t_end=GOLDEN["t_end"], **kwargs)
+
+    def test_qa_final_amplitudes(self):
+        run = run_qa(self.J, self._config(h=self.h, sample_every=10**9))
+        expected = np.array(GOLDEN["qa_final_real"]) + 1j * np.array(GOLDEN["qa_final_imag"])
+        np.testing.assert_allclose(run.state.amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_imaginary_time_p_gs(self):
+        run = master.imaginary_time_evolve(
+            self.J, self.h, self._config(sample_every=GOLDEN["imag_sample_every"]))
+        np.testing.assert_allclose(run.times, GOLDEN["imag_times"], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(run.p_gs, GOLDEN["imag_p_gs"], rtol=0, atol=1e-12)
+
 
 class TestSymmetryBreakingField:
     def test_component_values(self):
@@ -265,6 +331,17 @@ class TestRunQA:
         with pytest.raises(ValueError):
             run_qa(np.zeros((22, 22)), QAConfig())
 
+    def test_max_norm_drift_reported(self):
+        J = graph.build_mobius_ladder(6, 0.5)
+        run = run_qa(J, QAConfig(t_end=20.0, sample_every=10**9))
+        assert 0.0 < run.max_norm_drift < 1e-8  # rounding drift, far under the abort limit
+        assert run.max_norm_drift >= run.state.norm_error()
+        assert run_qa(J, QAConfig(t_end=0.0)).max_norm_drift == 0.0  # no step taken
+
+    def test_nan_state_aborts(self):
+        with pytest.raises(RuntimeError, match="norm drift nan"):
+            run_qa(graph.build_mobius_ladder(4, 0.5), QAConfig(h=np.full(4, np.nan), t_end=1.0))
+
 
 class TestInstantaneousOverlap:
     def test_initial_state_tracks_transverse_ground(self):
@@ -308,4 +385,15 @@ class TestSnapshots:
         save_state(path, run.state)
         back = load_state(path)
         np.testing.assert_array_equal(back.amplitudes, run.state.amplitudes)
+        assert back.t == run.state.t
+
+    def test_path_without_suffix_written_exactly(self, tmp_path):
+        J = graph.build_mobius_ladder(4, 0.5)
+        run = run_qa(J, QAConfig(t_end=10.0, sample_every=10**9))
+        path = tmp_path / "snap"
+        save_state(str(path), run.state)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap"]
+        back = load_state(str(path))
+        assert back.amplitudes.tobytes() == run.state.amplitudes.tobytes()
+        assert back.amplitudes.dtype == run.state.amplitudes.dtype
         assert back.t == run.state.t
