@@ -4,7 +4,10 @@ Critical points solve dE/dx = 0; their Morse index is the number of negative
 Hessian eigenvalues.  Enumeration is sampled: multistart runs of softspin's
 batched Newton root-finder, the same one that solves the E1 branch, so
 reported counts carry the start budget alongside; completeness is checked
-only in the sense that the known analytic states are recovered.
+only in the sense that the known analytic states are recovered.  Barriers
+launch two of softspin's fixed-pump descents from each index-1 saddle, one to
+each side, with the kick that descent gives a row landing on a saddle
+(capped in length, so a nearly flat saddle is not left far behind).
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ import numpy as np
 
 from .graph import validate_coupling_matrix
 from .softspin import (
+    FLOW_TOL,
+    _check_fixed_pump,
     _cluster_rows,
     _descend_batch,
     _newton_roots,
+    _saddle_kick,
     soft_energy,
     soft_hessian,
     spin_family,
@@ -58,6 +64,7 @@ def find_critical_points(J: np.ndarray, p: float, c: float,
     a point as degenerate and are not counted as negative.
     """
     J = validate_coupling_matrix(J)
+    _check_fixed_pump(p, c)
     if starts < 1:
         raise ValueError("starts must be >= 1")
     n = J.shape[0]
@@ -119,11 +126,11 @@ def barrier_height(J: np.ndarray, p: float, c: float,
                    starts: int = 4000, seed: int = 0) -> BarrierResult:
     """Height of the lowest index-1 saddle connecting the S0 and S1 minima.
 
-    A saddle connects the two minima when steepest-descent paths launched
-    along its unstable direction terminate at one minimum of each family
-    (matched at infinity-norm distance 1e-4).  Returns a flagged absent
-    result when either minimum is missing or no connecting saddle is found
-    within the start budget.
+    A saddle connects the two minima when the two descents launched from it
+    by the saddle kick, one to each side along its unstable direction,
+    terminate at one minimum of each family (matched at infinity-norm
+    distance 1e-4).  Returns a flagged absent result when either minimum is
+    missing or no connecting saddle is found within the start budget.
     """
     points = find_critical_points(J, p, c, starts=starts, seed=seed)
     minima = [cp for cp in points if cp.index == 0]
@@ -143,8 +150,8 @@ def barrier_height(J: np.ndarray, p: float, c: float,
     for cp in points:  # sorted by (index, energy): the first connecting saddle is the lowest
         if cp.index != 1:
             continue
-        v = np.linalg.eigh(soft_hessian(cp.x, p, c, J))[1][:, 0]
-        (a, b), ok = _descend_batch(J, p, c, cp.x + np.outer([1e-4, -1e-4], v))
+        step = _saddle_kick(*np.linalg.eigh(soft_hessian(cp.x, p, c, J)), FLOW_TOL)
+        (a, b), ok = _descend_batch(J, p, c, cp.x + np.array([step, -step]))
         if not ok.all():
             continue
         if (hits(a, targets0) and hits(b, targets1)) or (hits(a, targets1) and hits(b, targets0)):

@@ -51,8 +51,8 @@ class AnnealSchedule:
     t0: float = 0.5
 
     def __post_init__(self):
-        if self.d <= 0 or self.t0 <= 0:
-            raise ValueError("d and t0 must be positive")
+        if not (0.0 < self.d < np.inf and 0.0 < self.t0 < np.inf):  # NaN fails too
+            raise ValueError("d and t0 must be positive and finite")
 
 
 def temperature(t: float, schedule: AnnealSchedule) -> float:
@@ -170,7 +170,7 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
             np.clip(p, 0.0, None, out=p)
             p /= p.sum()
         total = p.sum()
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:  # NaN breaches too
             raise RuntimeError(f"probability conservation breach {abs(total - 1.0):.3e} at t = {t:.2f}")
         if sampled:
             record(t)

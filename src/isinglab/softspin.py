@@ -13,7 +13,12 @@ as s_i = sign(x_i).
 Critical points of E at a fixed pump (zeros of soft_gradient) come from one
 batched Newton root-finder, `_newton_roots`: the E1 branch is one call of it
 seeded from the two-amplitude ansatz, and landscape's critical-point search
-runs it once on a batch of random starts.
+runs it once on a batch of random starts.  The fixed-pump descent behind
+basin sampling and landscape's barrier search is gradient flow down to
+FLOW_TOL that hands over to the same root-finder, accepting no root above the
+flow's endpoint; a descent that lands on a saddle is kicked off it along the
+most unstable direction and, like one whose Newton failed, flows again to a
+tighter tolerance.
 """
 
 from __future__ import annotations
@@ -73,6 +78,10 @@ VARIANTS = ("ht", "cim1", "cim2", "cim3")
 DIVERGENCE_LIMIT = 1e6
 FREEZE_STEPS = 200  # early stop after this many steps without a sign change
 GRADIENT_TOL = 1e-9  # a Newton root counts as critical below this gradient
+FLOW_TOL = 1e-3  # the fixed-pump descent hands its flow over to Newton below this gradient
+MAX_FLOW_STEPS = 60000
+KICK_ROUNDS = 3  # retries of a fixed-pump descent that ends off a minimum
+KICK_MAX = 0.1  # longest step off a saddle
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +154,10 @@ def homogenize_intensities(x, frac):
     Scale-free counterpart of :func:`manifold_reduce` used inside cim3 steps:
     it preserves signs and the total squared radius, so it homogenizes
     amplitude patterns at any overall scale (at frac = 1 every magnitude
-    becomes the root mean square).  Zero components stay at zero, and
-    frac = 0 returns x unchanged.  frac is a scalar or broadcasts against the
-    batch axes of x, e.g. one fraction per run of shape (runs, 1).
+    becomes the root mean square).  Zero components stay at zero and so do
+    not take up their share frac R: the radius is preserved in rows without
+    zeros.  frac = 0 returns x unchanged.  frac is a scalar or broadcasts
+    against the batch axes of x, e.g. one fraction per run of shape (runs, 1).
     """
     return _mix_intensities(np.asarray(x, dtype=float), _mixing_fraction(frac))
 
@@ -200,8 +210,10 @@ class SolverConfig:
             raise ValueError("dt and t_end must be positive and finite")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not (np.isfinite(self.eps) and (self.p0 is None or np.isfinite(self.p0))):
+            raise ValueError("eps and p0 must be finite")
+        if not 0.0 < self.c < np.inf:  # NaN fails too
+            raise ValueError("c must be positive and finite")
 
 
 def default_solver_config(j: float, variant: str = "cim1", **overrides) -> SolverConfig:
@@ -618,19 +630,21 @@ def region_map(j_grid, p_grid, n: int, c: float = 1.0) -> RegionMap:
 # basins of attraction and the fixed-pump descent protocol
 # ---------------------------------------------------------------------------
 
-def basin_descriptors(x) -> tuple[float, float]:
+def basin_descriptors(x):
     """Mean magnetization m and cyclic neighbor correlation of the fluctuations.
 
-    Returns (m, nan) when the fluctuation variance vanishes (all components
-    equal), where the correlation is undefined.
+    Broadcasts over the leading axes of x (arrays of m and correlation);
+    one row gives two floats.  The correlation is nan where the fluctuation
+    variance vanishes (all components equal), where it is undefined.
     """
     x = np.asarray(x, dtype=float)
-    m = float(np.mean(x))
-    d = x - m
-    denom = float(np.sum(d * d))
-    if denom <= 1e-12:
-        return m, float("nan")
-    return m, float(np.sum(d * np.roll(d, -1)) / denom)
+    m = np.mean(x, axis=-1)
+    d = x - m[..., None]
+    denom = np.sum(d * d, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.sum(d * np.roll(d, -1, axis=-1), axis=-1) / denom
+    corr = np.where(denom > 1e-12, corr, np.nan)
+    return (float(m), float(corr)) if x.ndim == 1 else (m, corr)
 
 
 @dataclass
@@ -672,6 +686,14 @@ def spin_family(spins: np.ndarray) -> str:
     return f"{len(defects)}-defect"
 
 
+def _check_fixed_pump(p: float, c: float) -> None:
+    """Raise ValueError unless the pump p is finite and c is finite and positive."""
+    if not np.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
+    if not 0.0 < c < np.inf:  # NaN fails too
+        raise ValueError(f"c must be positive and finite, got {c}")
+
+
 def _stable_flow_dt(p: float, c: float, J: np.ndarray) -> float:
     box = 1.0 + np.sqrt(max(p, 0.0))
     curvature = c * (3.0 * (box + 0.5) ** 2 + abs(p)) + np.sum(np.abs(J), axis=1).max()
@@ -679,95 +701,64 @@ def _stable_flow_dt(p: float, c: float, J: np.ndarray) -> float:
 
 
 def _flow_into_basin(J: np.ndarray, p: float, c: float, x: np.ndarray,
-                     flow_tol: float, max_flow_steps: int) -> None:
+                     tol: float = FLOW_TOL) -> None:
+    """Euler gradient flow in place until every row's gradient is below tol."""
     dt = _stable_flow_dt(p, c, J)
-    for _ in range(max_flow_steps):
+    for _ in range(MAX_FLOW_STEPS):
         g = soft_gradient(x, p, c, J)
-        if np.max(np.abs(g)) < flow_tol:
+        if np.max(np.abs(g)) < tol:
             break
         x += dt * g
 
 
-def _newton_polish(J: np.ndarray, p: float, c: float, x: np.ndarray,
-                   newton_tol: float, max_newton: int) -> None:
-    """Ridge-regularized Newton descent with Armijo backtracking, in place."""
-    n = x.shape[1]
-    for _ in range(max_newton):
-        grad_e = -soft_gradient(x, p, c, J)
-        res = np.max(np.abs(grad_e), axis=1)
-        active = res > newton_tol
-        if not active.any():
-            break
-        xa = x[active]
-        ga = grad_e[active]
-        H = soft_hessian(xa, p, c, J)
-        evmin = np.linalg.eigvalsh(H)[:, 0]
-        ridge = np.maximum(0.0, 1e-6 - evmin)
-        H[:, np.arange(n), np.arange(n)] += ridge[:, None]
-        try:
-            step = -np.linalg.solve(H, ga[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = -ga
-        descent = np.einsum("bi,bi->b", step, ga)
-        uphill = descent >= 0.0
-        step[uphill] = -ga[uphill]
-        descent[uphill] = -np.einsum("bi,bi->b", ga[uphill], ga[uphill])
-        e_old = soft_energy(xa, p, c, J)
-        alpha = np.ones(len(xa))
-        for _ in range(40):
-            e_new = soft_energy(xa + alpha[:, None] * step, p, c, J)
-            ok = e_new <= e_old + 1e-4 * alpha * descent
-            if ok.all():
-                break
-            alpha[~ok] *= 0.5
-        x[active] = xa + alpha[:, None] * step
+def _saddle_kick(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
+    """Step along the most unstable eigenvector of Hessians with eigh pairs (vals, vecs).
+
+    Its length 10 tol / |lambda_min| puts the gradient after the step above a
+    flow tolerance tol, so a flow to tol moves away from the saddle; it is
+    capped at KICK_MAX so that a nearly flat saddle is not left far behind.
+    """
+    return np.minimum(10.0 * tol / np.abs(vals[..., :1]), KICK_MAX) * vecs[..., 0]
 
 
-def _minimum_status(J: np.ndarray, p: float, c: float, x: np.ndarray,
-                    newton_tol: float):
-    """(converged-to-minimum mask, smallest Hessian eigenvalue per sample)."""
-    res = np.max(np.abs(soft_gradient(x, p, c, J)), axis=1)
-    small = res <= newton_tol * 10.0
-    evmin = np.full(len(x), np.inf)
-    if small.any():
-        evmin[small] = np.linalg.eigvalsh(soft_hessian(x[small], p, c, J))[:, 0]
-    return small & (evmin > -1e-8), evmin
+def _descend_batch(J: np.ndarray, p: float, c: float, x0: np.ndarray):
+    """Gradient flow into a basin, then the shared Newton root-finder.
 
-
-def _descend_batch(J: np.ndarray, p: float, c: float, x0: np.ndarray,
-                   flow_tol: float = 1e-3, newton_tol: float = 1e-10,
-                   max_flow_steps: int = 60000, max_newton: int = 100,
-                   repair_rounds: int = 3):
-    """Gradient flow into a basin, then damped Newton polish.
-
-    Descents whose flow stalls near a saddle (small gradient but a negative
-    Hessian eigenvalue after polishing) are kicked downhill along the unstable
-    direction and re-descended; up to repair_rounds times.  Returns
-    (x, converged) where converged marks samples resting at a true minimum.
+    The flow runs down to FLOW_TOL and `_newton_roots` solves from its
+    endpoints.  A root counts only if Newton converged without climbing
+    above the flow endpoint's energy; it is a minimum when its smallest
+    Hessian eigenvalue is above -1e-8.  Rows without a minimum descend
+    again with a flow tolerance 1000 times tighter, up to KICK_ROUNDS times:
+    a row whose Newton failed or climbed flows on from its flow endpoint,
+    and a row whose descent reached a saddle is kicked off it
+    (`_saddle_kick`) to the side its flow came from.  Returns
+    (x, converged), converged marking the rows resting at a minimum.
     """
     x = np.asarray(x0, dtype=float).copy()
-    _flow_into_basin(J, p, c, x, flow_tol, max_flow_steps)
-    _newton_polish(J, p, c, x, newton_tol, max_newton)
-    converged, evmin = _minimum_status(J, p, c, x, newton_tol)
-
-    for _ in range(repair_rounds):
-        stuck = ~converged
-        if not stuck.any():
+    converged = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))
+    tol = FLOW_TOL
+    for attempt in range(KICK_ROUNDS + 1):
+        xs = x[rows]
+        _flow_into_basin(J, p, c, xs, tol)
+        roots, ok = _newton_roots(J, p, c, xs)
+        ok &= soft_energy(roots, p, c, J) <= soft_energy(xs, p, c, J) + 1e-12
+        solved = np.flatnonzero(ok)
+        vals, vecs = np.linalg.eigh(soft_hessian(roots[solved], p, c, J))
+        at_min = vals[:, 0] > -1e-8
+        done = np.zeros(len(rows), dtype=bool)
+        done[solved[at_min]] = True
+        x[rows[done]] = roots[done]
+        converged[rows[done]] = True
+        if attempt == KICK_ROUNDS or done.all():
             break
-        idx = np.flatnonzero(stuck)
-        xs = x[idx]
-        H = soft_hessian(xs, p, c, J)
-        vals, vecs = np.linalg.eigh(H)
-        v = vecs[:, :, 0]  # most unstable direction at a saddle
-        e_plus = soft_energy(xs + 1e-3 * v, p, c, J)
-        e_minus = soft_energy(xs - 1e-3 * v, p, c, J)
-        sign = np.where(e_plus <= e_minus, 1.0, -1.0)
-        xs = xs + sign[:, None] * 1e-3 * v
-        _flow_into_basin(J, p, c, xs, flow_tol, max_flow_steps)
-        _newton_polish(J, p, c, xs, newton_tol, max_newton)
-        ok, _ = _minimum_status(J, p, c, xs, newton_tol)
-        x[idx[ok]] = xs[ok]
-        converged[idx[ok]] = True
+        tol *= 1e-3
+        saddle = solved[~at_min]
+        step = _saddle_kick(vals[~at_min], vecs[~at_min], tol)
+        back = np.einsum("bi,bi->b", xs[saddle] - roots[saddle], step) < 0.0
+        xs[saddle] = roots[saddle] + np.where(back[:, None], -step, step)
+        x[rows[~done]] = xs[~done]
+        rows = rows[~done]
     return x, converged
 
 
@@ -821,13 +812,13 @@ def basin_sample(J: np.ndarray, p: float, c: float, samples: int, seed: int = 0)
     non-converged descents count as unresolved (label -1).
     """
     J = validate_coupling_matrix(J)
+    _check_fixed_pump(p, c)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = J.shape[0]
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(-1.0, 1.0, size=(samples, n))
-    m = np.mean(x0, axis=1)
-    xcorr = np.array([basin_descriptors(row)[1] for row in x0])
+    m, xcorr = basin_descriptors(x0)
     xf, converged = _descend_batch(J, p, c, x0)
     minima, labels = _catalog_minima(J, p, c, xf, converged)
     return BasinSample(

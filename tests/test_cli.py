@@ -121,9 +121,10 @@ class TestSweepCommand:
         {"instance": {"n": 8, "j": 0.3, "extra": 1}, "variants": ["cim1"], "runs": 3},
         {"instance": {"n": 8.5, "j": 0.3}, "variants": ["cim1"], "runs": 3},
         {"instance": {"n": 8, "j": 0.3}, "variants": ["qa"], "qa": {"t_end": -1}},
+        {"instance": {"n": 8, "j": 0.3}, "variants": ["cim1"], "softspin": {"eps": float("nan")}},
     ], ids=["top-level", "softspin", "qa", "cim3", "cim3-grid", "cim3-runs",
             "instance-not-object", "j-grid-not-list", "runs-null", "instance-extra-key",
-            "n-not-integer", "qa-time-grid"])
+            "n-not-integer", "qa-time-grid", "softspin-eps-nan"])
     def test_unknown_field_rejected(self, tmp_path, config):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -289,10 +290,12 @@ class TestRunCommands:
         ["qa-run", "--t-end", "-1"],
         ["qa-run", "--t-end", "inf"],
         ["qa-run", "--b", "nan"],
+        ["master-run", "--mode", "sa", "--d", "nan", "--t-end", "1"],
         ["trajectory", "--t-end", "10", "--sample-every", "0"],
         ["trajectory", "--t-end", "10", "--sample-every", "-3"],
     ], ids=["sa-sample-every-0", "sa-dt-0", "ca-sample-every-negative", "qa-t-end-negative",
-            "qa-t-end-inf", "qa-b-nan", "trajectory-sample-every-0", "trajectory-sample-every--3"])
+            "qa-t-end-inf", "qa-b-nan", "sa-d-nan", "trajectory-sample-every-0",
+            "trajectory-sample-every--3"])
     def test_bad_time_grid_rejected(self, tmp_path, capsys, argv):
         rc = main([*argv, "--n", "4", "--j", "0.5", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
@@ -304,6 +307,16 @@ class TestRunCommands:
     def test_non_finite_trajectory_grid_rejected(self, capsys, argv):
         assert main(["trajectory", "--n", "4", "--j", "0.5", *argv]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["critical", "--p", "nan", "--starts", "10"],
+        ["branches", "--what", "barrier", "--p-grid=nan", "--starts", "10"],
+        ["basins", "--c", "-1", "--samples", "10"],
+    ], ids=["critical-p-nan", "barrier-p-nan", "basins-c-negative"])
+    def test_bad_landscape_input_rejected(self, tmp_path, capsys, argv):
+        assert main([*argv, "--j", "0.4", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_required_flag(self):
         assert main(["qa-run", "--n", "8"]) == 1

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from isinglab import graph, landscape
-from isinglab.softspin import soft_gradient, soft_hessian
+from isinglab import graph, landscape, softspin
+from isinglab.softspin import _descend_batch, soft_energy, soft_gradient, soft_hessian
 
 J8 = graph.build_mobius_ladder(8, 0.4)
 
@@ -83,6 +83,41 @@ class TestFindCriticalPoints:
         with pytest.raises(ValueError):
             landscape.find_critical_points(J8, 0.0, 1.0, starts=0)
 
+    @pytest.mark.parametrize("p, c", [(np.nan, 1.0), (np.inf, 1.0), (0.0, -1.0),
+                                      (0.0, np.nan), (0.0, np.inf)])
+    def test_pump_and_nonlinearity_validated(self, p, c):
+        with pytest.raises(ValueError):
+            landscape.find_critical_points(J8, p, c, starts=10)
+
+
+class TestDescent:
+    def test_descent_from_every_index1_saddle_reaches_a_minimum(self):
+        # a start exactly on a saddle has zero gradient: only the kick moves it
+        points = landscape.find_critical_points(J8, 2.0, 1.0, starts=4000, seed=1)
+        saddles = np.array([cp.x for cp in points if cp.index == 1])
+        assert len(saddles) > 0
+        x, converged = _descend_batch(J8, 2.0, 1.0, saddles)
+        assert converged.all()
+        assert np.max(np.abs(soft_gradient(x, 2.0, 1.0, J8))) < 1e-9
+        assert np.all(np.linalg.eigvalsh(soft_hessian(x, 2.0, 1.0, J8))[:, 0] > -1e-8)
+        assert np.all(soft_energy(x, 2.0, 1.0, J8) < soft_energy(saddles, 2.0, 1.0, J8))
+
+    def test_newton_never_climbs_out_of_a_flat_basin(self):
+        # these starts leave the flow at gradient ~3e-4 in a flat basin next
+        # to an index-1 saddle; undamped Newton from there climbs to that
+        # saddle, and a kick off it lands in the S1 basin.  A flow run on to
+        # gradient 1e-10 ends at the 2-defect(sep=5) minimum.
+        J12 = graph.build_mobius_ladder(12, 0.4)
+        result = softspin.basin_sample(J12, 0.5, 1.0, 1500, seed=0)
+        for i in (62, 447, 541, 945):
+            assert result.minima[result.labels[i]].family == "2-defect(sep=5)"
+
+    def test_kick_is_capped_on_a_flat_saddle(self):
+        vals = np.array([[-1e-9, 1.0], [-4.0, 1.0]])
+        vecs = np.array([np.eye(2), np.eye(2)])
+        step = softspin._saddle_kick(vals, vecs, softspin.FLOW_TOL)
+        assert np.allclose(step, [[softspin.KICK_MAX, 0.0], [2.5e-3, 0.0]])
+
 
 class TestCriticalPointCounts:
     def test_counts_grow_with_pump(self):
@@ -118,6 +153,14 @@ class TestBarrierHeight:
         result = landscape.barrier_height(J8, 2.0, 1.0, starts=2500, seed=2)
         assert not result.found
         assert np.isfinite(result.e0_minus_e1)
+
+    def test_saddle_found_at_p1(self):
+        # a fine-step steepest descent (tolerance 1e-9) from this saddle at
+        # E = -6.91143 reaches S0 and S1; the kick off it must clear the
+        # flow's tolerance, which a fixed 1e-4 kick did not
+        result = landscape.barrier_height(J8, 1.0, 1.0, starts=600, seed=3)
+        assert result.found
+        assert result.barrier == pytest.approx(4.015140933595829, abs=1e-9)
 
     def test_saddle_symmetric_under_flip(self):
         result = landscape.barrier_height(J8, 0.0, 1.0, starts=2500, seed=2)

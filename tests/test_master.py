@@ -168,6 +168,17 @@ class TestAnnealMaster:
         expected = boltzmann_reference(E, 1.5, run.ground_indices)
         assert run.p_gs[-1] == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("d, t0", [(np.nan, 0.5), (5.0, np.nan), (np.inf, 0.5), (0.0, 0.5)])
+    def test_schedule_validated(self, d, t0):
+        with pytest.raises(ValueError):
+            AnnealSchedule(d=d, t0=t0)
+
+    @pytest.mark.parametrize("mode", ["sa", "ca"])
+    def test_nan_probabilities_abort(self, mode):
+        with pytest.raises(RuntimeError, match="conservation breach nan"):
+            anneal_master(graph.build_mobius_ladder(4, 0.5), np.full(4, np.nan), AnnealSchedule(),
+                          mode=mode, t_end=1.0)
+
     def test_mode_validated(self):
         with pytest.raises(ValueError):
             anneal_master(graph.build_mobius_ladder(4, 0.4), None, AnnealSchedule(),

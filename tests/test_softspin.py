@@ -159,6 +159,18 @@ class TestHomogenizeIntensities:
         assert np.sum(out**2) == pytest.approx(np.sum(x**2), rel=1e-12)
         assert np.all(np.sign(out) == np.sign(x))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_per_row_fractions_preserve_intensity_and_signs(self, seed):
+        # property: any batch of nonzero amplitudes, any per-row fractions in [0, 1]
+        rng = np.random.default_rng(seed)
+        rows, n = 200, int(rng.integers(2, 17))
+        x = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        frac = rng.uniform(0.0, 1.0, (rows, 1))
+        frac[:10] = rng.choice([0.0, 1.0], (10, 1))
+        out = homogenize_intensities(x, frac)
+        np.testing.assert_allclose(np.sum(out * out, axis=1), np.sum(x * x, axis=1), rtol=1e-12)
+        np.testing.assert_array_equal(np.sign(out), np.sign(x))
+
     def test_full_mixing_gives_rms(self):
         x = np.array([2.0, -1.0])
         out = homogenize_intensities(x, 1.0)
@@ -267,6 +279,10 @@ class TestTrajectories:
             SolverConfig(delta=1.5)
         with pytest.raises(ValueError):
             run_trajectory(J8, SolverConfig())  # p0 unset
+        for bad in ({"eps": np.nan}, {"eps": np.inf}, {"c": np.nan}, {"c": np.inf},
+                    {"c": 0.0}, {"p0": np.nan}, {"p0": -np.inf}):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
         with pytest.raises(ValueError):
             run_ensemble(J8, default_solver_config(0.4), runs=0, seed=0)
 
@@ -515,6 +531,32 @@ class TestBasins:
     def test_descriptors_period_four(self):
         m, xc = basin_descriptors(np.array([1.0, 1.0, -1.0, -1.0] * 2))
         assert xc == pytest.approx(0.0)
+
+    def test_descriptors_broadcast_like_the_row_loop(self):
+        def one_row(x):  # the per-row form basin_sample looped over
+            m = float(np.mean(x))
+            d = x - m
+            denom = float(np.sum(d * d))
+            if denom <= 1e-12:
+                return m, float("nan")
+            return m, float(np.sum(d * np.roll(d, -1)) / denom)
+
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1.0, 1.0, (300, 8))
+        x[:3] = [np.ones(8), np.full(8, np.nan), graph.build_s0(8)]
+        m, xc = basin_descriptors(x.reshape(3, 100, 8))
+        loop = np.array([one_row(row) for row in x])
+        np.testing.assert_array_equal(m.ravel(), loop[:, 0])
+        np.testing.assert_array_equal(xc.ravel(), loop[:, 1])
+        for row in x[:3]:  # one row still gives two floats
+            got = basin_descriptors(row)
+            assert all(type(v) is float for v in got)
+            np.testing.assert_array_equal(got, one_row(row))
+
+    @pytest.mark.parametrize("p, c", [(np.nan, 1.0), (-np.inf, 1.0), (0.0, -1.0), (0.0, np.nan)])
+    def test_basin_sample_validates_pump_and_nonlinearity(self, p, c):
+        with pytest.raises(ValueError):
+            softspin.basin_sample(J8, p, c, 10)
 
     def test_basin_sample_small(self):
         sample = softspin.basin_sample(J8, 0.0, 1.0, 500, seed=2)
