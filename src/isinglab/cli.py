@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +244,8 @@ def cmd_sweep(ns) -> int:
     rows: list = []
     try:
         if ns.threads > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only threaded sweeps pay for it
+
             with ProcessPoolExecutor(max_workers=ns.threads) as pool:
                 for chunk in pool.map(_sweep_one_j, tasks):
                     rows.extend(chunk)

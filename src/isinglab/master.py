@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .graph import validate_coupling_matrix
 from .quantum import QAConfig, _split_step, _time_grid, build_diagonal, ground_set, transverse_angle
@@ -61,6 +60,8 @@ def temperature(t: float, schedule: AnnealSchedule) -> float:
 
 def _sa_rates(E: np.ndarray):
     """Single-spin-flip generator: E -> (T -> rhs), n rates per state."""
+    from scipy.special import expit  # loaded on first use, not at package import
+
     n = int(round(np.log2(E.size)))
     partner = np.arange(E.size) ^ (1 << np.arange(n))[:, None]  # (n, 2^n) bit-k partners
     dE = E[partner] - E
@@ -81,6 +82,8 @@ def _ca_rates(E: np.ndarray):
     a = level(i), where W_ab = 1 / (1 + exp((E_a - E_b)/T)).  This holds for
     any p, not only level-uniform ones.
     """
+    from scipy.special import expit  # loaded on first use, not at package import
+
     levels, level, g = np.unique(E, return_inverse=True, return_counts=True)
     L = levels.size
     if L > MAX_CA_LEVELS:

@@ -26,7 +26,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .graph import validate_coupling_matrix
 from .oracle import all_energies, basis_index, ground_set, index_spins, spins_table
@@ -108,7 +107,10 @@ class BlochVector:
 
 
 def build_diagonal(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Classical energies E(xi) = H_I(xi) - sum_i h_i s_i for every basis state."""
+    """Classical energies E(xi) = H_I(xi) - sum_i h_i s_i for every basis state.
+
+    Raises ValueError for a field of the wrong shape or with a non-finite entry.
+    """
     J = np.asarray(J, dtype=float)
     if J.shape != (1, 1):  # a single spin has no coupling to validate
         J = validate_coupling_matrix(J)
@@ -119,6 +121,8 @@ def build_diagonal(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
         h = np.asarray(h, dtype=float)
         if h.shape != (n,):
             raise ValueError(f"field must have shape ({n},), got {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError(f"field must be finite, got {h}")
     return all_energies(J, h)
 
 
@@ -178,14 +182,21 @@ def _split_step(psi: np.ndarray, half: np.ndarray, z, n: int) -> None:
     (exactly cos theta, i sin theta), imaginary time a real z = theta.  The
     product over spins is applied as one symmetric 2^m x 2^m block per group of
     m = 4 consecutive spins (a smaller last group takes n mod 4), whose entry
-    between indices at Hamming distance d is cosh(z)^(m-d) sinh(z)^d.
+    between indices at Hamming distance d is cosh(z)^(m-d) sinh(z)^d.  The
+    group of the lowest spins is one (2^(n-m), 2^m) x (2^m, 2^m) product; the
+    others are batched over the spins below them.
     """
     full = _mixer_block(z, _BLOCK_SPINS)
     psi *= half
     for k in range(0, n, _BLOCK_SPINS):
         m = min(_BLOCK_SPINS, n - k)
-        a = psi.reshape(1 << (n - k - m), 1 << m, 1 << k)
-        a[...] = np.matmul(full if m == _BLOCK_SPINS else _mixer_block(z, m), a)
+        block = full if m == _BLOCK_SPINS else _mixer_block(z, m)
+        if k == 0:  # the lowest spins index contiguous rows: one matrix product for all
+            a = psi.reshape(-1, 1 << m)
+            a[...] = a @ block.T
+        else:
+            a = psi.reshape(1 << (n - k - m), 1 << m, 1 << k)
+            a[...] = np.matmul(block, a)
     psi *= half
 
 
@@ -320,6 +331,8 @@ def run_qa(J: np.ndarray, config: QAConfig) -> QARun:
 
 
 def _hamiltonian_operator(energies: np.ndarray, gamma_now: float, n: int) -> LinearOperator:
+    from scipy.sparse.linalg import LinearOperator  # loaded on first use, not at package import
+
     def matvec(v):
         v = v.reshape(-1)  # LinearOperator passes (dim, 1) columns to matmat
         out = energies * v
@@ -349,6 +362,8 @@ def instantaneous_ground_overlap(state: QuantumState | np.ndarray, J: np.ndarray
     if dim <= 16:
         vals, vecs = np.linalg.eigh(H @ np.eye(dim))
     else:
+        from scipy.sparse.linalg import eigsh
+
         vals, vecs = eigsh(H, k=2, which="SA")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]

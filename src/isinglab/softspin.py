@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .graph import (
     analytic_ground_state,
@@ -417,7 +416,13 @@ def ground_hits(spins: np.ndarray, ground: np.ndarray) -> np.ndarray:
 
 def success_probability(J: np.ndarray, config: SolverConfig, runs: int, seed: int = 0,
                         ground_spins: np.ndarray | None = None) -> SuccessStats:
-    """Fraction of runs whose readout is a row of `ground_spins` (default: ground_readouts(J))."""
+    """Fraction of runs whose readout is a row of `ground_spins` (default: ground_readouts(J)).
+
+    A diverged run stays in the count: its readout is the signs of its frozen
+    amplitudes, clipped into [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] (a NaN
+    component reads as 0, so +1), and it is a hit when those signs match a
+    ground state.  `diverged` reports how many runs diverged.
+    """
     J = validate_coupling_matrix(J)
     ground = ground_readouts(J) if ground_spins is None else ground_spins
     res = run_ensemble(J, config, runs, seed)
@@ -583,6 +588,8 @@ def branch_crossing_pump(j: float, n: int, c: float = 1.0,
         if fa == 0.0:
             return float(a)
         if fa * fb < 0.0:
+            from scipy.optimize import brentq  # loaded on first use, not at package import
+
             return float(brentq(gap, a, b, xtol=1e-12))
     return None
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isinglab import graph
 from isinglab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _read_csv(path):
@@ -302,6 +308,22 @@ class TestRunCommands:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["qa-run", "--h0", "nan"],
+        ["qa-run", "--h1", "inf"],
+        ["master-run", "--mode", "sa", "--h1", "inf"],
+        ["master-run", "--mode", "ca", "--h0=-inf"],
+        ["master-run", "--mode", "imag", "--h1", "nan"],
+    ], ids=["qa-h0-nan", "qa-h1-inf", "sa-h1-inf", "ca-h0-minus-inf", "imag-h1-nan"])
+    def test_non_finite_field_rejected(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--n", "4", "--j", "0.5", "--t-end", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: field must be finite" in err
+        assert "invariant breach" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("argv", [["--t-end", "inf"], ["--dt", "1e-300", "--t-end", "1e10"]],
                              ids=["t-end-inf", "step-count-overflow"])
     def test_non_finite_trajectory_grid_rejected(self, capsys, argv):
@@ -332,6 +354,21 @@ class TestRunCommands:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "invariant breach" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_cli_start_loads_no_scipy(self):
+        # a fresh interpreter: this test session has imported scipy already
+        code = ("import os, sys\n"
+                "import isinglab\n"
+                "from isinglab import cli\n"
+                "assert cli.main(['graph', '--n', '4', '--j-grid', '0.5', '--out', os.devnull]) == 0\n"
+                "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                " or m == 'concurrent.futures.process'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 class TestVerifyCommand:

@@ -338,9 +338,23 @@ class TestRunQA:
         assert run.max_norm_drift >= run.state.norm_error()
         assert run_qa(J, QAConfig(t_end=0.0)).max_norm_drift == 0.0  # no step taken
 
-    def test_nan_state_aborts(self):
+    def test_nan_state_aborts(self, monkeypatch):
+        split_step = quantum._split_step
+
+        def poisoned(psi, half, z, n):
+            split_step(psi, half, z, n)
+            psi[3] = np.nan
+
+        monkeypatch.setattr(quantum, "_split_step", poisoned)
         with pytest.raises(RuntimeError, match="norm drift nan"):
-            run_qa(graph.build_mobius_ladder(4, 0.5), QAConfig(h=np.full(4, np.nan), t_end=1.0))
+            run_qa(graph.build_mobius_ladder(4, 0.5), QAConfig(t_end=1.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected_up_front(self, value):
+        h = np.zeros(4)
+        h[1] = value
+        with pytest.raises(ValueError, match="field must be finite"):
+            run_qa(graph.build_mobius_ladder(4, 0.5), QAConfig(h=h, t_end=1.0))
 
 
 class TestInstantaneousOverlap:

@@ -272,6 +272,33 @@ class TestTrajectories:
         res = run_ensemble(J, cfg, runs=4, seed=0)
         assert res.diverged.any()
 
+    @pytest.mark.parametrize("pattern, hit", [("s0", True), ("ferro", False)])
+    def test_diverged_run_is_read_out_by_its_clipped_signs(self, monkeypatch, pattern, hit):
+        # run 0 starts outside the box, overshoots in one step and is clipped there:
+        # it counts as a hit exactly when the signs of its clipped amplitudes form a ground state
+        j = 0.4
+        J = graph.build_mobius_ladder(8, j)
+        start = graph.build_s0(8) if pattern == "s0" else np.ones(8)
+        initial_batch = softspin._initial_batch
+
+        def batch(n, runs, amplitude, seed):
+            x0 = initial_batch(n, runs, amplitude, seed)
+            x0[0] = 2 * softspin.DIVERGENCE_LIMIT * start
+            return x0
+
+        monkeypatch.setattr(softspin, "_initial_batch", batch)
+        cfg = default_solver_config(j)
+        res = run_ensemble(J, cfg, runs=8, seed=0)
+        stats = success_probability(J, cfg, runs=8, seed=0)
+        ground = softspin.ground_readouts(J)
+        np.testing.assert_array_equal(res.diverged, np.arange(8) == 0)
+        np.testing.assert_array_equal(res.final_x[0], -softspin.DIVERGENCE_LIMIT * start)
+        np.testing.assert_array_equal(res.spins[0], softspin.spin_readout(res.final_x[0]))
+        assert bool(softspin.ground_hits(res.spins[:1], ground)[0]) is hit
+        assert stats.diverged == 1
+        assert stats.hits == int(softspin.ground_hits(res.spins, ground).sum())
+        assert stats.hits == int(softspin.ground_hits(res.spins[1:], ground).sum()) + hit
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(variant="bogus")
