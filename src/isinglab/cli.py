@@ -200,6 +200,7 @@ def _sweep_one_j(args) -> list:
     ground = softspin.ground_readouts(J)
     rows = []
     for variant, config in solvers:
+        t_start = time.monotonic()
         delta = ""
         if variant == "cim3":
             best, _ = softspin.tune_delta(J, config, seed=seed + 7, ground_spins=ground,
@@ -207,12 +208,12 @@ def _sweep_one_j(args) -> list:
             config = replace(config, delta=best)
             delta = best
         res = softspin.run_ensemble(J, config, runs, seed)
+        stats = softspin._success_stats(res, ground)
         print(f"# stats: variant={variant} j={j!r} steps_run={res.steps_run} "
-              f"diverged={int(res.diverged.sum())}", file=sys.stderr)
-        p = int(softspin.ground_hits(res.spins, ground).sum()) / runs
-        se = float(np.sqrt(p * (1.0 - p) / runs))
+              f"diverged={stats.diverged} wall_s={time.monotonic() - t_start:.3f}",
+              file=sys.stderr)
         sp0, sp1, sp2 = _family_shares(res.spins)
-        rows.append([variant, float(j), delta, runs, p, se, sp0, sp1, sp2])
+        rows.append([variant, float(j), delta, runs, stats.p_gs, stats.stderr, sp0, sp1, sp2])
     if qa_cfg is not None:
         if n > quantum.MAX_QUBITS:
             print(f"# note: QA omitted for n = {n} > {quantum.MAX_QUBITS}", file=sys.stderr)

@@ -215,9 +215,16 @@ def strang_step(state: QuantumState, energies: np.ndarray, schedule: QAConfig,
 
 
 def symmetry_breaking_field(n: int, coeff0: float, coeff1: float, i0: int = 0) -> np.ndarray:
-    """Longitudinal field h = coeff0 * s^(S0) + coeff1 * s^(S1, i0) componentwise."""
+    """Longitudinal field h = coeff0 * s^(S0) + coeff1 * s^(S1, i0) componentwise.
+
+    Raises ValueError unless coeff0 and coeff1 (the CLI's --h0 and --h1) are
+    finite.  The check comes before the sum, where inf and -inf would make
+    a NaN that neither coefficient holds.
+    """
     from .graph import build_s0, build_s1
 
+    if not (np.isfinite(coeff0) and np.isfinite(coeff1)):
+        raise ValueError(f"field must be finite, got h0 = {coeff0} and h1 = {coeff1}")
     h = coeff0 * build_s0(n)
     if coeff1 != 0.0:
         h = h + coeff1 * build_s1(n, i0)

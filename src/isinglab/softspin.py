@@ -97,14 +97,28 @@ def soft_energy(x, p, c, J):
 
 
 def soft_gradient(x, p, c, J):
-    """Flow right-hand side c (p x - x^3) + J x, equal to -dE/dx.
+    """Flow right-hand side c (p x - x^3) + J x, equal to -dE/dx."""
+    return _gradient_into(np.asarray(x, dtype=float), p, c, J)
 
-    The cube is a product: numpy raises an array to the power 3 through
-    `pow` per element, about fifty times slower than `x * x * x` on an
-    ensemble batch.
+
+def _gradient_into(x, p, c, J, out=None, scratch=None):
+    """soft_gradient(x, p, c, J) written into out, with scratch (x's shape) as work space.
+
+    Either buffer left as None is allocated.  The cube is a product: numpy
+    raises an array to the power 3 through `pow` per element, about fifty
+    times slower than `x * x * x` on an ensemble batch.  Every operation
+    writes into out or scratch, in the order of
+    `c * (p * x - x * x * x) + x @ J.T`, so the result is bitwise that
+    expression's.
     """
-    x = np.asarray(x, dtype=float)
-    return c * (p * x - x * x * x) + x @ J.T
+    out = np.multiply(p, x, out=out)
+    scratch = np.multiply(x, x, out=scratch)
+    scratch *= x
+    out -= scratch
+    out *= c
+    np.matmul(x, J.T, out=scratch)
+    out += scratch
+    return out
 
 
 def soft_hessian(x, p, c, J):
@@ -130,7 +144,17 @@ def pump_tanh(t, p0, eps):
 
 def cim2_pump_step(p_i, x, eps, dt):
     """Forward-Euler update of the per-spin pumps: p_i += eps (1 - x_i^2) dt."""
-    return np.asarray(p_i, dtype=float) + eps * (1.0 - np.asarray(x) ** 2) * dt
+    x = np.asarray(x, dtype=float)
+    return np.asarray(p_i, dtype=float) + _pump_increment(x, eps, dt, np.empty_like(x))
+
+
+def _pump_increment(x, eps, dt, out):
+    """The cim2 pump increment eps (1 - x^2) dt, written into out (x's shape)."""
+    np.multiply(x, x, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= eps
+    out *= dt
+    return out
 
 
 def manifold_reduce(x, delta):
@@ -158,7 +182,10 @@ def homogenize_intensities(x, frac):
     zeros.  frac = 0 returns x unchanged.  frac is a scalar or broadcasts
     against the batch axes of x, e.g. one fraction per run of shape (runs, 1).
     """
-    return _mix_intensities(np.asarray(x, dtype=float), _mixing_fraction(frac))
+    x = np.asarray(x, dtype=float)
+    frac = _mixing_fraction(frac)
+    out = np.array(np.broadcast_to(x, np.broadcast(x, frac).shape))
+    return _mix_in_place(out, frac, 1.0 - frac, _mixed_rows(frac))
 
 
 def _mixing_fraction(frac) -> np.ndarray:
@@ -169,11 +196,33 @@ def _mixing_fraction(frac) -> np.ndarray:
     return frac
 
 
-def _mix_intensities(x: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """The homogenization of :func:`homogenize_intensities`, for a checked frac."""
-    intensity = x * x
-    R = np.mean(intensity, axis=-1, keepdims=True)
-    return np.where(frac > 0.0, np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R), x)
+def _mixed_rows(frac: np.ndarray):
+    """The `where` mask of :func:`_mix_in_place`: True when every frac is positive."""
+    positive = frac > 0.0
+    return True if positive.all() else positive
+
+
+def _mix_in_place(x, frac, keep, mixed, mag=None, sgn=None, R=None, fR=None):
+    """The homogenization of :func:`homogenize_intensities`, written into x.
+
+    frac is range-checked, keep is 1 - frac (or that repeated over x's
+    shape), and entries of x where `mixed` (from :func:`_mixed_rows`) is
+    False stay as they are.  Work buffers
+    left as None are allocated: mag and sgn of x's shape, R of its shape
+    with a last axis of 1, and fR of the shape of frac * R (R itself will
+    do when frac has R's shape).  R is the row sum over n, as `np.mean`
+    computes it, and the sign comes from `np.sign`: `copysign` would give
+    an exact-zero component the magnitude sqrt(frac R).
+    """
+    mag = np.multiply(x, x, out=mag)
+    R = np.add.reduce(mag, axis=-1, keepdims=True, out=R)
+    R /= x.shape[-1]
+    mag *= keep
+    mag += np.multiply(frac, R, out=fR)
+    np.sqrt(mag, out=mag)
+    sgn = np.sign(x, out=sgn)
+    np.multiply(sgn, mag, out=x, where=mixed)
+    return x
 
 
 def spin_readout(x):
@@ -272,6 +321,19 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] or stop being finite is clipped
     into that box, flagged as diverged and frozen there.  Each step checks the
     whole batch with one reduction; per-run masks are built only when it fails.
+
+    The soft-spin step (every variant but HT) makes no new batch-sized
+    arrays.  Two (runs, n) work buffers, allocated once, hold the gradient
+    and its cube and coupling terms (`_gradient_into`); the Euler update is
+    `x += dt g`, the cim2 pumps are updated in place (`_pump_increment`)
+    and the cim3 mixing reuses the same buffers for magnitudes and signs
+    (`_mix_in_place`), with keep = 1 - delta (spread over each row) and the
+    mask of runs at delta = 0 fixed once per call.  The divergence check takes |x| into a
+    work buffer, and the sign tracking swaps a pair of sign buffers each
+    step and compares them into one bool mask.  The public `soft_gradient`,
+    `cim2_pump_step` and `homogenize_intensities` run the same kernels on
+    fresh arrays, so a step is bitwise `x + dt * soft_gradient(...)`
+    followed by one of the other two.
     """
     if config.p0 is None:
         raise ValueError("SolverConfig.p0 is unset; use default_solver_config(j, ...)")
@@ -282,16 +344,22 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     steps = int(round(config.t_end / dt))
     samples = []
 
+    g = np.empty_like(x)  # gradient, then magnitudes in the cim3 mixing
+    work = np.empty_like(x)  # cube and coupling terms, pump increments, signs, |x|
     if variant == "cim3":  # one mixing fraction per run, range-checked once
         frac = np.full(runs, config.delta) if delta_per_run is None else delta_per_run
         frac = _mixing_fraction(frac).reshape(runs, 1)
+        keep = np.repeat(1.0 - frac, n, axis=1)  # whole rows: scaling by it is no per-row broadcast
+        mixed, R = _mixed_rows(frac), np.empty((runs, 1))
 
     pump_i = np.full((runs, n), p0) if variant == "cim2" else None
     ht_spins = np.zeros((runs, n), dtype=np.int8)
     ht_done = np.zeros(runs, dtype=bool)
     diverged = np.zeros(runs, dtype=bool)
+    any_diverged = False
     frozen_x = np.zeros_like(x)
-    signs = np.sign(x)
+    signs, new_signs = np.sign(x), np.empty_like(x)
+    changed = np.empty((runs, n), dtype=bool)
     last_change = 0  # last step at which some run's signs changed
 
     t = 0.0
@@ -310,19 +378,22 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                     t += dt
                     break
         else:
-            x = x + dt * soft_gradient(x, pump_i if variant == "cim2" else p, c, J)
+            _gradient_into(x, pump_i if variant == "cim2" else p, c, J, g, work)
+            g *= dt
+            x += g
             if variant == "cim2":
-                pump_i = cim2_pump_step(pump_i, x, eps, dt)
+                pump_i += _pump_increment(x, eps, dt, work)
             if variant == "cim3":
-                x = _mix_intensities(x, frac)
-            if diverged.any():
+                _mix_in_place(x, frac, keep, mixed, g, work, R, R)
+            if any_diverged:
                 x[diverged] = frozen_x[diverged]  # diverged runs stay flagged, not evolved
-            if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # NaN fails too
+            if not np.abs(x, out=work).max() <= DIVERGENCE_LIMIT:  # NaN fails too
                 with np.errstate(invalid="ignore"):
                     bad = ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
                 x[bad] = np.nan_to_num(np.clip(x[bad], -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT))
                 frozen_x[bad] = x[bad]
                 diverged |= bad
+                any_diverged = True
         t += dt
 
         if collect_samples and config.sample_every > 0 and (step + 1) % config.sample_every == 0:
@@ -330,10 +401,10 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
             samples.append((t, pv, x[0].copy(), soft_energy(x[0], pv, c, J)))
 
         if variant != "ht":
-            new_signs = np.sign(x)
-            if (new_signs != signs).any():
+            np.sign(x, out=new_signs)
+            if np.not_equal(new_signs, signs, out=changed).any():
                 last_change = step
-            signs = new_signs
+            signs, new_signs = new_signs, signs
             if config.early_stop and not collect_samples:
                 locked = p > 0.9 if variant != "cim2" else t > 2.0 / eps
                 if locked and (step - last_change) >= FREEZE_STEPS:
@@ -425,7 +496,12 @@ def success_probability(J: np.ndarray, config: SolverConfig, runs: int, seed: in
     """
     J = validate_coupling_matrix(J)
     ground = ground_readouts(J) if ground_spins is None else ground_spins
-    res = run_ensemble(J, config, runs, seed)
+    return _success_stats(run_ensemble(J, config, runs, seed), ground)
+
+
+def _success_stats(res: EnsembleResult, ground: np.ndarray) -> SuccessStats:
+    """Ground hits of an ensemble's readouts, their share p and its binomial standard error."""
+    runs = len(res.spins)
     hits = int(ground_hits(res.spins, ground).sum())
     p = hits / runs
     return SuccessStats(
@@ -709,13 +785,18 @@ def _stable_flow_dt(p: float, c: float, J: np.ndarray) -> float:
 
 def _flow_into_basin(J: np.ndarray, p: float, c: float, x: np.ndarray,
                      tol: float = FLOW_TOL) -> None:
-    """Euler gradient flow in place until every row's gradient is below tol."""
+    """Euler gradient flow in place until every row's gradient is below tol.
+
+    Like the ensemble step, it writes the gradient into reused buffers.
+    """
     dt = _stable_flow_dt(p, c, J)
+    g, work = np.empty_like(x), np.empty_like(x)
     for _ in range(MAX_FLOW_STEPS):
-        g = soft_gradient(x, p, c, J)
-        if np.max(np.abs(g)) < tol:
+        _gradient_into(x, p, c, J, g, work)
+        if np.abs(g, out=work).max() < tol:
             break
-        x += dt * g
+        g *= dt
+        x += g
 
 
 def _saddle_kick(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:

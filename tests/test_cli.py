@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_output_matches_the_recorded_sweep(self, tmp_path):
+        # recorded before the soft-spin step wrote into reused buffers; QA is left
+        # out, since its last digits follow the BLAS summation order
+        cfg = {"instance": {"n": 8, "j": 0.35}, "variants": ["ht", "cim1", "cim2", "cim3"],
+               "runs": 40, "seed": 0, "cim3": {"prelim_runs": 4}}
+        path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--threads", "1", "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "data" / "sweep_golden.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_row_schema(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -94,6 +106,7 @@ class TestSweepCommand:
         assert fields["variant"] == "cim1" and fields["j"] == "0.3"
         assert 0 < int(fields["steps_run"]) <= 6000  # t_end 600 at dt 0.1
         assert fields["diverged"] == "0"
+        assert float(fields["wall_s"]) >= 0.0
         assert "steps_run" not in out.read_text()
 
     def test_analytic_ground_set_above_oracle_limit(self, tmp_path):
@@ -323,6 +336,21 @@ class TestRunCommands:
         assert "error: field must be finite" in err
         assert "invariant breach" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["master-run", "--mode", "sa", "--h0", "inf", "--h1=-inf"],
+        ["qa-run", "--h0=-inf", "--h1", "inf"],
+    ], ids=["sa-opposite-infinities", "qa-opposite-infinities"])
+    def test_opposite_infinite_field_coefficients_warn_nothing(self, tmp_path, capsys, argv):
+        # h0 inf and h1 -inf would sum to a NaN that the user never typed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--n", "4", "--j", "0.5", "--t-end", "1",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: field must be finite, got h0 = " in err
+        assert "nan" not in err and "Warning" not in err
 
     @pytest.mark.parametrize("argv", [["--t-end", "inf"], ["--dt", "1e-300", "--t-end", "1e10"]],
                              ids=["t-end-inf", "step-count-overflow"])

@@ -116,6 +116,7 @@ class TestPumpSchedules:
         assert out[0] == pytest.approx(3e-4)
         out = cim2_pump_step(np.zeros(1), np.array([2.0]), 0.003, 0.1)
         assert out[0] == pytest.approx(-3 * 0.003 * 0.1)
+        assert cim2_pump_step(0.0, 0.5, 0.003, 0.1) == pytest.approx(0.75 * 0.003 * 0.1)
 
 
 class TestManifoldReduce:
@@ -430,6 +431,87 @@ class TestCim3Homogenization:
                 homogenize_intensities(np.ones((3, 4)), np.array([[0.1], [bad], [0.0]]))
         with pytest.raises(ValueError, match="mixing fraction"):
             softspin.tune_delta(J, cfg, grid=[1.5], prelim_runs=2)
+
+
+class TestFusedStep:
+    """The in-place step of `_integrate_batch` against the public kernels, bit for bit.
+
+    Seeded random batches (sizes, scales, couplings, exact zeros, all-zero
+    rows, cim3 rows with delta = 0) run a few steps through the loop and
+    through the reference composition x + dt soft_gradient(x, p, c, J), then
+    cim2_pump_step or homogenize_intensities; later steps see the earlier
+    steps' cim2 pumps.
+    """
+
+    @staticmethod
+    def _reference(J, cfg, x, frac, steps):
+        pump, t = np.full(x.shape, cfg.p0), 0.0
+        for _ in range(steps):
+            p = pump if cfg.variant == "cim2" else pump_tanh(t, cfg.p0, cfg.eps)
+            x = x + cfg.dt * soft_gradient(x, p, cfg.c, J)
+            if cfg.variant == "cim2":
+                pump = cim2_pump_step(pump, x, cfg.eps, cfg.dt)
+            if cfg.variant == "cim3":
+                x = homogenize_intensities(x, frac)
+            t += cfg.dt
+        return x
+
+    @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
+    def test_steps_equal_the_reference_composition(self, variant):
+        rng = np.random.default_rng(softspin.VARIANTS.index(variant))
+        for _ in range(40):
+            n, runs, steps = int(rng.integers(2, 13)), int(rng.integers(1, 300)), int(rng.integers(1, 4))
+            A = rng.normal(size=(n, n)) * rng.uniform(0.1, 1.0) / np.sqrt(n)
+            J = A + A.T
+            np.fill_diagonal(J, 0.0)
+            x0 = rng.normal(size=(runs, n)) * 10.0 ** rng.uniform(-3.0, 0.0, (runs, 1))
+            x0[rng.random((runs, n)) < 0.1] = 0.0
+            x0[rng.random(runs) < 0.05] = 0.0
+            frac = rng.uniform(0.0, 1.0, (runs, 1))
+            if rng.random() < 0.5:
+                frac[rng.random(runs) < 0.2] = 0.0
+            dt = rng.uniform(0.01, 0.2)
+            cfg = SolverConfig(variant=variant, p0=rng.uniform(-2.0, 1.0), c=rng.uniform(0.5, 2.0),
+                               eps=rng.uniform(0.001, 0.1), dt=dt, t_end=steps * dt,
+                               early_stop=False)
+            x, _, diverged, steps_run, _ = softspin._integrate_batch(
+                J, cfg, x0, delta_per_run=frac[:, 0] if variant == "cim3" else None)
+            assert steps_run == steps and not diverged.any()
+            assert np.array_equal(x, self._reference(J, cfg, x0, frac, steps))
+
+    def test_kernels_equal_their_array_expressions(self):
+        # the in-place kernels behind the public functions, against the plain
+        # expressions they replace
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n, runs = int(rng.integers(2, 17)), int(rng.integers(1, 400))
+            J = rng.normal(size=(n, n))  # not symmetric: x @ J.T must stay J x per row
+            x = rng.normal(size=(runs, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (runs, 1))
+            x[rng.random((runs, n)) < 0.1] = 0.0
+            p, c, eps, dt = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0, 0.1), 0.1
+            pump = rng.uniform(-2.0, 2.0, (runs, n))
+            frac = rng.uniform(0.0, 1.0, (runs, 1))
+            frac[rng.random(runs) < 0.2] = 0.0
+            for pv in (p, pump):
+                assert np.array_equal(soft_gradient(x, pv, c, J), c * (pv * x - x * x * x) + x @ J.T)
+            assert np.array_equal(cim2_pump_step(pump, x, eps, dt), pump + eps * (1.0 - x**2) * dt)
+            intensity = x * x
+            R = np.mean(intensity, axis=-1, keepdims=True)
+            mixed = np.where(frac > 0.0, np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R), x)
+            assert np.array_equal(homogenize_intensities(x, frac), mixed)
+
+    def test_exact_zero_component_stays_zero_under_cim3_mixing(self):
+        # spin 3 is decoupled, so its zero amplitude has zero gradient; mixing
+        # must keep it at zero, where copysign would give it sqrt(delta R) > 0
+        J = graph.build_mobius_ladder(4, 0.4)
+        J[3, :] = J[:, 3] = 0.0
+        x0 = np.random.default_rng(2).uniform(-0.5, 0.5, (6, 4))
+        x0[:, 3] = 0.0
+        cfg = SolverConfig(variant="cim3", p0=0.5, delta=0.3, t_end=1.0, early_stop=False)
+        x = softspin._integrate_batch(J, cfg, x0)[0]
+        assert np.all(x[:, :3] != 0.0)
+        assert np.all(x[:, 3] == 0.0)
+        np.testing.assert_array_equal(homogenize_intensities(x0, 0.3)[:, 3], 0.0)
 
 
 class TestDeltaTuning:
