@@ -218,7 +218,10 @@ def _sweep_one_j(args) -> list:
         if n > quantum.MAX_QUBITS:
             print(f"# note: QA omitted for n = {n} > {quantum.MAX_QUBITS}", file=sys.stderr)
         else:
+            t_start = time.monotonic()
             run = quantum.run_qa(J, qa_cfg)
+            print(f"# stats: variant=qa j={j!r} steps={_steps_taken(run.times, qa_cfg.dt)} "
+                  f"wall_s={time.monotonic() - t_start:.3f}", file=sys.stderr)
             rows.append(["qa", float(j), "", 1, float(run.p_gs[-1]), 0.0, "", "", ""])
     return rows
 

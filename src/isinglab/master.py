@@ -12,14 +12,18 @@ Each mode has one rate kernel.  SA gathers the n single-flip partners of
 every state.  CA rates depend only on the two energies, so the all-pairs
 generator is applied exactly through the L distinct energy levels at
 O(2^n + L^2) cost per application.  CA has no spin-count limit of its own:
-only the diagonal's 20-spin guard and the bound on L apply.  Imaginary time
-runs the QA split step with real factors, and every evolution here steps on
-the QA time grid.
+only the diagonal's 20-spin guard and the bound on L apply.  Both kernels
+read their rates from one table helper: a rate depends only on dE / T, so
+`expit` runs once per distinct energy difference for a whole chunk of
+temperatures, and the anneal builds at most RATE_TABLE_ENTRIES table
+entries at a time.  Imaginary time runs the QA split step with real
+factors, and every evolution here steps on the QA time grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -40,6 +44,7 @@ __all__ = [
 
 MAX_CA_LEVELS = 1 << 12  # the all-pairs rates between L levels are an L x L matrix
 NEGATIVITY_TOL = -1e-10
+RATE_TABLE_ENTRIES = 1 << 15  # rate-table entries per chunk of temperatures (256 KB)
 
 
 @dataclass
@@ -58,58 +63,91 @@ def temperature(t: float, schedule: AnnealSchedule) -> float:
     return schedule.d / np.sqrt(t + schedule.t0)
 
 
-def _sa_rates(E: np.ndarray):
-    """Single-spin-flip generator: E -> (T -> rhs), n rates per state."""
+def _rate_tables(dE: np.ndarray):
+    """dE -> (Ts -> C-contiguous (K, *dE.shape) tables of expit(dE / T), one per temperature).
+
+    A rate depends only on dE / T, so one `expit` over the distinct differences
+    serves a whole chunk of temperatures.  Gathering along axis 1 keeps each
+    temperature's table contiguous; an `[:, inv]` gather would put the
+    temperatures innermost, and BLAS would then sum CA's `W @ P` in another
+    order.
+    """
     from scipy.special import expit  # loaded on first use, not at package import
 
+    D, inv = np.unique(dE.ravel(), return_inverse=True)
+    return lambda Ts: expit(D / Ts[:, None]).take(inv, axis=1).reshape(len(Ts), *dE.shape)
+
+
+def _chunk_length(entries: int) -> int:
+    """Steps per chunk so that the 2K + 1 tables of K RK4 steps hold RATE_TABLE_ENTRIES entries."""
+    return max(1, (RATE_TABLE_ENTRIES // entries - 1) // 2)
+
+
+def _sa_rates(E: np.ndarray):
+    """Single-spin-flip generator: E -> (chunk length, Ts -> one rhs per T), n rates per state.
+
+    Row k < n of a temperature's table holds the rate into each state from its
+    bit-k partner.  Row n pairs each state with itself and holds
+    sum_k w_k - n, which is minus the rate out (A_ij + A_ji = 1 for every
+    pair).  So one gather, one product and one sum over the rows give the rhs.
+    """
     n = int(round(np.log2(E.size)))
-    partner = np.arange(E.size) ^ (1 << np.arange(n))[:, None]  # (n, 2^n) bit-k partners
-    dE = E[partner] - E
+    states = np.arange(E.size)
+    partner = np.vstack([states ^ (1 << np.arange(n))[:, None], states])  # (n + 1, 2^n)
+    tables = _rate_tables(E[partner] - E)
+    terms = np.empty(partner.shape)  # reused by every rhs call
 
-    def at(T: float):
-        w_in = expit(dE / T)  # rate into each state from its bit-k partner
-        w_out = n - w_in.sum(axis=0)  # A_ij + A_ji = 1 for every pair
-        return lambda q: (w_in * q[partner]).sum(axis=0) - w_out * q
+    def rhs(w):
+        def apply(q):
+            q.take(partner, out=terms, mode="wrap")  # in range; "wrap" skips the buffered copy
+            np.multiply(terms, w, out=terms)
+            return np.add.reduce(terms, axis=0)
+        return apply
 
-    return at
+    def at(Ts):
+        w = tables(Ts)
+        w[:, n] = np.add.reduce(w[:, :n], axis=1) - n
+        return [rhs(w_T) for w_T in w]
+
+    return _chunk_length(partner.size), at
 
 
 def _ca_rates(E: np.ndarray):
-    """All-pairs generator applied exactly through the energy levels: E -> (T -> rhs).
+    """All-pairs generator through the energy levels: E -> (chunk length, Ts -> one rhs per T).
 
     A_ij depends only on E_i and E_j, so with P_b the probability summed over
     level b and g_b its degeneracy, dp_i = (W P)_a - p_i (2^n - W g)_a at
     a = level(i), where W_ab = 1 / (1 + exp((E_a - E_b)/T)).  This holds for
     any p, not only level-uniform ones.
     """
-    from scipy.special import expit  # loaded on first use, not at package import
-
     levels, level, g = np.unique(E, return_inverse=True, return_counts=True)
     L = levels.size
     if L > MAX_CA_LEVELS:
         raise ValueError(f"all-pairs rates guarded to {MAX_CA_LEVELS} energy levels, got {L}")
-    dE = levels[None, :] - levels[:, None]
+    tables = _rate_tables(levels[None, :] - levels[:, None])
 
-    def at(T: float):
-        W = expit(dE / T)
+    def rhs(W):
         w_out = (E.size - W @ g)[level]
         return lambda q: (W @ np.bincount(level, weights=q, minlength=L))[level] - w_out * q
 
-    return at
+    return _chunk_length(L * L), lambda Ts: [rhs(W) for W in tables(Ts)]
+
+
+def _apply_at(rates, p, energies, T: float) -> np.ndarray:
+    if T <= 0:
+        raise ValueError("temperature must be positive")
+    _, at = rates(np.asarray(energies, dtype=float))
+    return at(np.array([T], dtype=float))[0](np.asarray(p, dtype=float))
 
 
 def sa_generator_apply(p: np.ndarray, energies: np.ndarray, T: float) -> np.ndarray:
     """dp/dt under single-spin-flip rates (n terms per state)."""
-    if T <= 0:
-        raise ValueError("temperature must be positive")
-    return _sa_rates(np.asarray(energies, dtype=float))(T)(np.asarray(p, dtype=float))
+    return _apply_at(_sa_rates, p, energies, T)
 
 
 def ca_generator_apply(p: np.ndarray, energies: np.ndarray, T: float) -> np.ndarray:
     """dp/dt under all-pairs rates, applied through the energy levels."""
-    if T <= 0:
-        raise ValueError("temperature must be positive")
-    return _ca_rates(np.asarray(energies, dtype=float))(T)(np.asarray(p, dtype=float))
+    return _apply_at(_ca_rates, p, energies, T)
 
 
 @dataclass
@@ -143,7 +181,7 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
     E = build_diagonal(J, h)
     ground = ground_set(E)
     p = np.full(E.size, 1.0 / E.size)
-    make_rhs = (_sa_rates if mode == "sa" else _ca_rates)(E)
+    chunk, make_rhs = (_sa_rates if mode == "sa" else _ca_rates)(E)
 
     times, temps, pgs, per_state = [], [], [], []
     negativity = 0
@@ -156,27 +194,27 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
 
     record(0.0)
     t = 0.0
-    rhs_end = make_rhs(temperature(0.0, schedule))
-    for sampled in grid:
-        rhs_a = rhs_end  # T(t) matches the previous step's endpoint temperature
-        rhs_m = make_rhs(temperature(t + 0.5 * dt, schedule))
-        rhs_end = make_rhs(temperature(t + dt, schedule))
-        k1 = rhs_a(p)
-        k2 = rhs_m(p + 0.5 * dt * k1)
-        k3 = rhs_m(p + 0.5 * dt * k2)
-        k4 = rhs_end(p + dt * k3)
-        p = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        pmin = p.min()
-        if pmin < NEGATIVITY_TOL:
-            negativity += 1
-            np.clip(p, 0.0, None, out=p)
-            p /= p.sum()
-        total = p.sum()
-        if not abs(total - 1.0) <= 1e-8:  # NaN breaches too
-            raise RuntimeError(f"probability conservation breach {abs(total - 1.0):.3e} at t = {t:.2f}")
-        if sampled:
-            record(t)
+    while flags := list(islice(grid, chunk)):
+        ts = np.add.accumulate([t] + [dt] * len(flags))  # the t values that t += dt reaches
+        # one table build per chunk: every step's start and end, then its midpoint
+        rhs = make_rhs(temperature(np.concatenate([ts, ts[:-1] + 0.5 * dt]), schedule))
+        for sampled, rhs_a, rhs_m, rhs_end in zip(flags, rhs, rhs[len(ts):], rhs[1:]):
+            k1 = rhs_a(p)
+            k2 = rhs_m(p + 0.5 * dt * k1)
+            k3 = rhs_m(p + 0.5 * dt * k2)
+            k4 = rhs_end(p + dt * k3)
+            p = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+            pmin = p.min()
+            if pmin < NEGATIVITY_TOL:
+                negativity += 1
+                np.clip(p, 0.0, None, out=p)
+                p /= p.sum()
+            total = p.sum()
+            if not abs(total - 1.0) <= 1e-8:  # NaN breaches too
+                raise RuntimeError(f"probability conservation breach {abs(total - 1.0):.3e} at t = {t:.2f}")
+            if sampled:
+                record(t)
 
     return MasterRun(
         times=np.array(times),

@@ -109,6 +109,19 @@ class TestSweepCommand:
         assert float(fields["wall_s"]) >= 0.0
         assert "steps_run" not in out.read_text()
 
+    def test_qa_row_prints_stats(self, tmp_path, capsys):
+        cfg = {"instance": {"n": 8, "j": 0.35}, "variants": ["qa"], "runs": 1, "seed": 0,
+               "qa": {"dt": 0.1, "t_end": 2.5}}
+        path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        stats = _stats(capsys.readouterr().err)
+        assert stats.keys() == {"variant", "j", "steps", "wall_s"}
+        assert (stats["variant"], stats["j"], stats["steps"]) == ("qa", "0.35", "25")
+        assert float(stats["wall_s"]) >= 0.0
+        _, _, rows = _read_csv(out)
+        assert [row[0] for row in rows] == ["qa"] and "steps" not in out.read_text()
+
     def test_analytic_ground_set_above_oracle_limit(self, tmp_path):
         # n = 64: the ground set comes from the closed form, and readouts no
         # longer fit a packed 62-bit index

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -12,7 +15,9 @@ from isinglab.master import (
     sa_generator_apply,
     temperature,
 )
-from isinglab.quantum import QAConfig, build_diagonal
+from isinglab.quantum import QAConfig, _time_grid, build_diagonal
+
+GOLDEN = Path(__file__).parent / "data" / "master_golden.json"
 
 
 def _random_instance(rng, n, integer=False):
@@ -39,6 +44,77 @@ def _dense_generator(E, T, single_flip_only):
     for j in range(dim):
         G[j, j] = -G[:, j].sum()
     return G
+
+
+def _per_temperature_rhs(E, T, mode):
+    """The rate kernels as they were before the chunked tables: expit(dE / T), then the rhs."""
+    if mode == "sa":
+        n = int(round(np.log2(E.size)))
+        partner = np.arange(E.size) ^ (1 << np.arange(n))[:, None]
+        w_in = expit((E[partner] - E) / T)
+        w_out = n - w_in.sum(axis=0)
+        return lambda q: (w_in * q[partner]).sum(axis=0) - w_out * q
+    levels, level, g = np.unique(E, return_inverse=True, return_counts=True)
+    W = expit((levels[None, :] - levels[:, None]) / T)
+    w_out = (E.size - W @ g)[level]
+    return lambda q: (W @ np.bincount(level, weights=q, minlength=levels.size))[level] - w_out * q
+
+
+def _per_step_anneal(E, schedule, mode, dt, steps):
+    """RK4 from uniform with one rate table per temperature and no chunks."""
+    p = np.full(E.size, 1.0 / E.size)
+    t = 0.0
+    for _ in range(steps):
+        rhs_a, rhs_m, rhs_e = (_per_temperature_rhs(E, temperature(s, schedule), mode)
+                               for s in (t, t + 0.5 * dt, t + dt))
+        k1 = rhs_a(p)
+        k2 = rhs_m(p + 0.5 * dt * k1)
+        k3 = rhs_m(p + 0.5 * dt * k2)
+        k4 = rhs_e(p + dt * k3)
+        p = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+    return p
+
+
+def _criterion9():
+    return graph.build_mobius_ladder(8, 0.35), quantum.symmetry_breaking_field(8, 0.05, 0.05)
+
+
+class TestRateTables:
+    @pytest.mark.parametrize("mode", ["sa", "ca"])
+    def test_chunked_rhs_equals_per_temperature_kernel(self, mode):
+        rates = master._sa_rates if mode == "sa" else master._ca_rates
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 9))
+            J, h = _random_instance(rng, n, integer=seed % 3 == 0)
+            E = build_diagonal(J, h)
+            chunk, at = rates(E)
+            for K in (1, 2, chunk + 1):
+                Ts = rng.uniform(0.05, 8.0, K)
+                for T, rhs in zip(Ts, at(Ts), strict=True):
+                    q = rng.random(E.size)
+                    assert np.array_equal(rhs(q), _per_temperature_rhs(E, T, mode)(q))
+
+    def test_tables_are_contiguous_per_temperature(self):
+        rng = np.random.default_rng(7)
+        for shape in ((5,), (3, 16), (6, 6)):
+            dE = rng.integers(-4, 5, shape) * 0.25
+            for K in (1, 2, 9):
+                Ts = rng.uniform(0.1, 3.0, K)
+                tables = master._rate_tables(dE)(Ts)
+                assert tables.shape == (K, *shape) and tables.flags.c_contiguous
+                for T, table in zip(Ts, tables):
+                    assert np.array_equal(table, expit(dE / T))
+
+    def test_chunk_length_follows_the_entry_budget(self):
+        # K steps take 2K + 1 tables: the start and end of every step, and its midpoint
+        E = build_diagonal(*_criterion9())
+        for chunk, entries in ((master._sa_rates(E)[0], 9 * 256),
+                               (master._ca_rates(E)[0], np.unique(E).size ** 2)):
+            assert (2 * chunk + 1) * entries <= master.RATE_TABLE_ENTRIES
+            assert (2 * chunk + 3) * entries > master.RATE_TABLE_ENTRIES
+        assert master._ca_rates(np.arange(4096.0))[0] == 1  # never below one step
 
 
 class TestRates:
@@ -175,8 +251,8 @@ class TestAnnealMaster:
 
     @pytest.mark.parametrize("mode", ["sa", "ca"])
     def test_nan_probabilities_abort(self, mode, monkeypatch):
-        monkeypatch.setattr(master, f"_{mode}_rates",
-                            lambda E: lambda T: lambda q: np.full_like(q, np.nan))
+        monkeypatch.setattr(master, "_rate_tables",
+                            lambda dE: lambda Ts: np.full((len(Ts), *dE.shape), np.nan))
         with pytest.raises(RuntimeError, match="conservation breach nan"):
             anneal_master(graph.build_mobius_ladder(4, 0.5), None, AnnealSchedule(),
                           mode=mode, t_end=1.0)
@@ -220,6 +296,44 @@ class TestAnnealMaster:
         schedule = AnnealSchedule(d=5.0, t0=0.5)
         assert temperature(0.0, schedule) == pytest.approx(5.0 / np.sqrt(0.5))
         assert temperature(99.5, schedule) == pytest.approx(0.5)
+
+
+class TestChunkedAnneal:
+    @pytest.mark.parametrize("case", range(4),
+                             ids=["criterion9-sa", "criterion9-ca", "random6-sa", "random6-ca"])
+    def test_matches_the_recorded_anneal(self, case):
+        # recorded before the rate tables were built per chunk of temperatures
+        golden = json.loads(GOLDEN.read_text())
+        c = golden["cases"][case]
+        run = anneal_master(np.array(c["J"]), np.array(c["h"]),
+                            AnnealSchedule(**golden["schedule"]), mode=c["mode"], dt=c["dt"],
+                            t_end=c["t_end"], sample_every=c["sample_every"])
+        assert np.array_equal(run.times, c["times"]) and np.array_equal(run.temps, c["temps"])
+        assert run.negativity_events == c["negativity_events"]
+        if c["mode"] == "sa":
+            assert np.array_equal(run.probabilities, c["probabilities"])
+            assert np.array_equal(run.p_gs, c["p_gs"])
+        else:  # W @ P runs through BLAS
+            np.testing.assert_allclose(run.probabilities, c["probabilities"], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(run.p_gs, c["p_gs"], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["sa", "ca"])
+    def test_chunk_boundaries(self, mode):
+        J, h = _criterion9()
+        E = build_diagonal(J, h)
+        chunk = (master._sa_rates if mode == "sa" else master._ca_rates)(E)[0]
+        schedule, dt, every = AnnealSchedule(), 0.01, 4
+        for steps in sorted({0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk + 1}):
+            run = anneal_master(J, h, schedule, mode=mode, dt=dt, t_end=steps * dt,
+                                sample_every=every)
+            t, expected = 0.0, [0.0]
+            for sampled in _time_grid(dt, steps * dt, every):
+                t += dt
+                if sampled:
+                    expected.append(t)
+            assert np.array_equal(run.times, expected)
+            assert np.array_equal(run.temps, [temperature(s, schedule) for s in expected])
+            assert np.array_equal(run.probabilities, _per_step_anneal(E, schedule, mode, dt, steps))
 
 
 class TestBoltzmannReference:
