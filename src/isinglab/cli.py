@@ -499,9 +499,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="ground-state probability sweep over couplings")
     p.add_argument("--config", default=None, help="JSON configuration file")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=None)
+    common(p, seed_default=None)
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_sweep)

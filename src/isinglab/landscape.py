@@ -18,16 +18,17 @@ import numpy as np
 
 from .graph import validate_coupling_matrix
 from .softspin import (
+    DEDUP_TOL,
     FLOW_TOL,
+    MATCH_TOL,
+    CriticalPoint,
     _check_fixed_pump,
+    _classify,
     _cluster_rows,
     _descend_batch,
     _newton_roots,
     _saddle_kick,
-    soft_energy,
     soft_hessian,
-    spin_family,
-    spin_readout,
 )
 
 __all__ = [
@@ -38,21 +39,6 @@ __all__ = [
     "find_critical_points",
 ]
 
-DEDUP_TOL = 1e-6
-DEGENERATE_TOL = 1e-8
-
-
-@dataclass
-class CriticalPoint:
-    """One critical point with its Hessian classification."""
-
-    x: np.ndarray
-    energy: float
-    index: int
-    distance_from_origin: float
-    degenerate: bool
-    family: str
-
 
 def find_critical_points(J: np.ndarray, p: float, c: float,
                          starts: int = 4000, seed: int = 0) -> list[CriticalPoint]:
@@ -60,8 +46,8 @@ def find_critical_points(J: np.ndarray, p: float, c: float,
 
     Starts are uniform in the box [-(1 + sqrt(max(p, 0))), +...]^n; the origin
     is always included (it is critical for every p).  The found set is closed
-    under the global sign flip.  Eigenvalues within DEGENERATE_TOL of zero mark
-    a point as degenerate and are not counted as negative.
+    under the global sign flip and clustered at DEDUP_TOL; the records are
+    softspin's, as for basin minima, sorted by (index, energy).
     """
     J = validate_coupling_matrix(J)
     _check_fixed_pump(p, c)
@@ -74,18 +60,7 @@ def find_critical_points(J: np.ndarray, p: float, c: float,
     x0 = np.vstack([np.zeros((1, n)), x0])
     x, ok = _newton_roots(J, p, c, x0)
     converged = np.vstack([x[ok], -x[ok]])  # -x is critical whenever x is
-
-    points: list[CriticalPoint] = []
-    for x in _cluster_rows(converged, DEDUP_TOL)[0]:
-        evals = np.linalg.eigvalsh(soft_hessian(x, p, c, J))
-        points.append(CriticalPoint(
-            x=x,
-            energy=float(soft_energy(x, p, c, J)),
-            index=int(np.sum(evals < -DEGENERATE_TOL)),
-            distance_from_origin=float(np.linalg.norm(x)),
-            degenerate=bool(np.any(np.abs(evals) < DEGENERATE_TOL)),
-            family=spin_family(spin_readout(x)),
-        ))
+    points = _classify(J, p, c, _cluster_rows(converged, DEDUP_TOL)[0])
     points.sort(key=lambda cp: (cp.index, cp.energy))
     return points
 
@@ -129,8 +104,9 @@ def barrier_height(J: np.ndarray, p: float, c: float,
     A saddle connects the two minima when the two descents launched from it
     by the saddle kick, one to each side along its unstable direction,
     terminate at one minimum of each family (matched at infinity-norm
-    distance 1e-4).  Returns a flagged absent result when either minimum is
-    missing or no connecting saddle is found within the start budget.
+    distance MATCH_TOL).  Returns a flagged absent result when either
+    minimum is missing or no connecting saddle is found within the start
+    budget.
     """
     points = find_critical_points(J, p, c, starts=starts, seed=seed)
     minima = [cp for cp in points if cp.index == 0]
@@ -144,7 +120,7 @@ def barrier_height(J: np.ndarray, p: float, c: float,
     targets1 = [cp.x for cp in e1]
 
     def hits(end, targets):
-        return any(np.max(np.abs(end - t)) < 1e-4 for t in targets)
+        return any(np.max(np.abs(end - t)) < MATCH_TOL for t in targets)
 
     best = None
     for cp in points:  # sorted by (index, energy): the first connecting saddle is the lowest

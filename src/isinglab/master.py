@@ -254,8 +254,11 @@ def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig)
 
     Runs the QA split step with real decay factors exp(-dt E/2) and cosh/sinh
     mixing; renormalizing after every step plays the role of the energy-shift
-    term that keeps the wavefunction normalized.
+    term that keeps the wavefunction normalized.  The field is h; a
+    config.h that differs from it raises ValueError rather than being dropped.
     """
+    if config.h is not None and not np.array_equal(config.h, h):
+        raise ValueError("config.h differs from h; imaginary time anneals under h")
     grid = _time_grid(config.dt, config.t_end, config.sample_every)
     J = validate_coupling_matrix(J)
     n = J.shape[0]

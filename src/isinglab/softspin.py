@@ -18,7 +18,8 @@ basin sampling and landscape's barrier search is gradient flow down to
 FLOW_TOL that hands over to the same root-finder, accepting no root above the
 flow's endpoint; a descent that lands on a saddle is kicked off it along the
 most unstable direction and, like one whose Newton failed, flows again to a
-tighter tolerance.
+tighter tolerance.  Basin minima and landscape's critical points share one
+catalogue: `_cluster_rows` merges the rows and `_classify` makes the records.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ __all__ = [
     "BranchSolution",
     "DescentBreakdown",
     "BasinSample",
+    "CriticalPoint",
     "EnsembleResult",
-    "MinimumInfo",
     "RegionMap",
     "SolverConfig",
     "SuccessStats",
@@ -77,6 +78,12 @@ VARIANTS = ("ht", "cim1", "cim2", "cim3")
 DIVERGENCE_LIMIT = 1e6
 FREEZE_STEPS = 200  # early stop after this many steps without a sign change
 GRADIENT_TOL = 1e-9  # a Newton root counts as critical below this gradient
+NEWTON_TOL = 1e-12  # a Newton row stops below this gradient
+NEWTON_ITER = 80  # most Newton steps per row
+DEGENERATE_TOL = 1e-8  # Hessian eigenvalues within this of zero count as zero
+ENERGY_TOL = 1e-8  # energies within this of each other count as one level
+MATCH_TOL = 1e-4  # infinity-norm distance at which two descent endpoints are one minimum
+DEDUP_TOL = 1e-6  # infinity-norm distance at which two Newton roots are one critical point
 FLOW_TOL = 1e-3  # the fixed-pump descent hands its flow over to Newton below this gradient
 MAX_FLOW_STEPS = 60000
 KICK_ROUNDS = 3  # retries of a fixed-pump descent that ends off a minimum
@@ -554,20 +561,20 @@ class BranchSolution:
     amplitudes: np.ndarray | None = None
 
 
-def _newton_roots(J: np.ndarray, p: float, c: float, x0: np.ndarray,
-                  tol: float = 1e-12, max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
+def _newton_roots(J: np.ndarray, p: float, c: float,
+                  x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched undamped Newton on dE/dx = 0 from the rows of x0: (x, converged).
 
     The one root-finder for soft-spin critical points (minima and saddles
     alike).  Each step is capped at infinity norm 2; a row stops once its
-    gradient is below tol and is dropped if its Hessian is singular.
+    gradient is below NEWTON_TOL and is dropped if its Hessian is singular.
     converged marks the rows whose final gradient is below GRADIENT_TOL.
     """
     x = x0.copy()
     active = np.ones(len(x), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_ITER):
         g = -soft_gradient(x[active], p, c, J)
-        done = np.max(np.abs(g), axis=1) < tol
+        done = np.max(np.abs(g), axis=1) < NEWTON_TOL
         if done.all():
             break
         rows = np.flatnonzero(active)[~done]
@@ -620,9 +627,10 @@ def branch_e1(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
     One call of the shared Newton root-finder, seeded from the two-amplitude
     ansatz; the root is the branch when it keeps the ansatz's sign pattern,
     is not the origin and is a local minimum (smallest Hessian eigenvalue
-    >= -1e-8).  x_l is the mean magnitude on the four defect-adjacent nodes,
-    x_b the mean over the rest (x_l when none remain, n = 4).  Needs n/2
-    even; returns an absent branch otherwise or when no such root is found.
+    >= -DEGENERATE_TOL).  x_l is the mean magnitude on the four
+    defect-adjacent nodes, x_b the mean over the rest (x_l when none remain,
+    n = 4).  Needs n/2 even; returns an absent branch otherwise or when no
+    such root is found.
     """
     if n % 2 != 0 or (n // 2) % 2 != 0:
         return BranchSolution("E1", False)
@@ -633,7 +641,7 @@ def branch_e1(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
     x = roots[0]
     if not (ok[0] and np.array_equal(np.sign(x), np.sign(seed))
             and np.min(np.abs(x)) > 1e-10  # Newton's near-origin residue keeps the signs
-            and np.linalg.eigvalsh(soft_hessian(x, p, c, J))[0] >= -1e-8):
+            and np.linalg.eigvalsh(soft_hessian(x, p, c, J))[0] >= -DEGENERATE_TOL):
         return BranchSolution("E1", False)
     mags = np.abs(x)
     low = np.abs(seed) < x_b0  # the four defect-adjacent nodes, seeded at 0.6 x_b0
@@ -731,12 +739,16 @@ def basin_descriptors(x):
 
 
 @dataclass
-class MinimumInfo:
+class CriticalPoint:
+    """One critical point at a fixed pump with its Hessian classification."""
+
     x: np.ndarray
     energy: float
-    spins: np.ndarray
+    index: int
+    distance_from_origin: float
+    degenerate: bool
     family: str
-    is_ground: bool = False
+    is_ground: bool = False  # index 0 and within ENERGY_TOL of the lowest such point
 
 
 @dataclass
@@ -783,8 +795,7 @@ def _stable_flow_dt(p: float, c: float, J: np.ndarray) -> float:
     return min(0.1, 1.5 / curvature)
 
 
-def _flow_into_basin(J: np.ndarray, p: float, c: float, x: np.ndarray,
-                     tol: float = FLOW_TOL) -> None:
+def _flow_into_basin(J: np.ndarray, p: float, c: float, x: np.ndarray, tol: float) -> None:
     """Euler gradient flow in place until every row's gradient is below tol.
 
     Like the ensemble step, it writes the gradient into reused buffers.
@@ -815,11 +826,11 @@ def _descend_batch(J: np.ndarray, p: float, c: float, x0: np.ndarray):
     The flow runs down to FLOW_TOL and `_newton_roots` solves from its
     endpoints.  A root counts only if Newton converged without climbing
     above the flow endpoint's energy; it is a minimum when its smallest
-    Hessian eigenvalue is above -1e-8.  Rows without a minimum descend
-    again with a flow tolerance 1000 times tighter, up to KICK_ROUNDS times:
-    a row whose Newton failed or climbed flows on from its flow endpoint,
-    and a row whose descent reached a saddle is kicked off it
-    (`_saddle_kick`) to the side its flow came from.  Returns
+    Hessian eigenvalue is above -DEGENERATE_TOL.  Rows without a minimum
+    descend again with a flow tolerance 1000 times tighter, up to
+    KICK_ROUNDS times: a row whose Newton failed or climbed flows on from
+    its flow endpoint, and a row whose descent reached a saddle is kicked
+    off it (`_saddle_kick`) to the side its flow came from.  Returns
     (x, converged), converged marking the rows resting at a minimum.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -833,7 +844,7 @@ def _descend_batch(J: np.ndarray, p: float, c: float, x0: np.ndarray):
         ok &= soft_energy(roots, p, c, J) <= soft_energy(xs, p, c, J) + 1e-12
         solved = np.flatnonzero(ok)
         vals, vecs = np.linalg.eigh(soft_hessian(roots[solved], p, c, J))
-        at_min = vals[:, 0] > -1e-8
+        at_min = vals[:, 0] > -DEGENERATE_TOL
         done = np.zeros(len(rows), dtype=bool)
         done[solved[at_min]] = True
         x[rows[done]] = roots[done]
@@ -854,43 +865,51 @@ def _cluster_rows(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     """Greedy clustering at infinity-norm distance tol: (representative rows, label per row).
 
     Rows are assumed polished far tighter than tol, so a rounding key at
-    10 tol groups most repeats before the distance check against earlier
-    representatives.
+    10 tol groups most repeats: every row takes the label of the first row
+    with its key.  Those first rows, in order, join the earliest
+    representative within tol or become one themselves.
     """
+    keys = np.round(points / (10.0 * tol)).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    key_labels = np.empty(len(first), dtype=int)
     reps: list[int] = []
-    labels = np.empty(len(points), dtype=int)
-    key_cache: dict[tuple, int] = {}
-    for i, x in enumerate(points):
-        key = tuple(np.round(x / (10.0 * tol)).astype(np.int64))
-        label = key_cache.get(key)
-        if label is None:
-            for label, rep in enumerate(reps):
-                if np.max(np.abs(x - points[rep])) < tol:
-                    break
-            else:
-                label = len(reps)
-                reps.append(i)
-            key_cache[key] = label
-        labels[i] = label
-    return points[reps], labels
+    for k in np.argsort(first):
+        x = points[first[k]]
+        near = np.flatnonzero(np.max(np.abs(x - points[reps]), axis=1) < tol)
+        if len(near):
+            key_labels[k] = near[0]
+        else:
+            key_labels[k] = len(reps)
+            reps.append(first[k])
+    return points[reps], key_labels[inverse]
+
+
+def _classify(J: np.ndarray, p: float, c: float, reps: np.ndarray) -> list[CriticalPoint]:
+    """A CriticalPoint for each row of reps, in order."""
+    points = []
+    for x in reps:
+        evals = np.linalg.eigvalsh(soft_hessian(x, p, c, J))
+        points.append(CriticalPoint(
+            x=x,
+            energy=float(soft_energy(x, p, c, J)),
+            index=int(np.sum(evals < -DEGENERATE_TOL)),
+            distance_from_origin=float(np.linalg.norm(x)),
+            degenerate=bool(np.any(np.abs(evals) < DEGENERATE_TOL)),
+            family=spin_family(spin_readout(x)),
+        ))
+    e_min = min((cp.energy for cp in points if cp.index == 0), default=np.inf)
+    for cp in points:
+        cp.is_ground = cp.index == 0 and abs(cp.energy - e_min) < ENERGY_TOL
+    return points
 
 
 def _catalog_minima(J: np.ndarray, p: float, c: float, endpoints: np.ndarray,
-                    converged: np.ndarray, match_tol: float = 1e-4):
+                    converged: np.ndarray):
     """Cluster converged endpoints into distinct minima and label each sample."""
-    reps, labels_conv = _cluster_rows(endpoints[converged], match_tol)
+    reps, labels_conv = _cluster_rows(endpoints[converged], MATCH_TOL)
     labels = np.full(len(endpoints), -1, dtype=int)
     labels[converged] = labels_conv
-    minima = []
-    for x in reps:
-        spins = spin_readout(x)
-        minima.append(MinimumInfo(x=x, energy=float(soft_energy(x, p, c, J)), spins=spins,
-                                  family=spin_family(spins)))
-    if minima:
-        e_min = min(m.energy for m in minima)
-        for m in minima:
-            m.is_ground = abs(m.energy - e_min) < 1e-8
-    return minima, labels
+    return _classify(J, p, c, reps), labels
 
 
 def basin_sample(J: np.ndarray, p: float, c: float, samples: int, seed: int = 0) -> BasinSample:
@@ -951,7 +970,7 @@ def descent_state_probabilities(J: np.ndarray, p: float, c: float, samples: int,
         elif m.family == "S1":
             counts["SP_1"] += 1
         elif sp2_energy is not None and m.family.startswith("2-defect") \
-                and abs(m.energy - sp2_energy) < 1e-8:
+                and abs(m.energy - sp2_energy) < ENERGY_TOL:
             counts["SP_2"] += 1
         else:
             counts["other"] += 1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from isinglab import graph
-from isinglab.cli import main
+from isinglab.cli import _build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -134,6 +134,11 @@ class TestSweepCommand:
         _, _, rows = _read_csv(out)
         assert [r[0] for r in rows] == ["cim1", "cim3"]
         assert all(0.0 <= float(r[4]) <= 1.0 for r in rows)
+
+    def test_seed_flag_defaults_to_the_config_seed(self):
+        parser = _build_parser()
+        assert parser.parse_args(["sweep"]).seed is None
+        assert parser.parse_args(["sweep", "--seed", "7"]).seed == 7
 
     def test_empty_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

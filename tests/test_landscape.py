@@ -1,10 +1,21 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from isinglab import graph, landscape, softspin
-from isinglab.softspin import _descend_batch, soft_energy, soft_gradient, soft_hessian
+from isinglab.softspin import (
+    _cluster_rows,
+    _descend_batch,
+    _newton_roots,
+    soft_energy,
+    soft_gradient,
+    soft_hessian,
+)
 
 J8 = graph.build_mobius_ladder(8, 0.4)
+GOLDEN = json.loads((Path(__file__).parent / "data" / "landscape_golden.json").read_text())
 
 # soft energies of the five minima families at p = 2 (computed by polished
 # Newton solves seeded from the hard-spin patterns; see the census test)
@@ -33,6 +44,13 @@ class TestFindCriticalPoints:
         assert energies == sorted(energies)
         # exactly these five families of minima exist at p = 2
         assert set(by_family) == set(CENSUS_FAMILIES)
+
+    def test_ground_marks_the_lowest_minima_only(self):
+        points = landscape.find_critical_points(J8, 2.0, 1.0, starts=2000, seed=1)
+        ground = [cp for cp in points if cp.is_ground]
+        assert len(ground) == 2  # the uniform minimum and its flip
+        assert all(cp.index == 0 and cp.family == "S0" for cp in ground)
+        assert all(cp.energy > ground[0].energy for cp in points if not cp.is_ground)
 
     def test_far_below_bifurcations_only_origin(self):
         points = landscape.find_critical_points(J8, -2.5, 1.0, starts=400, seed=3)
@@ -168,3 +186,115 @@ class TestBarrierHeight:
         x = result.saddle_x
         g = soft_gradient(-x, 0.0, 1.0, J8)
         assert np.max(np.abs(g)) < 1e-9  # the mirrored saddle is critical too
+
+
+class TestRecordedCatalogue:
+    """Basins, critical points and barriers as recorded when each kept its own
+    classification loop and `_cluster_rows` went row by row; all must match exactly."""
+
+    J = graph.build_mobius_ladder(GOLDEN["n"], GOLDEN["j"])
+
+    def test_basin_labels_and_minima(self):
+        want = GOLDEN["basins"]
+        sample = softspin.basin_sample(self.J, GOLDEN["p"], GOLDEN["c"], want["samples"],
+                                       seed=GOLDEN["seed"])
+        assert sample.labels.tolist() == want["labels"]
+        assert sample.unresolved == want["unresolved"]
+        assert [(m.family, m.energy, m.is_ground) for m in sample.minima] == \
+            [(m["family"], m["energy"], m["is_ground"]) for m in want["minima"]]
+
+    def test_critical_table(self):
+        want = GOLDEN["critical"]
+        points = landscape.find_critical_points(self.J, GOLDEN["p"], GOLDEN["c"],
+                                                starts=want["starts"], seed=GOLDEN["seed"])
+        assert [(cp.energy, cp.index, cp.family, cp.degenerate, cp.distance_from_origin)
+                for cp in points] == \
+            [(w["energy"], w["index"], w["family"], w["degenerate"], w["distance_from_origin"])
+             for w in want["points"]]
+
+    @pytest.mark.parametrize("case", GOLDEN["barrier"]["cases"], ids=lambda case: f"p={case['p']}")
+    def test_barrier(self, case):
+        result = landscape.barrier_height(self.J, case["p"], GOLDEN["c"],
+                                          starts=GOLDEN["barrier"]["starts"], seed=GOLDEN["seed"])
+        assert (result.found, result.barrier, result.e0_minus_e1, result.saddle_energy) == \
+            (case["found"], case["barrier"], case["e0_minus_e1"], case["saddle_energy"])
+        assert result.saddle_x.tolist() == case["saddle_x"]
+
+
+def _cluster_rows_per_row(points, tol):
+    """The row-by-row clustering that `_cluster_rows` replaced, kept as its reference."""
+    reps: list[int] = []
+    labels = np.empty(len(points), dtype=int)
+    key_cache: dict[tuple, int] = {}
+    for i, x in enumerate(points):
+        key = tuple(np.round(x / (10.0 * tol)).astype(np.int64))
+        label = key_cache.get(key)
+        if label is None:
+            for label, rep in enumerate(reps):
+                if np.max(np.abs(x - points[rep])) < tol:
+                    break
+            else:
+                label = len(reps)
+                reps.append(i)
+            key_cache[key] = label
+        labels[i] = label
+    return points[reps], labels
+
+
+class TestClusterRows:
+    def _assert_matches_reference(self, points, tol):
+        reps, labels = _cluster_rows(points, tol)
+        want_reps, want_labels = _cluster_rows_per_row(points, tol)
+        np.testing.assert_array_equal(reps, want_reps)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert reps.shape == want_reps.shape and labels.dtype == want_labels.dtype
+        return labels
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("tol", [softspin.DEDUP_TOL, softspin.MATCH_TOL])
+    def test_newton_roots_match_the_reference(self, seed, tol):
+        rng = np.random.default_rng(seed)
+        x, ok = _newton_roots(J8, 1.0, 1.0, rng.uniform(-2.0, 2.0, size=(600, 8)))
+        roots = np.vstack([x[ok], -x[ok]])
+        assert len(np.unique(np.round(roots, 6), axis=0)) > 20  # many distinct points
+        # the same cloud with each root repeated at a jitter far under tol
+        jitter = roots + rng.uniform(-1e-3, 1e-3, size=roots.shape) * tol
+        self._assert_matches_reference(rng.permutation(np.vstack([roots, jitter])), tol)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_descent_endpoints_match_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        x, converged = _descend_batch(J8, 2.0, 1.0, rng.uniform(-1.0, 1.0, size=(400, 8)))
+        self._assert_matches_reference(x[converged], softspin.MATCH_TOL)
+
+    def test_rows_within_tol_across_a_cell_boundary_share_a_label(self):
+        tol = softspin.MATCH_TOL
+        edge = 5.0 * tol  # the rounding keys at 10 tol change here
+        points = np.array([[edge - 0.2 * tol, 1.0], [edge + 0.2 * tol, 1.0],
+                           [3.0, 1.0], [edge + 0.2 * tol, 1.0]])
+        keys = np.round(points / (10.0 * tol))
+        assert not np.array_equal(keys[0], keys[1])
+        labels = self._assert_matches_reference(points, tol)
+        assert labels.tolist() == [0, 0, 1, 0]
+
+    def test_rows_sharing_a_key_share_a_label_even_beyond_tol(self):
+        tol = softspin.MATCH_TOL
+        points = np.array([[0.0, 1.0], [3.0, 1.0], [3.0 * tol, 1.0], [0.5, 1.0]])
+        assert np.array_equal(np.round(points[0] / (10.0 * tol)), np.round(points[2] / (10.0 * tol)))
+        assert np.max(np.abs(points[0] - points[2])) > tol
+        labels = self._assert_matches_reference(points, tol)
+        assert labels.tolist() == [0, 1, 0, 2]
+
+    def test_row_near_two_representatives_joins_the_earlier(self):
+        tol = softspin.MATCH_TOL
+        # a and b lie 1.1 tol apart in different cells; c, in a third cell, is
+        # within 0.8 tol of both
+        points = np.array([[4.5, 4.6], [5.6, 4.6], [5.05, 5.4]]) * tol
+        assert len(np.unique(np.round(points / (10.0 * tol)), axis=0)) == 3
+        labels = self._assert_matches_reference(points, tol)
+        assert labels.tolist() == [0, 1, 0]
+
+    def test_empty_input(self):
+        reps, labels = _cluster_rows(np.empty((0, 8)), softspin.MATCH_TOL)
+        assert reps.shape == (0, 8) and labels.shape == (0,)
+        self._assert_matches_reference(np.empty((0, 8)), softspin.MATCH_TOL)

@@ -387,3 +387,14 @@ class TestImaginaryTime:
         imag = imaginary_time_evolve(J, h, config)
         qa = quantum.run_qa(J, config)
         assert imag.p_gs[-1] >= qa.p_gs[-1] - 0.01
+
+    def test_field_only_in_config_is_rejected(self):
+        # imaginary time anneals under its h argument, so a differing config.h is an error
+        J = graph.build_mobius_ladder(8, 0.35)
+        h = quantum.symmetry_breaking_field(8, 0.05, 0.05)
+        config = QAConfig(h=h, t_end=1.0, sample_every=10**9)
+        with pytest.raises(ValueError, match="config.h"):
+            imaginary_time_evolve(J, None, config)
+        with pytest.raises(ValueError, match="config.h"):
+            imaginary_time_evolve(J, 2.0 * h, config)
+        assert imaginary_time_evolve(J, h.copy(), config).p_gs[-1] > 0.0
