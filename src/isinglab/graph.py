@@ -58,12 +58,14 @@ def _check_even_n(n: int, minimum: int = 4) -> None:
 
 
 def validate_coupling_matrix(J: np.ndarray) -> np.ndarray:
-    """Check symmetry, zero diagonal and n >= 2; return a float array."""
+    """Check finite entries, symmetry, zero diagonal and n >= 2; return a float array."""
     J = np.asarray(J, dtype=float)
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ValueError(f"coupling matrix must be square, got shape {J.shape}")
     if J.shape[0] < 2:
         raise ValueError("coupling matrix needs at least two spins")
+    if not np.isfinite(J).all():
+        raise ValueError("coupling matrix entries must be finite")
     if not np.allclose(J, J.T, atol=1e-12):
         raise ValueError("coupling matrix must be symmetric")
     if np.max(np.abs(np.diag(J))) > 1e-12:
@@ -87,11 +89,11 @@ def build_mobius_ladder(n: int, j: float) -> np.ndarray:
     """Build the n x n Mobius-ladder coupling matrix.
 
     Ring bonds carry -1, cross-circle bonds carry -j.  Requires even n >= 4
-    and j > 0.
+    and finite j > 0.
     """
     _check_even_n(n)
-    if j <= 0:
-        raise ValueError(f"cross-circle coupling must be positive, got {j}")
+    if not 0 < j < np.inf:  # NaN fails too
+        raise ValueError(f"cross-circle coupling must be finite and positive, got {j}")
     J = np.zeros((n, n))
     idx = np.arange(n)
     J[idx, (idx + 1) % n] = -1.0

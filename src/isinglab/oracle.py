@@ -7,7 +7,12 @@ diagonal and the master-equation energies are this table, and QA, SA, CA,
 imaginary time and the oracle take their ground sets from this rule.  The
 table splits the spins in two halves (meet in the middle): half-chain
 energies plus one matrix product for the cross term, O(2^(n/2) * 2^(n/2))
-vectorized work instead of a (2^n, n) spin table.  Only the oracle's reported
+vectorized work instead of a (2^n, n) spin table.  One kernel writes the
+table in row blocks of at most `BLOCK_ENTRIES` energies.  `all_energies`
+fills its output block by block; the oracle streams the blocks through one
+reused buffer, keeping a running minimum, the indices tied with it and the
+level counts of each block, so its memory is one block plus the output (the
+ground set and the histogram), not the 2^n table.  Only the oracle's reported
 energy and histogram keys are rounded to 9 decimals.
 """
 
@@ -24,6 +29,7 @@ __all__ = ["SpectrumSummary", "all_energies", "basis_index", "exhaustive_ground_
 
 MAX_SPINS = 24  # 2^24 energies; cost guard
 ENERGY_DECIMALS = 9  # couplings are small rationals, ties are exact after rounding
+BLOCK_ENTRIES = 1 << 17  # energies per row block of the table (1 MiB); bounds the oracle's memory
 
 
 @dataclass
@@ -34,6 +40,7 @@ class SpectrumSummary:
     ground_states: list[np.ndarray]
     histogram: dict[float, int]
     ground_indices: np.ndarray  # sorted basis indices of ground_states
+    blocks: int  # row blocks the energy table was streamed in
 
 
 def basis_index(s: np.ndarray) -> int:
@@ -57,44 +64,99 @@ def spins_table(n: int) -> np.ndarray:
     return 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1) - 1.0
 
 
-def all_energies(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Energies E(xi) = -(1/2) s.J.s - h.s of all 2^n configurations, by basis index.
+def _energy_rows(J: np.ndarray, h: np.ndarray | None = None):
+    """The energy table as a (2^(n-m), 2^m) array, m = n // 2, written in row blocks.
 
-    J and h are taken as given (square, shape (n,)); callers validate them.
+    Index a | (b << m) is row b, column a of the C-ordered table.  Returns the
+    table's shape, the rows of one block, and fill(r0, out), which writes
+    rows r0 : r0 + len(out) into `out` and returns it.
     """
     n = J.shape[0]
     m = n // 2
     lo = spins_table(m)                      # bits 0..m-1
     hi = spins_table(n - m)                  # bits m..n-1
-    # index = a | (b << m) is row b, column a of a C-ordered (2^(n-m), 2^m) table
-    E = -(hi @ J[m:, :m]) @ lo.T
-    E += -0.5 * np.einsum("ai,ai->a", lo @ J[:m, :m], lo)
-    E += -0.5 * np.einsum("bi,bi->b", hi @ J[m:, m:], hi)[:, None]
-    # The field goes last: equal energies then round to equal floats more
-    # often, which keeps the master equation's CA level count small.
+    cross = -(hi @ J[m:, :m])
+    lo_energy = -0.5 * np.einsum("ai,ai->a", lo @ J[:m, :m], lo)
+    hi_energy = -0.5 * np.einsum("bi,bi->b", hi @ J[m:, m:], hi)[:, None]
     if h is not None:
-        E += -(hi @ h[m:])[:, None] - lo @ h[:m]
+        hi_field, lo_field = -(hi @ h[m:])[:, None], lo @ h[:m]
+
+    def fill(r0: int, out: np.ndarray) -> np.ndarray:
+        rows = slice(r0, r0 + len(out))
+        np.matmul(cross[rows], lo.T, out=out)
+        out += lo_energy
+        out += hi_energy[rows]
+        # The field goes last: equal energies then round to equal floats more
+        # often, which keeps the master equation's CA level count small.
+        if h is not None:
+            out += hi_field[rows] - lo_field
+        return out
+
+    # At least two rows: numpy sends a one-row product to gemv, whose sums may round otherwise.
+    return (len(hi), len(lo)), max(2, BLOCK_ENTRIES >> m), fill
+
+
+def all_energies(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """Energies E(xi) = -(1/2) s.J.s - h.s of all 2^n configurations, by basis index.
+
+    J and h are taken as given (square, shape (n,)); callers validate them.
+    """
+    shape, step, fill = _energy_rows(J, h)
+    E = np.empty(shape)
+    for r0 in range(0, shape[0], step):
+        fill(r0, E[r0:r0 + step])
     return E.reshape(-1)
+
+
+def _ties(E: np.ndarray, minimum: float) -> np.ndarray:
+    """The tie rule: entries of E whose excess over `minimum` rounds to 0 at 9 decimals."""
+    d = E - minimum
+    return np.round(d, ENERGY_DECIMALS, out=d) == 0.0
 
 
 def ground_set(E: np.ndarray) -> np.ndarray:
     """Indices of the minimizers of E, ties taken to 9 decimals above the minimum."""
-    d = E - E.min()
-    return np.flatnonzero(np.round(d, ENERGY_DECIMALS, out=d) == 0.0)
+    return np.flatnonzero(_ties(E, E.min()))
 
 
 def exhaustive_ground_state(J: np.ndarray) -> SpectrumSummary:
-    """Enumerate all 2^n configurations and return the exact ground set."""
+    """Enumerate all 2^n configurations and return the exact ground set.
+
+    The table is streamed in row blocks: each block keeps the indices within
+    twice the tie width of the running minimum, a superset of the final
+    ties because the minimum only falls, and adds its level counts to the
+    histogram.  One pass of the tie rule with the global minimum then picks
+    the ground set.
+    """
     J = validate_coupling_matrix(J)
     n = J.shape[0]
     if n > MAX_SPINS:
         raise ValueError(f"exhaustive enumeration guarded to n <= {MAX_SPINS}, got {n}")
-    E = all_energies(J)
-    ground = ground_set(E)
-    values, counts = np.unique(np.round(E, ENERGY_DECIMALS, out=E), return_counts=True)
-    histogram = {float(v): int(c) for v, c in zip(values, counts)}
+    (rows, cols), step, fill = _energy_rows(J)
+    buf = np.empty((min(step, rows), cols))
+    slack = 10.0 ** -ENERGY_DECIMALS  # twice the widest tie: round(d, 9) == 0 needs d <= 5e-10
+    minimum = np.inf
+    near_idx, near_E, histogram = [], [], {}
+    blocks = range(0, rows, step)
+    for r0 in blocks:
+        block = fill(r0, buf[:rows - r0]).reshape(-1)
+        low = block.min()
+        minimum = min(minimum, low)
+        if low <= minimum + slack:
+            near = np.flatnonzero(block <= minimum + slack)
+            near_idx.append(near + r0 * cols)
+            near_E.append(block[near])
+        np.round(block, ENERGY_DECIMALS, out=block)
+        block.sort()
+        starts = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
+        counts = np.diff(starts, append=block.size)
+        for level, count in zip(block[starts].tolist(), counts.tolist()):
+            histogram[level] = histogram.get(level, 0) + count
+    near_E = np.concatenate(near_E)
+    ground = np.concatenate(near_idx)[_ties(near_E, minimum)]
+    histogram = dict(sorted(histogram.items()))
     states = [index_spins(int(i), n) for i in ground]
-    return SpectrumSummary(float(values[0]), states, histogram, ground)
+    return SpectrumSummary(next(iter(histogram)), states, histogram, ground, len(blocks))
 
 
 def ground_state_projector(J: np.ndarray) -> np.ndarray:

@@ -240,25 +240,34 @@ def ground_state_probability(state: QuantumState | np.ndarray,
     return float(per_state.sum()), per_state
 
 
+def _spin_moments(psi: np.ndarray, conj: np.ndarray, n: int, k: int):
+    """<up|up>, <down|down> and sum up * conj(down) over the bit-k partners of psi.
+
+    psi is C-contiguous complex and conj = np.conj(psi), made once by the
+    caller; the sums run over strided views, so nothing state-sized is made
+    per spin.
+    """
+    rows = 1 << (n - 1 - k)
+    parts = psi.view(np.float64).reshape(rows, 2, 2 << k)  # real and imaginary parts interleaved
+    down, up = np.einsum("rsj,rsj->s", parts, parts)
+    cross = np.einsum("rc,rc->", psi.reshape(rows, 2, 1 << k)[:, 1],
+                      conj.reshape(rows, 2, 1 << k)[:, 0])
+    return up, down, cross
+
+
 def reduced_density_matrix(state: QuantumState | np.ndarray, k: int) -> np.ndarray:
     """Single-spin reduced density matrix of spin k in the (up, down) basis.
 
     Computed from pairwise amplitude sums over the bit-k partners; the full
     2^n x 2^n density matrix is never formed.
     """
-    psi = state.amplitudes if isinstance(state, QuantumState) else np.asarray(state)
+    psi = state.amplitudes if isinstance(state, QuantumState) else state
+    psi = np.ascontiguousarray(psi, dtype=complex)
     n = int(round(np.log2(psi.size)))
     if not 0 <= k < n:
         raise ValueError(f"spin index {k} out of range for {n} spins")
-    a = psi.reshape(1 << (n - 1 - k), 2, 1 << k)
-    down = a[:, 0, :].ravel()
-    up = a[:, 1, :].ravel()
-    rho = np.empty((2, 2), dtype=complex)
-    rho[0, 0] = np.vdot(up, up)
-    rho[1, 1] = np.vdot(down, down)
-    rho[0, 1] = up @ np.conj(down)
-    rho[1, 0] = np.conj(rho[0, 1])
-    return rho
+    up, down, cross = _spin_moments(psi, np.conj(psi), n, k)
+    return np.array([[up, cross], [np.conj(cross), down]])
 
 
 def bloch_vector(rho: np.ndarray) -> BlochVector:
@@ -286,13 +295,10 @@ class QARun:
 
 
 def _single_spin_observables(psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    prob_up = np.empty(n)
-    mags = np.empty(n)
-    for k in range(n):
-        rho = reduced_density_matrix(psi, k)
-        prob_up[k] = rho[0, 0].real
-        mags[k] = bloch_vector(rho).magnitude
-    return prob_up, mags
+    """prob_up and Bloch-vector magnitude of every spin, with one conjugate copy of psi."""
+    conj = np.conj(psi)
+    up, down, cross = np.array([_spin_moments(psi, conj, n, k) for k in range(n)]).T
+    return up.real, np.sqrt(4.0 * np.abs(cross) ** 2 + (up - down).real ** 2)
 
 
 def run_qa(J: np.ndarray, config: QAConfig) -> QARun:

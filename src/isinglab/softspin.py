@@ -870,7 +870,13 @@ def _cluster_rows(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     representative within tol or become one themselves.
     """
     keys = np.round(points / (10.0 * tol)).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.lexsort(keys.T)  # stable: each run of equal keys starts at its first row
+    sorted_keys = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+    first = order[starts]
+    inverse = np.empty(len(order), dtype=int)
+    inverse[order] = np.cumsum(starts) - 1
     key_labels = np.empty(len(first), dtype=int)
     reps: list[int] = []
     for k in np.argsort(first):

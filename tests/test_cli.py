@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isinglab import graph
+from isinglab import graph, oracle
 from isinglab.cli import _build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,6 +55,22 @@ class TestOracleCommand:
         rows = {r[0]: r[1] for r in payload["rows"]}
         assert rows["ground_energy"] == pytest.approx(-6.4)
         assert rows["degeneracy"] == 8
+
+    def test_stats_line_on_stderr_only(self, tmp_path, capsys, monkeypatch):
+        outs = [tmp_path / "whole.csv", tmp_path / "blocks.csv"]
+        assert main(["oracle", "--n", "8", "--j", "0.15", "--out", str(outs[0])]) == 0
+        stats = _stats(capsys.readouterr().err)
+        assert stats.keys() == {"states", "blocks", "wall_s"}
+        assert (stats["states"], stats["blocks"]) == ("256", "1")
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 32)
+        assert main(["oracle", "--n", "8", "--j", "0.15", "--out", str(outs[1])]) == 0
+        assert _stats(capsys.readouterr().err)["blocks"] == "8"
+        assert b"stats" not in outs[0].read_bytes()
+
+        def rows(path):  # the zero level's key may print as -0.0 or as 0.0
+            return [[q.replace("@-0.0", "@0.0"), value] for q, value in _read_csv(path)[2]]
+
+        assert rows(outs[0]) == rows(outs[1])
 
 
 class TestSweepCommand:
@@ -166,6 +182,17 @@ class TestSweepCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("j", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_j_rejected_before_any_run(self, tmp_path, capsys, j):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"instance": {"n": 8, "j_grid": [0.3, j]},
+                                    "variants": ["cim1"], "runs": 3}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "error: all j values must be finite and positive" in err
+        assert "# stats:" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_parse_error_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -384,6 +411,32 @@ class TestRunCommands:
     def test_bad_landscape_input_rejected(self, tmp_path, capsys, argv):
         assert main([*argv, "--j", "0.4", "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "4"],
+        ["qa-run", "--n", "4", "--t-end", "1"],
+        ["master-run", "--mode", "sa", "--n", "4", "--t-end", "1"],
+        ["master-run", "--mode", "imag", "--n", "4", "--t-end", "1"],
+        ["critical", "--p", "2.0", "--starts", "10"],
+        ["basins", "--p", "2.0", "--samples", "10"],
+    ], ids=["oracle", "qa-run", "master-sa", "master-imag", "critical", "basins"])
+    @pytest.mark.parametrize("j", ["inf", "nan"])
+    def test_non_finite_coupling_rejected(self, tmp_path, capsys, argv, j):
+        rc = main([*argv, "--j", j, "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: cross-circle coupling must be finite and positive" in err
+        assert "invariant breach" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--n", "8", "--j-grid", "0.2,inf"],
+        ["branches", "--n", "8", "--j-grid", "nan", "--p-grid=0.0"],
+    ], ids=["graph", "branches-region"])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "error: --j-grid must hold finite numbers" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_required_flag(self):

@@ -34,6 +34,24 @@ class TestBuildMobiusLadder:
         with pytest.raises(ValueError):
             graph.build_mobius_ladder(n, j)
 
+    @pytest.mark.parametrize("j", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_coupling(self, j):
+        with pytest.raises(ValueError, match="finite and positive"):
+            graph.build_mobius_ladder(8, j)
+
+
+class TestValidateCouplingMatrix:
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_entries_before_symmetry(self, value):
+        J = graph.build_mobius_ladder(8, 0.5)
+        J[0, 4] = J[4, 0] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            graph.validate_coupling_matrix(J)
+
+    def test_accepts_a_finite_ladder(self):
+        J = graph.build_mobius_ladder(8, 0.5)
+        np.testing.assert_array_equal(graph.validate_coupling_matrix(J), J)
+
 
 class TestSpectrum:
     def test_n8_special_values(self):

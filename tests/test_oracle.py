@@ -133,3 +133,112 @@ class TestAgainstAnalytic:
                 assert tuple(graph.build_s0(n).astype(int)) in family
             else:
                 assert tuple(graph.build_s1(n, 0).astype(int)) in family
+
+
+def _whole_table_formula(J, h=None):
+    """all_energies as one (2^(n-m), 2^m) table: the formula the row blocks replaced."""
+    n = J.shape[0]
+    m = n // 2
+    lo, hi = spins_table(m), spins_table(n - m)
+    E = -(hi @ J[m:, :m]) @ lo.T
+    E += -0.5 * np.einsum("ai,ai->a", lo @ J[:m, :m], lo)
+    E += -0.5 * np.einsum("bi,bi->b", hi @ J[m:, m:], hi)[:, None]
+    if h is not None:
+        E += -(hi @ h[m:])[:, None] - lo @ h[:m]
+    return E.reshape(-1)
+
+
+def _whole_table_summary(J):
+    """Ground energy, ground indices and histogram from the whole table at once."""
+    E = oracle.all_energies(J)
+    ground = oracle.ground_set(E)
+    values, counts = np.unique(np.round(E, oracle.ENERGY_DECIMALS), return_counts=True)
+    return float(values[0]), ground, dict(zip(values.tolist(), counts.tolist()))
+
+
+def _assert_streamed_equals_whole_table(J):
+    summary = oracle.exhaustive_ground_state(J)
+    energy, ground, histogram = _whole_table_summary(J)
+    assert summary.ground_energy == energy
+    np.testing.assert_array_equal(summary.ground_indices, ground)
+    assert summary.histogram == histogram
+    assert list(summary.histogram) == sorted(histogram)
+    return summary
+
+
+class TestBlockedEnergies:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_bitwise_equal_to_the_whole_table(self, n):
+        rng = np.random.default_rng(300 + n)
+        J = _random_couplings(rng, n)
+        h = rng.normal(size=n)
+        assert np.array_equal(oracle.all_energies(J), _whole_table_formula(J))
+        assert np.array_equal(oracle.all_energies(J, h), _whole_table_formula(J, h))
+
+    @pytest.mark.parametrize("entries", [1, 8, 64])
+    def test_bitwise_equal_with_small_blocks(self, monkeypatch, entries):
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(entries)
+        for n in range(2, 15):
+            J = _random_couplings(rng, n)
+            h = rng.normal(size=n)
+            assert np.array_equal(oracle.all_energies(J, h), _whole_table_formula(J, h)), n
+
+
+class TestStreamedOracle:
+    @pytest.mark.parametrize("n", range(4, 21, 2))
+    def test_mobius_ladders(self, n):
+        for j in (0.15, 0.5, 4.0 / n, 1.0, 2.0):
+            _assert_streamed_equals_whole_table(graph.build_mobius_ladder(n, j))
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_random_couplings(self, n):
+        rng = np.random.default_rng(400 + n)
+        for integer in (False, True):
+            _assert_streamed_equals_whole_table(_random_couplings(rng, n, integer=integer))
+
+    @pytest.mark.parametrize("entries", [1, 16, 256])
+    def test_many_blocks(self, monkeypatch, entries):
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(500 + entries)
+        cases = [graph.build_mobius_ladder(n, j) for n in (4, 8, 12) for j in (0.4, 0.5, 0.6)]
+        cases += [_random_couplings(rng, n, integer=k % 2 == 0) for k, n in enumerate(range(3, 12))]
+        for J in cases:
+            summary = _assert_streamed_equals_whole_table(J)
+            if 1 << len(J) > 2 * entries:
+                assert summary.blocks > 1
+
+    def test_tie_split_across_blocks(self, monkeypatch):
+        # S0 and -S0 of the n = 8 ladder are rows 5 and 10 of the 16 x 16 table,
+        # in the third and sixth of eight blocks of two rows
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 32)
+        summary = _assert_streamed_equals_whole_table(graph.build_mobius_ladder(8, 0.4))
+        assert summary.blocks == 8
+        assert [int(i) >> 4 for i in summary.ground_indices] == [5, 10]
+
+    def test_minimum_found_late_drops_earlier_candidates(self, monkeypatch):
+        # E = s3 s4 in blocks of two rows, that is of fixed (s3, s4): every state of
+        # the first block (s3 = s4 = -1) ties with its running minimum 1, the second
+        # block lowers it to -1, and only the states with s3 != s4 remain
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 8)
+        J = np.zeros((5, 5))
+        J[3, 4] = J[4, 3] = -1.0
+        summary = _assert_streamed_equals_whole_table(J)
+        assert summary.blocks == 4
+        assert summary.ground_energy == -1.0
+        assert len(summary.ground_indices) == 16
+        assert all((int(i) >> 3 & 1) != (int(i) >> 4 & 1) for i in summary.ground_indices)
+
+    def test_memory_is_one_block_not_the_table(self):
+        import tracemalloc
+
+        J = graph.build_mobius_ladder(20, 0.15)
+        table_bytes = 8 << 20
+        oracle.exhaustive_ground_state(J)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            oracle.exhaustive_ground_state(J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 4

@@ -271,6 +271,49 @@ class TestReducedDensityMatrix:
             reduced_density_matrix(initial_state(3), 3)
 
 
+def _partner_copies_rho(psi, k):
+    """The reduced density matrix from copies of the bit-k halves and vdot: the formula replaced."""
+    n = int(round(np.log2(psi.size)))
+    a = psi.reshape(1 << (n - 1 - k), 2, 1 << k)
+    down, up = a[:, 0, :].ravel(), a[:, 1, :].ravel()
+    rho = np.empty((2, 2), dtype=complex)
+    rho[0, 0] = np.vdot(up, up)
+    rho[1, 1] = np.vdot(down, down)
+    rho[0, 1] = up @ np.conj(down)
+    rho[1, 0] = np.conj(rho[0, 1])
+    return rho
+
+
+class TestSingleSpinObservables:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_match_partner_copies(self, n):
+        rng = np.random.default_rng(700 + n)
+        for _ in range(3):
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            psi /= np.linalg.norm(psi)
+            prob_up, mags = quantum._single_spin_observables(psi, n)
+            for k in range(n):
+                rho = _partner_copies_rho(psi, k)
+                np.testing.assert_allclose(reduced_density_matrix(psi, k), rho, rtol=0, atol=1e-14)
+                assert prob_up[k] == pytest.approx(rho[0, 0].real, rel=0, abs=1e-14)
+                assert mags[k] == pytest.approx(bloch_vector(rho).magnitude, rel=0, abs=1e-14)
+
+    def test_one_state_sized_temporary(self):
+        import tracemalloc
+
+        n = 14
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        tracemalloc.start()
+        try:
+            quantum._single_spin_observables(psi, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * psi.nbytes
+
+
 class TestRunQA:
     def test_matches_strang_steps(self):
         # run_qa and strang_step share one split step; the registry checks its order
