@@ -210,7 +210,8 @@ def _sweep_one_j(args) -> list:
         res = softspin.run_ensemble(J, config, runs, seed)
         stats = softspin._success_stats(res, ground)
         print(f"# stats: variant={variant} j={j!r} steps_run={res.steps_run} "
-              f"diverged={stats.diverged} wall_s={time.monotonic() - t_start:.3f}",
+              f"locked_step={res.locked_step} diverged={stats.diverged} "
+              f"wall_s={time.monotonic() - t_start:.3f}",
               file=sys.stderr)
         sp0, sp1, sp2 = _family_shares(res.spins)
         rows.append([variant, float(j), delta, runs, stats.p_gs, stats.stderr, sp0, sp1, sp2])

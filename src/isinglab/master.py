@@ -45,6 +45,7 @@ __all__ = [
 MAX_CA_LEVELS = 1 << 12  # the all-pairs rates between L levels are an L x L matrix
 NEGATIVITY_TOL = -1e-10
 RATE_TABLE_ENTRIES = 1 << 15  # rate-table entries per chunk of temperatures (256 KB)
+RK4_STABLE_LIMIT = 2.785  # RK4 is stable on the negative real axis for dt |lambda| up to this
 
 
 @dataclass
@@ -173,11 +174,22 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
     The ground projector is taken from the minimizers of the full diagonal
     (field included).  Breaches of probability conservation abort; small
     negative entries are clipped and renormalized with the event counted.
+    A step at which RK4 is unstable raises ValueError up front: both
+    generators obey detailed balance with pair rates pi_b / (pi_a + pi_b),
+    so their Dirichlet forms bound every eigenvalue by |lambda| <= n for SA
+    and 2^n - 1 for CA, and dt times that bound must not exceed
+    RK4_STABLE_LIMIT.
     """
     if mode not in ("sa", "ca"):
         raise ValueError(f"mode must be 'sa' or 'ca', got {mode!r}")
     grid = _time_grid(dt, t_end, sample_every)
     J = validate_coupling_matrix(J)
+    n = J.shape[0]
+    bound = n if mode == "sa" else (1 << n) - 1
+    if dt * bound > RK4_STABLE_LIMIT:
+        raise ValueError(f"dt = {dt} is unstable for RK4 in mode {mode} at n = {n}: "
+                         f"dt * {bound} > {RK4_STABLE_LIMIT}, so dt must be "
+                         f"<= {RK4_STABLE_LIMIT / bound:.3g}")
     E = build_diagonal(J, h)
     ground = ground_set(E)
     p = np.full(E.size, 1.0 / E.size)

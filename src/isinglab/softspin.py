@@ -77,6 +77,7 @@ __all__ = [
 VARIANTS = ("ht", "cim1", "cim2", "cim3")
 DIVERGENCE_LIMIT = 1e6
 FREEZE_STEPS = 200  # early stop after this many steps without a sign change
+SCHEDULE_BLOCK = 1 << 12  # steps per block of precomputed times and pumps
 GRADIENT_TOL = 1e-9  # a Newton root counts as critical below this gradient
 NEWTON_TOL = 1e-12  # a Newton row stops below this gradient
 NEWTON_ITER = 80  # most Newton steps per row
@@ -104,26 +105,30 @@ def soft_energy(x, p, c, J):
 
 
 def soft_gradient(x, p, c, J):
-    """Flow right-hand side c (p x - x^3) + J x, equal to -dE/dx."""
-    return _gradient_into(np.asarray(x, dtype=float), p, c, J)
+    """Flow right-hand side c (p x - x^3) + J x, equal to -dE/dx; x is (..., n)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    _gradient_into(x.T, np.transpose(p), c, J, out.T, np.empty_like(x).T)
+    return out
 
 
 def _gradient_into(x, p, c, J, out=None, scratch=None):
-    """soft_gradient(x, p, c, J) written into out, with scratch (x's shape) as work space.
+    """soft_gradient of spin-major x (n, runs) into out, with scratch (x's shape) as work space.
 
     Either buffer left as None is allocated.  The cube is a product: numpy
     raises an array to the power 3 through `pow` per element, about fifty
     times slower than `x * x * x` on an ensemble batch.  Every operation
-    writes into out or scratch, in the order of
-    `c * (p * x - x * x * x) + x @ J.T`, so the result is bitwise that
-    expression's.
+    writes into out or scratch, in the order of `c * (p * x - x * x * x) + J x`.
+    The coupling term is written (J x).T = x.T J.T: numpy runs it as the
+    product `J @ x` on a C-contiguous (n, runs) x, and on the `.T` views of
+    (..., n) rows that :func:`soft_gradient` passes as `rows @ J.T`.
     """
     out = np.multiply(p, x, out=out)
     scratch = np.multiply(x, x, out=scratch)
     scratch *= x
     out -= scratch
     out *= c
-    np.matmul(x, J.T, out=scratch)
+    np.matmul(x.T, J.T, out=scratch.T)
     out += scratch
     return out
 
@@ -139,9 +144,19 @@ def soft_hessian(x, p, c, J):
 
 
 def ht_rhs(x, p, J):
-    """Linear Hopfield-Tank right-hand side p x + J x."""
+    """Linear Hopfield-Tank right-hand side p x + J x; x is (..., n)."""
     x = np.asarray(x, dtype=float)
-    return p * x + x @ J.T
+    out = np.empty_like(x)
+    _ht_into(x.T, p, J, out.T, np.empty_like(x).T)
+    return out
+
+
+def _ht_into(x, p, J, out, scratch):
+    """ht_rhs of spin-major x (n, runs), written into out, with scratch as work space."""
+    np.multiply(p, x, out=out)
+    np.matmul(x.T, J.T, out=scratch.T)  # J x, as in _gradient_into
+    out += scratch
+    return out
 
 
 def pump_tanh(t, p0, eps):
@@ -192,7 +207,8 @@ def homogenize_intensities(x, frac):
     x = np.asarray(x, dtype=float)
     frac = _mixing_fraction(frac)
     out = np.array(np.broadcast_to(x, np.broadcast(x, frac).shape))
-    return _mix_in_place(out, frac, 1.0 - frac, _mixed_rows(frac))
+    _mix_in_place(out.T, frac.T, (1.0 - frac).T, np.transpose(_mixed_rows(frac)))
+    return out
 
 
 def _mixing_fraction(frac) -> np.ndarray:
@@ -209,25 +225,66 @@ def _mixed_rows(frac: np.ndarray):
     return True if positive.all() else positive
 
 
-def _mix_in_place(x, frac, keep, mixed, mag=None, sgn=None, R=None, fR=None):
-    """The homogenization of :func:`homogenize_intensities`, written into x.
+def _row_sum(m, out, scratch):
+    """Sum of m (n, ...) over its first axis into out (1, ...), in numpy's pairwise order.
 
-    frac is range-checked, keep is 1 - frac (or that repeated over x's
-    shape), and entries of x where `mixed` (from :func:`_mixed_rows`) is
-    False stay as they are.  Work buffers
-    left as None are allocated: mag and sgn of x's shape, R of its shape
-    with a last axis of 1, and fR of the shape of frac * R (R itself will
-    do when frac has R's shape).  R is the row sum over n, as `np.mean`
-    computes it, and the sign comes from `np.sign`: `copysign` would give
-    an exact-zero component the magnitude sqrt(frac R).
+    `np.add.reduce(axis=-1)` sums each contiguous row of m.T pairwise, and
+    this kernel adds the same numbers in the same order, one whole slice
+    m[i] at a time: below 8 terms in sequence; up to 128 in eight strided
+    accumulators r_k = m[k] + m[k + 8] + ..., combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and followed by the
+    tail in sequence; longer sums split at a multiple of 8 below n / 2 and
+    add the two halves' sums.  scratch (m's shape) holds the accumulators.
+    """
+    n = len(m)
+    if n < 8:
+        np.copyto(out, m[:1])
+        for i in range(1, n):
+            out += m[i:i + 1]
+        return out
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _row_sum(m[:half], out, scratch)
+        out += _row_sum(m[half:], np.empty_like(out), scratch)
+        return out
+    blocks = n - n % 8
+    if blocks == 8:
+        r, pairs = m[:8], scratch[:6]
+    else:
+        r, pairs = scratch[:8], scratch[8:14]
+        np.add(m[:8], m[8:16], out=r)
+        for i in range(16, blocks, 8):
+            r += m[i:i + 8]
+    np.add(r[0::2], r[1::2], out=pairs[:4])
+    np.add(pairs[0:4:2], pairs[1:4:2], out=pairs[4:])
+    np.add(pairs[4:5], pairs[5:6], out=out)
+    for i in range(blocks, n):
+        out += m[i:i + 1]
+    return out
+
+
+def _mix_in_place(x, frac, keep, mixed, mag=None, sgn=None, R=None, fR=None):
+    """The homogenization of :func:`homogenize_intensities` on spin-major x (n, runs), in place.
+
+    frac is range-checked, keep is 1 - frac, and entries of x where `mixed`
+    (from :func:`_mixed_rows`) is False stay as they are.  frac, keep and
+    mixed are scalars or rows (1, runs), so every operation runs along the
+    contiguous run axis.  Work buffers left as None are allocated: mag and
+    sgn of x's shape, R of its shape with a first axis of 1, and fR of the
+    shape of frac * R (R itself will do when frac has R's shape).  R is the
+    mean intensity as `np.mean` computes it over each row of x.T: the
+    pairwise :func:`_row_sum` (sgn holds its accumulators) divided by n.
+    The sign comes from `np.sign`: `copysign` would give an exact-zero
+    component the magnitude sqrt(frac R).
     """
     mag = np.multiply(x, x, out=mag)
-    R = np.add.reduce(mag, axis=-1, keepdims=True, out=R)
-    R /= x.shape[-1]
+    sgn = np.empty_like(x) if sgn is None else sgn
+    R = _row_sum(mag, np.empty((1,) + x.shape[1:]) if R is None else R, sgn)
+    R /= len(x)
     mag *= keep
     mag += np.multiply(frac, R, out=fR)
     np.sqrt(mag, out=mag)
-    sgn = np.sign(x, out=sgn)
+    np.sign(x, out=sgn)
     np.multiply(sgn, mag, out=x, where=mixed)
     return x
 
@@ -265,10 +322,17 @@ class SolverConfig:
             raise ValueError("dt and t_end must be positive and finite")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        if not (np.isfinite(self.eps) and (self.p0 is None or np.isfinite(self.p0))):
-            raise ValueError("eps and p0 must be finite")
+        if not 0.0 < self.eps < np.inf:  # NaN fails too; the pump rises, cim2 locks at 2/eps
+            raise ValueError("eps must be positive and finite")
+        if not (self.p0 is None or np.isfinite(self.p0)):
+            raise ValueError("p0 must be finite")
         if not 0.0 < self.c < np.inf:  # NaN fails too
             raise ValueError("c must be positive and finite")
+
+    @property
+    def steps(self) -> int:
+        """Euler steps from t = 0 to t_end."""
+        return int(round(self.t_end / self.dt))
 
 
 def default_solver_config(j: float, variant: str = "cim1", **overrides) -> SolverConfig:
@@ -296,6 +360,7 @@ class EnsembleResult:
     final_x: np.ndarray      # (runs, n)
     diverged: np.ndarray     # (runs,) bool
     steps_run: int
+    locked_step: int         # first step of the locked regime, or the step count if never locked
 
 
 @dataclass
@@ -316,6 +381,41 @@ def _initial_batch(n: int, runs: int, amplitude: float, seed: int) -> np.ndarray
     return x0
 
 
+def _schedule_blocks(config: SolverConfig):
+    """The step schedule of one solver call: blocks (ts, pumps, locked) of SCHEDULE_BLOCK steps.
+
+    For the k-th step s of a block, ts[k] is the time at the start of step s,
+    reached by s additions t += dt (so bitwise the scalar loop's value),
+    pumps[k] is pump_tanh(ts[k]), and ts and pumps hold one more entry, the
+    end of the block's last step.  locked[k] marks the steps of the locked
+    regime, where early stopping may end a run: the pump is above 0.9 (for
+    cim2, t + dt is past 2 / eps).  Blocks keep the memory independent of
+    the step count.
+    """
+    steps, t = config.steps, 0.0
+    for start in range(0, steps, SCHEDULE_BLOCK):
+        ts = np.full(min(SCHEDULE_BLOCK, steps - start) + 1, config.dt)
+        ts[0] = t
+        np.add.accumulate(ts, out=ts)
+        pumps = pump_tanh(ts, config.p0, config.eps)
+        locked = ts[1:] > 2.0 / config.eps if config.variant == "cim2" else pumps[:-1] > 0.9
+        yield ts, pumps, locked
+        t = ts[-1]
+
+
+def _locked_step(config: SolverConfig) -> int:
+    """The first step of the locked regime, or the step count if the run never reaches it."""
+    if config.variant == "ht":  # no locked regime
+        return config.steps
+    start = 0
+    for _, _, locked in _schedule_blocks(config):
+        first = np.flatnonzero(locked)
+        if first.size:
+            return start + int(first[0])
+        start += len(locked)
+    return config.steps
+
+
 def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                      delta_per_run: np.ndarray | None = None,
                      collect_samples: bool = False):
@@ -329,63 +429,85 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     into that box, flagged as diverged and frozen there.  Each step checks the
     whole batch with one reduction; per-run masks are built only when it fails.
 
-    The soft-spin step (every variant but HT) makes no new batch-sized
-    arrays.  Two (runs, n) work buffers, allocated once, hold the gradient
-    and its cube and coupling terms (`_gradient_into`); the Euler update is
+    The batch is stored spin-major: x0 is transposed once into a C-contiguous
+    (n, runs) array and x back once at the end, so every elementwise
+    operation, the coupling product `J @ x` and the cim3 row sum run along
+    the contiguous run axis.  A step makes no new batch-sized arrays.  Two
+    (n, runs) work buffers, allocated once, hold the gradient and its cube
+    and coupling terms (`_gradient_into`, or `_ht_into`); the Euler update is
     `x += dt g`, the cim2 pumps are updated in place (`_pump_increment`)
     and the cim3 mixing reuses the same buffers for magnitudes and signs
-    (`_mix_in_place`), with keep = 1 - delta (spread over each row) and the
-    mask of runs at delta = 0 fixed once per call.  The divergence check takes |x| into a
-    work buffer, and the sign tracking swaps a pair of sign buffers each
-    step and compares them into one bool mask.  The public `soft_gradient`,
-    `cim2_pump_step` and `homogenize_intensities` run the same kernels on
-    fresh arrays, so a step is bitwise `x + dt * soft_gradient(...)`
-    followed by one of the other two.
+    (`_mix_in_place`), with frac, keep = 1 - frac and the mask of runs at
+    delta = 0 held as (1, runs) rows.  The divergence check takes |x| into
+    a work buffer.  Times and pumps come from :func:`_schedule_blocks`.
+
+    Signs are tracked only where they can decide the early stop: from step
+    locked_step - FREEZE_STEPS + 1 on (from step 0 when that is negative),
+    and not at all when early stopping is off or samples are collected,
+    since neither then stops early.  No step before locked_step
+    is locked, so none can stop, and at a locked step s the stop asks only
+    whether a sign changed in steps s - FREEZE_STEPS + 1 .. s, all inside
+    that window, so the step count is the one that tracking every step
+    gives.  The tracking swaps a pair of sign buffers each step and
+    compares them into one bool mask.
+
+    The public `soft_gradient`, `ht_rhs`, `cim2_pump_step` and
+    `homogenize_intensities` run the same kernels on `.T` views of (rows, n)
+    arrays, so a step is bitwise `x + dt * soft_gradient(...)` followed by
+    one of the other two wherever `J @ x` equals `x @ J.T` bitwise (every
+    n <= 15 checked; for larger n OpenBLAS may order the sum differently).
     """
     if config.p0 is None:
         raise ValueError("SolverConfig.p0 is unset; use default_solver_config(j, ...)")
     runs, n = x0.shape
-    c, eps, dt, p0 = config.c, config.eps, config.dt, config.p0
+    c, eps, dt = config.c, config.eps, config.dt
     variant = config.variant
-    x = x0.copy()
-    steps = int(round(config.t_end / dt))
+    x = np.array(x0.T, order="C")  # spin-major (n, runs)
+    steps = config.steps
+    locked_step = _locked_step(config)
+    blocks = _schedule_blocks(config)
     samples = []
 
     g = np.empty_like(x)  # gradient, then magnitudes in the cim3 mixing
     work = np.empty_like(x)  # cube and coupling terms, pump increments, signs, |x|
     if variant == "cim3":  # one mixing fraction per run, range-checked once
         frac = np.full(runs, config.delta) if delta_per_run is None else delta_per_run
-        frac = _mixing_fraction(frac).reshape(runs, 1)
-        keep = np.repeat(1.0 - frac, n, axis=1)  # whole rows: scaling by it is no per-row broadcast
-        mixed, R = _mixed_rows(frac), np.empty((runs, 1))
+        frac = _mixing_fraction(frac).reshape(1, runs)
+        keep, mixed, R = 1.0 - frac, _mixed_rows(frac), np.empty((1, runs))
 
-    pump_i = np.full((runs, n), p0) if variant == "cim2" else None
-    ht_spins = np.zeros((runs, n), dtype=np.int8)
+    pump_i = np.full((n, runs), config.p0) if variant == "cim2" else None
+    ht_spins = np.zeros((n, runs), dtype=np.int8)
     ht_done = np.zeros(runs, dtype=bool)
     diverged = np.zeros(runs, dtype=bool)
     any_diverged = False
     frozen_x = np.zeros_like(x)
-    signs, new_signs = np.sign(x), np.empty_like(x)
-    changed = np.empty((runs, n), dtype=bool)
+    track = config.early_stop and not collect_samples and variant != "ht"
+    track_from = max(0, locked_step - FREEZE_STEPS + 1) if track else steps
+    signs, new_signs = np.empty_like(x), np.empty_like(x)
+    changed = np.empty((n, runs), dtype=bool)
     last_change = 0  # last step at which some run's signs changed
 
-    t = 0.0
     step = 0
     for step in range(steps):
-        p = pump_tanh(t, p0, eps)
+        k = step % SCHEDULE_BLOCK  # the step's index in its schedule block
+        if k == 0:
+            ts, pumps, locked = next(blocks)
+        if step == track_from:
+            np.sign(x, out=signs)
         if variant == "ht":
-            x = x + dt * ht_rhs(x, p, J)
-            if np.abs(x).max() >= 1.0:
-                hit = (np.max(np.abs(x), axis=1) >= 1.0) & ~ht_done
+            _ht_into(x, pumps[k], J, g, work)
+            g *= dt
+            x += g
+            if np.abs(x, out=work).max() >= 1.0:
+                hit = (work.max(axis=0) >= 1.0) & ~ht_done
                 if np.any(hit):
-                    ht_spins[hit] = spin_readout(x[hit])
+                    ht_spins[:, hit] = spin_readout(x[:, hit])
                     ht_done[hit] = True
                 if ht_done.all():
                     step += 1
-                    t += dt
                     break
         else:
-            _gradient_into(x, pump_i if variant == "cim2" else p, c, J, g, work)
+            _gradient_into(x, pump_i if variant == "cim2" else pumps[k], c, J, g, work)
             g *= dt
             x += g
             if variant == "cim2":
@@ -393,37 +515,35 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
             if variant == "cim3":
                 _mix_in_place(x, frac, keep, mixed, g, work, R, R)
             if any_diverged:
-                x[diverged] = frozen_x[diverged]  # diverged runs stay flagged, not evolved
+                x[:, diverged] = frozen_x[:, diverged]  # diverged runs stay flagged, not evolved
             if not np.abs(x, out=work).max() <= DIVERGENCE_LIMIT:  # NaN fails too
                 with np.errstate(invalid="ignore"):
-                    bad = ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > DIVERGENCE_LIMIT)
-                x[bad] = np.nan_to_num(np.clip(x[bad], -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT))
-                frozen_x[bad] = x[bad]
+                    bad = ~np.all(np.isfinite(x), axis=0) | (np.max(np.abs(x), axis=0) > DIVERGENCE_LIMIT)
+                x[:, bad] = np.nan_to_num(np.clip(x[:, bad], -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT))
+                frozen_x[:, bad] = x[:, bad]
                 diverged |= bad
                 any_diverged = True
-        t += dt
 
         if collect_samples and config.sample_every > 0 and (step + 1) % config.sample_every == 0:
-            pv = pump_i[0].copy() if variant == "cim2" else pump_tanh(t, p0, eps)
-            samples.append((t, pv, x[0].copy(), soft_energy(x[0], pv, c, J)))
+            pv = pump_i[:, 0].copy() if variant == "cim2" else pumps[k + 1]
+            x_0 = x[:, 0].copy()
+            samples.append((float(ts[k + 1]), pv, x_0, soft_energy(x_0, pv, c, J)))
 
-        if variant != "ht":
+        if step >= track_from:
             np.sign(x, out=new_signs)
             if np.not_equal(new_signs, signs, out=changed).any():
                 last_change = step
             signs, new_signs = new_signs, signs
-            if config.early_stop and not collect_samples:
-                locked = p > 0.9 if variant != "cim2" else t > 2.0 / eps
-                if locked and (step - last_change) >= FREEZE_STEPS:
-                    step += 1
-                    break
+            if locked[k] and step - last_change >= FREEZE_STEPS:
+                step += 1
+                break
     else:
         step = steps
 
+    x = np.ascontiguousarray(x.T)
+    spins = spin_readout(x)
     if variant == "ht":
-        spins = np.where(ht_done[:, None], ht_spins, spin_readout(x))
-    else:
-        spins = spin_readout(x)
+        spins = np.where(ht_done[:, None], ht_spins.T, spins)
     return x, spins, diverged, step, samples
 
 
@@ -457,7 +577,8 @@ def run_ensemble(J: np.ndarray, config: SolverConfig, runs: int, seed: int,
     n = J.shape[0]
     x0 = _initial_batch(n, runs, config.init_amplitude, seed)
     x, spins, diverged, steps, _ = _integrate_batch(J, config, x0, delta_per_run=delta_per_run)
-    return EnsembleResult(spins=spins, final_x=x, diverged=diverged, steps_run=steps)
+    return EnsembleResult(spins=spins, final_x=x, diverged=diverged, steps_run=steps,
+                          locked_step=_locked_step(config))
 
 
 def ground_readouts(J: np.ndarray) -> np.ndarray:
@@ -796,14 +917,15 @@ def _stable_flow_dt(p: float, c: float, J: np.ndarray) -> float:
 
 
 def _flow_into_basin(J: np.ndarray, p: float, c: float, x: np.ndarray, tol: float) -> None:
-    """Euler gradient flow in place until every row's gradient is below tol.
+    """Euler gradient flow of the rows x (rows, n) in place until every row's gradient is below tol.
 
-    Like the ensemble step, it writes the gradient into reused buffers.
+    Like the ensemble step, it writes the gradient into reused buffers; the
+    kernel runs on `.T` views, as in :func:`soft_gradient`.
     """
     dt = _stable_flow_dt(p, c, J)
     g, work = np.empty_like(x), np.empty_like(x)
     for _ in range(MAX_FLOW_STEPS):
-        _gradient_into(x, p, c, J, g, work)
+        _gradient_into(x.T, p, c, J, g.T, work.T)
         if np.abs(g, out=work).max() < tol:
             break
         g *= dt

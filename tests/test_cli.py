@@ -121,6 +121,7 @@ class TestSweepCommand:
         fields = dict(item.split("=") for item in stats[0][2:])
         assert fields["variant"] == "cim1" and fields["j"] == "0.3"
         assert 0 < int(fields["steps_run"]) <= 6000  # t_end 600 at dt 0.1
+        assert 0 <= int(fields["locked_step"]) <= 6000
         assert fields["diverged"] == "0"
         assert float(fields["wall_s"]) >= 0.0
         assert "steps_run" not in out.read_text()
@@ -182,6 +183,18 @@ class TestSweepCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("eps", [0.0, -0.003], ids=["zero", "negative"])
+    def test_non_positive_eps_rejected(self, tmp_path, capsys, eps):
+        # eps = 0 used to reach cim2's lock test t > 2 / eps and die with ZeroDivisionError
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"instance": {"n": 8, "j": 0.3}, "variants": ["cim2"],
+                                    "runs": 3, "softspin": {"eps": eps}}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "error: invalid solver config: eps must be positive and finite" in err
+        assert "Traceback" not in err and "# stats:" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("j", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_non_finite_j_rejected_before_any_run(self, tmp_path, capsys, j):
@@ -364,6 +377,20 @@ class TestRunCommands:
         rc = main([*argv, "--n", "4", "--j", "0.5", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["master-run", "--mode", "ca", "--n", "12", "--j", "0.25", "--h0", "0.05", "--h1", "0.05",
+          "--t-end", "5"], "dt * 4095 > 2.785"),
+        (["master-run", "--mode", "sa", "--n", "8", "--j", "0.35", "--dt", "0.5",
+          "--t-end", "5"], "dt * 8 > 2.785"),
+    ], ids=["ca-n12", "sa-dt-0.5"])
+    def test_unstable_rk4_step_rejected(self, tmp_path, capsys, argv, limit):
+        # the CA anneal at n = 12 used to clip negative probabilities on every
+        # step and write p_gs = 0 where equilibrium is 0.0117
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "error: dt = " in err and limit in err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [

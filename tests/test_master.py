@@ -284,13 +284,25 @@ class TestAnnealMaster:
         np.testing.assert_allclose(run.probabilities, p, rtol=0, atol=1e-12)
 
     def test_ca_guard(self):
-        # only the diagonal's 20-spin guard bounds CA; 14 spins now run
-        with pytest.raises(ValueError):
-            anneal_master(np.zeros((21, 21)), None, AnnealSchedule(), mode="ca")
+        # only the diagonal's 20-spin guard and the RK4 step bound CA; 14 spins
+        # run at a step within the bound, dt (2^14 - 1) <= 2.785
+        with pytest.raises(ValueError, match="20-spin guard"):
+            anneal_master(np.zeros((21, 21)), None, AnnealSchedule(), mode="ca", dt=1e-6)
         J = graph.build_mobius_ladder(14, 0.35)
         h = quantum.symmetry_breaking_field(14, 0.05, 0.0)
-        run = anneal_master(J, h, AnnealSchedule(), mode="ca", dt=0.01, t_end=1.0)
+        run = anneal_master(J, h, AnnealSchedule(), mode="ca", dt=1.6e-4, t_end=1.6e-3)
         assert abs(run.probabilities.sum() - 1.0) < 1e-12
+        assert run.negativity_events == 0
+
+    @pytest.mark.parametrize("mode, n, dt_ok", [("sa", 8, 0.348), ("ca", 8, 0.0109),
+                                               ("ca", 12, 6.8e-4)])
+    def test_unstable_rk4_step_rejected(self, mode, n, dt_ok):
+        # |lambda| <= n (SA) or 2^n - 1 (CA): dt must keep dt |lambda| <= 2.785
+        J = graph.build_mobius_ladder(n, 0.35)
+        with pytest.raises(ValueError, match="unstable for RK4"):
+            anneal_master(J, None, AnnealSchedule(), mode=mode, dt=dt_ok * 1.01, t_end=1.0)
+        run = anneal_master(J, None, AnnealSchedule(), mode=mode, dt=dt_ok, t_end=5 * dt_ok)
+        assert len(run.times) == 2
 
     def test_temperature_schedule(self):
         schedule = AnnealSchedule(d=5.0, t0=0.5)

@@ -311,6 +311,9 @@ class TestTrajectories:
                     {"c": 0.0}, {"p0": np.nan}, {"p0": -np.inf}):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
+        for eps in (0.0, -0.0, -0.003, -np.inf):  # a pump that never rises, or falls
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                SolverConfig(variant="cim2", p0=-1.65, eps=eps)
         with pytest.raises(ValueError):
             run_ensemble(J8, default_solver_config(0.4), runs=0, seed=0)
 
@@ -456,28 +459,53 @@ class TestFusedStep:
             t += cfg.dt
         return x
 
+    @staticmethod
+    def _random_case(rng, variant, n, runs, steps):
+        A = rng.normal(size=(n, n)) * rng.uniform(0.1, 1.0) / np.sqrt(n)
+        J = A + A.T
+        np.fill_diagonal(J, 0.0)
+        x0 = rng.normal(size=(runs, n)) * 10.0 ** rng.uniform(-3.0, 0.0, (runs, 1))
+        x0[rng.random((runs, n)) < 0.1] = 0.0
+        x0[rng.random(runs) < 0.05] = 0.0
+        frac = rng.uniform(0.0, 1.0, (runs, 1))
+        if rng.random() < 0.5:
+            frac[rng.random(runs) < 0.2] = 0.0
+        dt = rng.uniform(0.01, 0.2)
+        cfg = SolverConfig(variant=variant, p0=rng.uniform(-2.0, 1.0), c=rng.uniform(0.5, 2.0),
+                           eps=rng.uniform(0.001, 0.1), dt=dt, t_end=steps * dt,
+                           early_stop=False)
+        return J, cfg, x0, frac
+
+    def _loop_and_reference(self, rng, variant, n, runs, steps):
+        J, cfg, x0, frac = self._random_case(rng, variant, n, runs, steps)
+        x, _, diverged, steps_run, _ = softspin._integrate_batch(
+            J, cfg, x0, delta_per_run=frac[:, 0] if variant == "cim3" else None)
+        assert steps_run == steps and not diverged.any()
+        return x, self._reference(J, cfg, x0, frac, steps)
+
     @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
     def test_steps_equal_the_reference_composition(self, variant):
         rng = np.random.default_rng(softspin.VARIANTS.index(variant))
         for _ in range(40):
             n, runs, steps = int(rng.integers(2, 13)), int(rng.integers(1, 300)), int(rng.integers(1, 4))
-            A = rng.normal(size=(n, n)) * rng.uniform(0.1, 1.0) / np.sqrt(n)
-            J = A + A.T
-            np.fill_diagonal(J, 0.0)
-            x0 = rng.normal(size=(runs, n)) * 10.0 ** rng.uniform(-3.0, 0.0, (runs, 1))
-            x0[rng.random((runs, n)) < 0.1] = 0.0
-            x0[rng.random(runs) < 0.05] = 0.0
-            frac = rng.uniform(0.0, 1.0, (runs, 1))
-            if rng.random() < 0.5:
-                frac[rng.random(runs) < 0.2] = 0.0
-            dt = rng.uniform(0.01, 0.2)
-            cfg = SolverConfig(variant=variant, p0=rng.uniform(-2.0, 1.0), c=rng.uniform(0.5, 2.0),
-                               eps=rng.uniform(0.001, 0.1), dt=dt, t_end=steps * dt,
-                               early_stop=False)
-            x, _, diverged, steps_run, _ = softspin._integrate_batch(
-                J, cfg, x0, delta_per_run=frac[:, 0] if variant == "cim3" else None)
-            assert steps_run == steps and not diverged.any()
-            assert np.array_equal(x, self._reference(J, cfg, x0, frac, steps))
+            assert np.array_equal(*self._loop_and_reference(rng, variant, n, runs, steps))
+
+    @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
+    def test_single_runs_and_up_to_15_spins(self, variant):
+        # the spin-major loop's J @ x equals the reference's x @ J.T bitwise up to n = 15
+        rng = np.random.default_rng(10 + softspin.VARIANTS.index(variant))
+        for n in range(2, 16):
+            for runs in (1, int(rng.integers(2, 300))):
+                assert np.array_equal(*self._loop_and_reference(rng, variant, n, runs, 3))
+
+    @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
+    @pytest.mark.parametrize("n", [16, 20, 24, 32])
+    def test_larger_n_agrees_to_rounding(self, variant, n):
+        # from n = 16 on, OpenBLAS may order J @ x's sum differently from x @ J.T
+        rng = np.random.default_rng(n)
+        for runs in (1, 7, 250):
+            x, want = self._loop_and_reference(rng, variant, n, runs, 3)
+            np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12)
 
     def test_kernels_equal_their_array_expressions(self):
         # the in-place kernels behind the public functions, against the plain
@@ -512,6 +540,155 @@ class TestFusedStep:
         assert np.all(x[:, :3] != 0.0)
         assert np.all(x[:, 3] == 0.0)
         np.testing.assert_array_equal(homogenize_intensities(x0, 0.3)[:, 3], 0.0)
+
+
+class TestSpinMajorKernels:
+    @pytest.mark.parametrize("n", range(2, 301))
+    def test_row_sum_follows_numpy_pairwise_order(self, n):
+        # magnitudes over 300 decades make every change of summation order visible
+        rng = np.random.default_rng(n)
+        runs = int(rng.integers(1, 8))
+        m = 10.0 ** rng.uniform(-150.0, 150.0, (runs, n))
+        m[rng.random((runs, n)) < 0.1] = 0.0
+        want = np.add.reduce(m, axis=-1, keepdims=True)
+        for spin_major in (np.ascontiguousarray(m.T), m.T):
+            out = np.empty((1, runs))
+            softspin._row_sum(spin_major, out, np.empty((n, runs)))
+            assert np.array_equal(out.T, want)
+
+    @pytest.mark.parametrize("block", [softspin.SCHEDULE_BLOCK, 7])
+    def test_schedule_equals_the_scalar_loop(self, monkeypatch, block):
+        monkeypatch.setattr(softspin, "SCHEDULE_BLOCK", block)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            dt = rng.uniform(0.001, 0.5)
+            cfg = SolverConfig(variant=str(rng.choice(["cim1", "cim2", "cim3"])),
+                               p0=rng.uniform(-2.0, 0.99), eps=10.0 ** rng.uniform(-3.0, 0.0),
+                               dt=dt, t_end=dt * int(rng.integers(0, 2000)) + dt)
+            blocks = list(softspin._schedule_blocks(cfg))
+            assert all(len(locked) <= block for _, _, locked in blocks)
+            t, want_t, want_p = 0.0, [], []
+            for _ in range(cfg.steps + 1):
+                want_t.append(t)
+                want_p.append(pump_tanh(t, cfg.p0, cfg.eps))
+                t += dt
+            start = 0
+            for ts, pumps, locked in blocks:  # each block ends where the next starts
+                end = start + len(locked)
+                assert np.array_equal(ts, want_t[start:end + 1])
+                assert np.array_equal(pumps, want_p[start:end + 1])
+                start = end
+            assert start == cfg.steps
+            if cfg.variant == "cim2":
+                want_locked = [t + dt > 2.0 / cfg.eps for t in want_t[:-1]]
+            else:
+                want_locked = [p > 0.9 for p in want_p[:-1]]
+            assert np.array_equal(np.concatenate([b[2] for b in blocks]), want_locked)
+            want_step = want_locked.index(True) if any(want_locked) else cfg.steps
+            assert softspin._locked_step(cfg) == want_step
+
+
+    @pytest.mark.parametrize("variant", ["cim1", "cim2"])
+    def test_samples_do_not_depend_on_the_schedule_block(self, monkeypatch, variant):
+        cfg = default_solver_config(0.4, variant=variant, t_end=20.0, sample_every=3)
+        want = run_trajectory(J8, cfg)
+        monkeypatch.setattr(softspin, "SCHEDULE_BLOCK", 7)
+        got = run_trajectory(J8, cfg)
+        assert len(got.samples) == len(want.samples) == 66
+        for a, b in zip(got.samples, want.samples):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        assert np.array_equal(got.x, want.x)
+
+    def test_public_kernels_take_any_leading_axes(self):
+        # the spin-major kernels see (..., n) rows through .T views
+        rng = np.random.default_rng(4)
+        J = rng.normal(size=(8, 8))
+        x, pump = rng.normal(size=(3, 5, 8)), rng.uniform(-2.0, 2.0, (3, 5, 8))
+        assert np.array_equal(soft_gradient(x, pump, 1.5, J), 1.5 * (pump * x - x * x * x) + x @ J.T)
+        assert np.array_equal(ht_rhs(x, 0.3, J), 0.3 * x + x @ J.T)
+        frac = rng.uniform(0.0, 1.0, (3, 5, 1))
+        intensity = x * x
+        R = np.mean(intensity, axis=-1, keepdims=True)
+        mixed = np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R)
+        assert np.array_equal(homogenize_intensities(x, frac), mixed)
+
+
+class TestEarlyStopWindow:
+    """Sign tracking from locked_step - FREEZE_STEPS + 1 against tracking on every step."""
+
+    @staticmethod
+    def _reference(J, cfg, x0, frac):
+        # the early stop as a plain loop over the public kernels; returns
+        # (x, steps run, first locked step, the steps at which some sign changed)
+        x, pump, t = x0.copy(), np.full(x0.shape, cfg.p0), 0.0
+        signs, changes, first_locked = np.sign(x), [], None
+        for step in range(int(round(cfg.t_end / cfg.dt))):
+            p = pump_tanh(t, cfg.p0, cfg.eps)
+            x = x + cfg.dt * soft_gradient(x, pump if cfg.variant == "cim2" else p, cfg.c, J)
+            if cfg.variant == "cim2":
+                pump = cim2_pump_step(pump, x, cfg.eps, cfg.dt)
+            if cfg.variant == "cim3":
+                x = homogenize_intensities(x, frac)
+            t += cfg.dt
+            new = np.sign(x)
+            if np.any(new != signs):
+                changes.append(step)
+            signs = new
+            locked = t > 2.0 / cfg.eps if cfg.variant == "cim2" else p > 0.9
+            if locked and first_locked is None:
+                first_locked = step
+            if locked and step - (changes[-1] if changes else 0) >= softspin.FREEZE_STEPS:
+                return x, step + 1, first_locked, changes
+        return x, step + 1, first_locked, changes
+
+    def _check(self, cfg, runs, seed):
+        J = graph.build_mobius_ladder(8, 0.35)
+        x0 = softspin._initial_batch(8, runs, cfg.init_amplitude, seed)
+        frac = np.linspace(0.0, 0.5, runs)[:, None]
+        x, steps, locked_step, changes = self._reference(J, cfg, x0, frac)
+        got = softspin._integrate_batch(J, cfg, x0, delta_per_run=frac[:, 0])
+        assert got[3] == steps
+        assert np.array_equal(got[0], x)
+        assert softspin._locked_step(cfg) == locked_step
+        return steps, locked_step, changes
+
+    @pytest.mark.parametrize("block", [softspin.SCHEDULE_BLOCK, 64])
+    @pytest.mark.parametrize("variant, p0, eps", [
+        ("cim1", -1.65, 0.02), ("cim2", -1.65, 0.05), ("cim3", -1.65, 0.02),
+        ("cim1", 0.95, 0.003), ("cim3", 0.9, 0.003), ("cim2", 0.95, 0.2),
+    ], ids=["cim1", "cim2", "cim3", "cim1-locked-at-0", "cim3-p0-0.9", "cim2-early-lock"])
+    def test_matches_tracking_on_every_step(self, monkeypatch, variant, p0, eps, block):
+        monkeypatch.setattr(softspin, "SCHEDULE_BLOCK", block)
+        cfg = SolverConfig(variant=variant, p0=p0, eps=eps, dt=0.1, t_end=600.0)
+        steps, locked_step, _ = self._check(cfg, 12, 5)
+        assert locked_step < steps < 6000
+        if variant != "cim2" and p0 >= 0.9:  # cim2 locks by time alone
+            assert locked_step == (0 if p0 > 0.9 else 1)
+
+    def test_sign_change_just_before_the_lock_delays_the_stop(self):
+        # a change at step c in [locked_step - FREEZE_STEPS + 1, locked_step)
+        # stops the run at c + FREEZE_STEPS, not at locked_step
+        cfg = SolverConfig(variant="cim1", p0=0.75, eps=0.13, dt=0.01, t_end=20.0)
+        steps, locked_step, changes = self._check(cfg, 6, 58)
+        last = max(c for c in changes if c < steps)
+        assert locked_step - softspin.FREEZE_STEPS < last < locked_step
+        assert steps == last + softspin.FREEZE_STEPS + 1 > locked_step + 1
+
+    def test_no_stop_without_early_stop(self):
+        # locked from step 0 with signs that settle at once, the run still goes to t_end
+        cfg = SolverConfig(variant="cim1", p0=0.95, eps=0.003, dt=0.1, t_end=30.0)
+        x0 = softspin._initial_batch(8, 4, 1e-3, 0)
+        assert softspin._integrate_batch(J8, cfg, x0)[3] < 300
+        assert softspin._integrate_batch(J8, replace(cfg, early_stop=False), x0)[3] == 300
+        assert softspin._integrate_batch(J8, replace(cfg, sample_every=50), x0,
+                                         collect_samples=True)[3] == 300
+
+    def test_ensemble_reports_the_locked_step(self):
+        J = graph.build_mobius_ladder(8, 0.35)
+        res = run_ensemble(J, default_solver_config(0.35, variant="cim1"), 24, 11)
+        assert (res.locked_step, res.steps_run) == (6586, 6587)
+        ht = run_ensemble(J, default_solver_config(0.35, variant="ht"), 24, 11)
+        assert ht.locked_step == 30000 and ht.steps_run < 30000
 
 
 class TestDeltaTuning:
