@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime invariant breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -221,7 +222,7 @@ def _sweep_one_j(args) -> list:
         else:
             t_start = time.monotonic()
             run = quantum.run_qa(J, qa_cfg)
-            print(f"# stats: variant=qa j={j!r} steps={_steps_taken(run.times, qa_cfg.dt)} "
+            print(f"# stats: variant=qa j={j!r} steps={run.steps} "
                   f"wall_s={time.monotonic() - t_start:.3f}", file=sys.stderr)
             rows.append(["qa", float(j), "", 1, float(run.p_gs[-1]), 0.0, "", "", ""])
     return rows
@@ -403,11 +404,6 @@ def _field_from_flags(n: int, h0: float, h1: float) -> np.ndarray | None:
     return quantum.symmetry_breaking_field(n, h0, h1)
 
 
-def _steps_taken(times: np.ndarray, dt: float) -> int:
-    """Steps of an evolution from its sampled times: the last step is always sampled."""
-    return int(round(times[-1] / dt))
-
-
 def cmd_qa_run(ns) -> int:
     J = graph.build_mobius_ladder(ns.n, ns.j)
     config = quantum.QAConfig(b=ns.b, t0=ns.t0, dt=ns.dt, t_end=ns.t_end,
@@ -428,7 +424,7 @@ def cmd_qa_run(ns) -> int:
     _write_rows(ns.out, "quantum-annealing-time-series", params, header, rows, ns.format)
     if ns.snapshot:
         quantum.save_state(ns.snapshot, run.state)
-    print(f"# stats: steps={_steps_taken(run.times, ns.dt)} "
+    print(f"# stats: steps={run.steps} "
           f"max_norm_drift={run.max_norm_drift:.3e}", file=sys.stderr)
     return 0
 
@@ -447,7 +443,7 @@ def cmd_master_run(ns) -> int:
         run = master.imaginary_time_evolve(J, h, config)
         rows = [[run.times[i], run.p_gs[i]] for i in range(len(run.times))]
         _write_rows(ns.out, "imaginary-time-series", params, ["t", "p_gs"], rows, ns.format)
-        print(f"# stats: mode=imag steps={_steps_taken(run.times, ns.dt)}", file=sys.stderr)
+        print(f"# stats: mode=imag steps={run.steps}", file=sys.stderr)
         return 0
     schedule = master.AnnealSchedule(d=ns.d, t0=ns.t0)
     run = master.anneal_master(J, h, schedule, mode=ns.mode, dt=ns.dt,
@@ -458,7 +454,7 @@ def cmd_master_run(ns) -> int:
         rows.append([run.times[i], run.temps[i], run.p_gs[i], ref])
     _write_rows(ns.out, "master-equation-time-series", params,
                 ["t", "temperature", "p_gs", "equilibrium_p_gs"], rows, ns.format)
-    print(f"# stats: mode={ns.mode} steps={_steps_taken(run.times, ns.dt)} "
+    print(f"# stats: mode={ns.mode} steps={run.steps} dt_bound={run.dt_bound:.4g} "
           f"negativity_events={run.negativity_events}", file=sys.stderr)
     return 0
 
@@ -493,19 +489,28 @@ def cmd_verify(ns) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.
+
+    A parser built per `main` call is cyclic garbage that waits for a full
+    collection, so a process running many commands grew in RSS with each.
+    """
     parser = _Parser(prog="isinglab",
                      description="Ising-minimization experiments on Mobius-ladder graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=0):
+    def common(p):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=seed_default)
+
+    def seeded(p, default=0):  # only the commands that draw random numbers take a seed
+        common(p)
+        p.add_argument("--seed", type=int, default=default)
 
     p = sub.add_parser("sweep", help="ground-state probability sweep over couplings")
     p.add_argument("--config", default=None, help="JSON configuration file")
-    common(p, seed_default=None)
+    seeded(p, default=None)
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
@@ -528,7 +533,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=20000)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_basins)
 
     p = sub.add_parser("critical", help="critical-point scatter data")
@@ -537,7 +542,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--starts", type=int, default=4000)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("branches", help="branch region map or barrier curves")
@@ -548,7 +553,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--j-grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     p.add_argument("--p-grid", default="-1.5,-1.0,-0.5,0.0,0.5,1.0,1.5,2.0")
     p.add_argument("--starts", type=int, default=4000)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_branches)
 
     p = sub.add_parser("trajectory", help="single soft-spin trajectory dump")
@@ -559,7 +564,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=0.1)
     p.add_argument("--t-end", type=float, default=3000.0)
     p.add_argument("--sample-every", type=int, default=10)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("qa-run", help="quantum annealing time series")

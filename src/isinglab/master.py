@@ -16,19 +16,35 @@ only the diagonal's 20-spin guard and the bound on L apply.  Both kernels
 read their rates from one table helper: a rate depends only on dE / T, so
 `expit` runs once per distinct energy difference for a whole chunk of
 temperatures, and the anneal builds at most RATE_TABLE_ENTRIES table
-entries at a time.  Imaginary time runs the QA split step with real
-factors, and every evolution here steps on the QA time grid.
+entries at a time.  RK4 keeps its four slopes, one stage buffer and one
+accumulator for the whole anneal, and each rhs writes into the slope it
+fills, so no step allocates a 2^n array.  Imaginary time runs the QA split
+step with real factors, its mixer blocks built per chunk and its state
+moved between two buffers as in QA.  Every evolution here walks the one
+chunked QA time grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .graph import validate_coupling_matrix
-from .quantum import QAConfig, _split_step, _time_grid, build_diagonal, ground_set, transverse_angle
+from .quantum import (
+    TABLE_BYTES,
+    QAConfig,
+    _block_sizes,
+    _mixer_blocks,
+    _mixer_chunk,
+    _split_stepper,
+    _time_chunks,
+    _time_grid,
+    build_diagonal,
+    ground_set,
+    transverse_angle,
+)
 
 __all__ = [
     "AnnealSchedule",
@@ -44,7 +60,7 @@ __all__ = [
 
 MAX_CA_LEVELS = 1 << 12  # the all-pairs rates between L levels are an L x L matrix
 NEGATIVITY_TOL = -1e-10
-RATE_TABLE_ENTRIES = 1 << 15  # rate-table entries per chunk of temperatures (256 KB)
+RATE_TABLE_ENTRIES = TABLE_BYTES // 8  # float64 rate-table entries per chunk of temperatures
 RK4_STABLE_LIMIT = 2.785  # RK4 is stable on the negative real axis for dt |lambda| up to this
 
 
@@ -90,7 +106,8 @@ def _sa_rates(E: np.ndarray):
     Row k < n of a temperature's table holds the rate into each state from its
     bit-k partner.  Row n pairs each state with itself and holds
     sum_k w_k - n, which is minus the rate out (A_ij + A_ji = 1 for every
-    pair).  So one gather, one product and one sum over the rows give the rhs.
+    pair).  So one gather, one product and one sum over the rows give the rhs,
+    summed into `out` when given.
     """
     n = int(round(np.log2(E.size)))
     states = np.arange(E.size)
@@ -99,10 +116,10 @@ def _sa_rates(E: np.ndarray):
     terms = np.empty(partner.shape)  # reused by every rhs call
 
     def rhs(w):
-        def apply(q):
+        def apply(q, out=None):
             q.take(partner, out=terms, mode="wrap")  # in range; "wrap" skips the buffered copy
             np.multiply(terms, w, out=terms)
-            return np.add.reduce(terms, axis=0)
+            return np.add.reduce(terms, 0, None, out)  # positional out: out= parses slower
         return apply
 
     def at(Ts):
@@ -119,7 +136,7 @@ def _ca_rates(E: np.ndarray):
     A_ij depends only on E_i and E_j, so with P_b the probability summed over
     level b and g_b its degeneracy, dp_i = (W P)_a - p_i (2^n - W g)_a at
     a = level(i), where W_ab = 1 / (1 + exp((E_a - E_b)/T)).  This holds for
-    any p, not only level-uniform ones.
+    any p, not only level-uniform ones.  The rhs lands in `out` when given.
     """
     levels, level, g = np.unique(E, return_inverse=True, return_counts=True)
     L = levels.size
@@ -129,7 +146,13 @@ def _ca_rates(E: np.ndarray):
 
     def rhs(W):
         w_out = (E.size - W @ g)[level]
-        return lambda q: (W @ np.bincount(level, weights=q, minlength=L))[level] - w_out * q
+
+        def apply(q, out=None):
+            P = np.bincount(level, weights=q, minlength=L)
+            out = (W @ P).take(level, out=out, mode="wrap")  # in range, as in SA
+            out -= w_out * q
+            return out
+        return apply
 
     return _chunk_length(L * L), lambda Ts: [rhs(W) for W in tables(Ts)]
 
@@ -164,6 +187,8 @@ class MasterRun:
     negativity_events: int
     mode: str
     energies: np.ndarray = field(repr=False)  # the diagonal the run annealed on
+    steps: int                         # RK4 steps taken
+    dt_bound: float                    # dt times the eigenvalue bound, against RK4_STABLE_LIMIT
 
 
 def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
@@ -193,10 +218,13 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
     E = build_diagonal(J, h)
     ground = ground_set(E)
     p = np.full(E.size, 1.0 / E.size)
+    k1, k2, k3, k4, stage, acc = (np.empty_like(p) for _ in range(6))
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     chunk, make_rhs = (_sa_rates if mode == "sa" else _ca_rates)(E)
 
     times, temps, pgs, per_state = [], [], [], []
     negativity = 0
+    steps = 0
 
     def record(t):
         times.append(t)
@@ -205,28 +233,41 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
         per_state.append(p[ground].copy())
 
     record(0.0)
-    t = 0.0
-    while flags := list(islice(grid, chunk)):
-        ts = np.add.accumulate([t] + [dt] * len(flags))  # the t values that t += dt reaches
+    for ts, flags in _time_chunks(grid, dt, chunk):
         # one table build per chunk: every step's start and end, then its midpoint
         rhs = make_rhs(temperature(np.concatenate([ts, ts[:-1] + 0.5 * dt]), schedule))
-        for sampled, rhs_a, rhs_m, rhs_end in zip(flags, rhs, rhs[len(ts):], rhs[1:]):
-            k1 = rhs_a(p)
-            k2 = rhs_m(p + 0.5 * dt * k1)
-            k3 = rhs_m(p + 0.5 * dt * k2)
-            k4 = rhs_end(p + dt * k3)
-            p = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += dt
-            pmin = p.min()
-            if pmin < NEGATIVITY_TOL:
+        for t, sampled, rhs_a, rhs_m, rhs_end in zip(ts[1:].tolist(), flags, rhs,
+                                                    rhs[len(ts):], rhs[1:]):
+            # stages p + (c dt) k and p + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in the
+            # textbook expressions' order (2 k is k + k exactly); ufuncs take out
+            # positionally, which numpy parses faster than out=
+            rhs_a(p, k1)
+            np.multiply(half_dt, k1, stage)
+            np.add(stage, p, stage)
+            rhs_m(stage, k2)
+            np.multiply(half_dt, k2, stage)
+            np.add(stage, p, stage)
+            rhs_m(stage, k3)
+            np.multiply(dt, k3, stage)
+            np.add(stage, p, stage)
+            rhs_end(stage, k4)
+            np.add(k2, k2, acc)
+            np.add(acc, k1, acc)
+            np.add(k3, k3, stage)
+            np.add(acc, stage, acc)
+            np.add(acc, k4, acc)
+            np.multiply(sixth_dt, acc, acc)
+            np.add(p, acc, p)
+            if np.minimum.reduce(p) < NEGATIVITY_TOL:
                 negativity += 1
                 np.clip(p, 0.0, None, out=p)
                 p /= p.sum()
-            total = p.sum()
+            total = np.add.reduce(p)
             if not abs(total - 1.0) <= 1e-8:  # NaN breaches too
                 raise RuntimeError(f"probability conservation breach {abs(total - 1.0):.3e} at t = {t:.2f}")
             if sampled:
                 record(t)
+        steps += len(flags)
 
     return MasterRun(
         times=np.array(times),
@@ -238,6 +279,8 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
         negativity_events=negativity,
         mode=mode,
         energies=E,
+        steps=steps,
+        dt_bound=dt * bound,
     )
 
 
@@ -259,6 +302,7 @@ class ImagRun:
     p_gs: np.ndarray
     ground_indices: np.ndarray
     amplitudes: np.ndarray
+    steps: int  # Strang steps taken
 
 
 def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig) -> ImagRun:
@@ -277,20 +321,27 @@ def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig)
     E = build_diagonal(J, h)
     ground = ground_set(E)
     psi = np.full(1 << n, 2.0 ** (-n / 2))
+    other = np.empty_like(psi)  # the split step's second buffer
     dt = config.dt
-    half = np.exp(-0.5 * dt * (E - E.min()))  # shift for overflow safety only
+    half = E - E.min()  # shift for overflow safety only
+    np.multiply(-0.5 * dt, half, out=half)
+    np.exp(half, out=half)
 
     times, pgs = [0.0], [float(np.sum(psi[ground] ** 2))]
-    t = 0.0
-    for sampled in grid:
-        _split_step(psi, half, transverse_angle(t, t + dt, config.b, config.t0), n)
-        norm = np.linalg.norm(psi)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise RuntimeError(f"norm underflow at t = {t:.2f}")
-        psi /= norm
-        t += dt
-        if sampled:
-            times.append(t)
-            pgs.append(float(np.sum(psi[ground] ** 2)))
+    steps = 0
+    sizes = _block_sizes(n)
+    step = _split_stepper(psi, other, n)
+    for ts, flags in _time_chunks(grid, dt, _mixer_chunk(n, psi.itemsize)):
+        tables = _mixer_blocks(transverse_angle(ts[:-1], ts[1:], config.b, config.t0), sizes)
+        for t, sampled, *blocks in zip(ts[1:].tolist(), flags, *tables):
+            step(half, blocks)
+            norm = math.sqrt(psi.dot(psi))  # what np.linalg.norm computes for a real vector
+            if norm == 0.0 or not math.isfinite(norm):
+                raise RuntimeError(f"norm underflow at t = {t:.2f}")
+            psi /= norm
+            if sampled:
+                times.append(t)
+                pgs.append(float(np.sum(psi[ground] ** 2)))
+        steps += len(flags)
 
-    return ImagRun(np.array(times), np.array(pgs), ground, psi)
+    return ImagRun(np.array(times), np.array(pgs), ground, psi, steps)

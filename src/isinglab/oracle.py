@@ -147,6 +147,7 @@ def exhaustive_ground_state(J: np.ndarray) -> SpectrumSummary:
             near_idx.append(near + r0 * cols)
             near_E.append(block[near])
         np.round(block, ENERGY_DECIMALS, out=block)
+        block += 0.0  # -0.0 + 0.0 is 0.0: the zero level keeps one key whatever the block order
         block.sort()
         starts = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
         counts = np.diff(starts, append=block.size)

@@ -9,10 +9,17 @@ the analytically integrated angle, then another half phase step.  The
 rotation prod_k exp(z Sx_k) is applied four spins at a time: over m spins it
 is one 2^m x 2^m matrix whose entry between basis indices at Hamming distance
 d is cosh(z)^(m-d) sinh(z)^d, so one batched matrix product per group of four
-spins mixes them, n/4 passes through the state in all.  This one split step
-serves `run_qa`, `strang_step` and master's imaginary time; one time grid
-sets the steps and samples of QA and of both master evolutions and rejects a
-bad dt, t_end or sample_every before any work.
+spins mixes them, n/4 passes through the state in all.  This one split step,
+`_split_stepper`, serves `run_qa`, `strang_step` and master's imaginary time.
+
+A fixed-step evolution takes its steps from one chunked time grid: each chunk
+holds the times t += dt reaches and the steps' sample flags, and a bad dt,
+t_end or sample_every is rejected before any work.  For every chunk, QA and
+imaginary time build all of its mixer blocks at once, one (K, 2^m, 2^m)
+table per group size from one cosh and one sinh over the chunk's angles,
+kept within a quarter of TABLE_BYTES.  The split step then moves the state
+between two buffers allocated once per run, each group's product writing
+into the other buffer, so no step allocates a state-sized array.
 
 The basis convention (bit k of index xi set when spin k is up), the
 all-state energy table behind the diagonal and the ground-set tie rule are
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -57,6 +65,7 @@ __all__ = [
 MAX_QUBITS = 20  # 2^20 complex amplitudes; memory guard for run_qa
 MAX_DENSE_QUBITS = 12  # guard for instantaneous eigensolves
 _BLOCK_SPINS = 4  # spins mixed by one matrix product in the transverse rotation
+TABLE_BYTES = 1 << 18  # per-chunk tables of step coefficients (mixer blocks, rates): 256 KB
 
 
 @dataclass
@@ -142,7 +151,7 @@ def gamma(t: float, b: float, t0: float) -> float:
 
 
 def transverse_angle(t_start: float, t_end: float, b: float, t0: float) -> float:
-    """Exact integral of gamma over [t_start, t_end]."""
+    """Exact integral of gamma over [t_start, t_end], elementwise for arrays of times."""
     return 2.0 * b * (np.sqrt(t_end + t0) - np.sqrt(t_start + t0))
 
 
@@ -159,6 +168,19 @@ def _time_grid(dt: float, t_end: float, sample_every: int):
     return ((step + 1) % sample_every == 0 or step == steps - 1 for step in range(steps))
 
 
+def _time_chunks(grid, dt: float, steps: int):
+    """(ts, flags) for each chunk of at most `steps` steps of a `_time_grid`.
+
+    ts holds the chunk's start time and the time after each of its steps,
+    summed in order as the scalar t += dt would sum them.
+    """
+    t = 0.0
+    while flags := list(islice(grid, steps)):
+        ts = np.add.accumulate([t] + [dt] * len(flags))
+        t = ts[-1]
+        yield ts, flags
+
+
 @functools.cache
 def _hamming_distances(m: int) -> np.ndarray:
     """(2^m, 2^m) table of the Hamming distances between m-bit basis indices."""
@@ -169,35 +191,76 @@ def _hamming_distances(m: int) -> np.ndarray:
     return table
 
 
+def _block_sizes(n: int) -> list[int]:
+    """Sizes of the mixer blocks of n spins: 4 if n >= 4, then n mod 4 if nonzero."""
+    return [m for m in (_BLOCK_SPINS, n % _BLOCK_SPINS) if 0 < m <= n]
+
+
+def _mixer_blocks(zs: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """One C-contiguous (K, 2^m, 2^m) table per size m: prod_k exp(z Sx_k) over m spins per z.
+
+    The entry between indices at Hamming distance d is cosh(z)^(m-d) sinh(z)^d;
+    one cosh and one sinh over the K values of z serve every size.
+    """
+    c, s = np.cosh(zs)[:, None], np.sinh(zs)[:, None]
+    tables = []
+    for m in sizes:
+        d = np.arange(m + 1)
+        # `take` keeps each step's block C-contiguous; an `[:, table]` gather would put the
+        # steps innermost, and matmul would multiply the strided blocks in another order
+        tables.append((c ** (m - d) * s ** d).take(_hamming_distances(m), axis=1))
+    return tables
+
+
 def _mixer_block(z, m: int) -> np.ndarray:
-    """prod_k exp(z Sx_k) over m spins: cosh(z)^(m-d) sinh(z)^d at Hamming distance d."""
-    d = np.arange(m + 1)
-    return (np.cosh(z) ** (m - d) * np.sinh(z) ** d)[_hamming_distances(m)]
+    """prod_k exp(z Sx_k) over m spins: the one-step case of `_mixer_blocks`."""
+    return _mixer_blocks(np.array([z]), [m])[0][0]
 
 
-def _split_step(psi: np.ndarray, half: np.ndarray, z, n: int) -> None:
-    """Strang step in place: psi <- half * prod_k exp(z Sx_k) * half * psi.
+def _mixer_chunk(n: int, itemsize: int) -> int:
+    """Steps per chunk so that the chunk's mixer blocks of n spins fit in a quarter of TABLE_BYTES.
 
-    exp(z Sx) mixes each spin pair with (cosh z, sinh z).  QA passes z = i theta
+    64 KB already spreads the per-chunk work thin (16 QA steps at n = 8); tables
+    of the full 256 KB, which the allocator no longer serves from freed memory,
+    raised the exact-n8 peak RSS by 0.3-0.5 MB for about 1 % less time.
+    """
+    return max(1, TABLE_BYTES // 4 // (itemsize * sum(4 ** m for m in _block_sizes(n))))
+
+
+def _split_stepper(psi: np.ndarray, other: np.ndarray, n: int):
+    """Strang steps in place on psi: step(half, blocks) sets psi <- half * U * half * psi.
+
+    U = prod_k exp(z Sx_k) is the transverse rotation; exp(z Sx) mixes each
+    spin pair with (cosh z, sinh z).  QA passes z = i theta
     (exactly cos theta, i sin theta), imaginary time a real z = theta.  The
     product over spins is applied as one symmetric 2^m x 2^m block per group of
-    m = 4 consecutive spins (a smaller last group takes n mod 4), whose entry
-    between indices at Hamming distance d is cosh(z)^(m-d) sinh(z)^d.  The
-    group of the lowest spins is one (2^(n-m), 2^m) x (2^m, 2^m) product; the
-    others are batched over the spins below them.
+    m = 4 consecutive spins (a smaller last group takes n mod 4); `blocks` holds
+    the step's blocks, one per entry of `_block_sizes(n)`.  The group of the
+    lowest spins is one (2^(n-m), 2^m) x (2^m, 2^m) product; the others are
+    batched over the spins below them.  Each product writes into the other of
+    the two buffers psi and `other`, through views made once here, and the
+    last half phase lands in psi.
     """
-    full = _mixer_block(z, _BLOCK_SPINS)
-    psi *= half
-    for k in range(0, n, _BLOCK_SPINS):
+    products = []  # (full-size block?, lowest spins?, source view, destination view) per group
+    buffers = (psi, other)
+    for g, k in enumerate(range(0, n, _BLOCK_SPINS)):
         m = min(_BLOCK_SPINS, n - k)
-        block = full if m == _BLOCK_SPINS else _mixer_block(z, m)
-        if k == 0:  # the lowest spins index contiguous rows: one matrix product for all
-            a = psi.reshape(-1, 1 << m)
-            a[...] = a @ block.T
-        else:
-            a = psi.reshape(1 << (n - k - m), 1 << m, 1 << k)
-            a[...] = np.matmul(block, a)
-    psi *= half
+        shape = (-1, 1 << m) if k == 0 else (1 << (n - k - m), 1 << m, 1 << k)
+        products.append((m == _BLOCK_SPINS, k == 0, buffers[g % 2].reshape(shape),
+                         buffers[1 - g % 2].reshape(shape)))
+    last = buffers[len(products) % 2]
+
+    def step(half: np.ndarray, blocks) -> None:
+        np.multiply(psi, half, psi)  # ufuncs take out positionally, which numpy parses faster
+        for full, lowest, src, dst in products:
+            block = blocks[0] if full else blocks[-1]
+            if lowest:  # the lowest spins index contiguous rows: one matrix product for all
+                np.matmul(src, block.T, dst)
+            else:
+                np.matmul(block, src, dst)
+        np.multiply(last, half, psi)
+
+    return step
 
 
 def strang_step(state: QuantumState, energies: np.ndarray, schedule: QAConfig,
@@ -210,7 +273,8 @@ def strang_step(state: QuantumState, energies: np.ndarray, schedule: QAConfig,
     dt = schedule.dt if dt is None else dt
     theta = transverse_angle(state.t, state.t + dt, schedule.b, schedule.t0)
     psi = np.array(state.amplitudes, dtype=complex)
-    _split_step(psi, np.exp(-0.5j * dt * energies), 1j * theta, state.n)
+    blocks = [_mixer_block(1j * theta, m) for m in _block_sizes(state.n)]
+    _split_stepper(psi, np.empty_like(psi), state.n)(np.exp(-0.5j * dt * energies), blocks)
     return QuantumState(psi, state.t + dt)
 
 
@@ -292,11 +356,16 @@ class QARun:
     state: QuantumState
     energies: np.ndarray | None = field(repr=False, default=None)
     max_norm_drift: float = 0.0     # worst |<psi|psi> - 1| over all steps
+    steps: int = 0                  # Strang steps taken
 
 
-def _single_spin_observables(psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """prob_up and Bloch-vector magnitude of every spin, with one conjugate copy of psi."""
-    conj = np.conj(psi)
+def _single_spin_observables(psi: np.ndarray, n: int,
+                             conj: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """prob_up and Bloch-vector magnitude of every spin, with one conjugate copy of psi.
+
+    The copy is written into `conj` when given, else into a new array.
+    """
+    conj = np.conj(psi, out=conj)
     up, down, cross = np.array([_spin_moments(psi, conj, n, k) for k in range(n)]).T
     return up.real, np.sqrt(4.0 * np.abs(cross) ** 2 + (up - down).real ** 2)
 
@@ -314,33 +383,40 @@ def run_qa(J: np.ndarray, config: QAConfig) -> QARun:
     ground = ground_set(energies)
 
     psi = initial_state(n).amplitudes
-    half_phase = np.exp(-0.5j * config.dt * energies)
+    half_phase = np.multiply(-0.5j * config.dt, energies)
+    np.exp(half_phase, out=half_phase)
+    other = np.empty_like(psi)  # the split step's second buffer, and the sampled conjugate
 
     samples = []  # one (t, gamma, p_gs, p_gs_per_state, prob_up, bloch_mag) row per sample
 
     def record(t: float):
         samples.append((t, gamma(t, config.b, config.t0),
                         *ground_state_probability(psi, ground),
-                        *_single_spin_observables(psi, n)))
+                        *_single_spin_observables(psi, n, other)))
 
     record(0.0)
     t = 0.0
+    steps = 0
     max_drift = 0.0
-    for sampled in grid:
-        theta = transverse_angle(t, t + config.dt, config.b, config.t0)
-        _split_step(psi, half_phase, 1j * theta, n)
-        t += config.dt
-        drift = abs(float(np.vdot(psi, psi).real) - 1.0)
-        if not drift <= 1e-8:  # a NaN state fails too
-            raise RuntimeError(f"norm drift {drift:.3e} at t = {t:.2f}")
-        max_drift = max(max_drift, drift)
-        if sampled:
-            record(t)
+    sizes = _block_sizes(n)
+    step = _split_stepper(psi, other, n)
+    for ts, flags in _time_chunks(grid, config.dt, _mixer_chunk(n, psi.itemsize)):
+        tables = _mixer_blocks(1j * transverse_angle(ts[:-1], ts[1:], config.b, config.t0), sizes)
+        for t, sampled, *blocks in zip(ts[1:].tolist(), flags, *tables):
+            step(half_phase, blocks)
+            drift = abs(float(np.vdot(psi, psi).real) - 1.0)
+            if not drift <= 1e-8:  # a NaN state fails too
+                raise RuntimeError(f"norm drift {drift:.3e} at t = {t:.2f}")
+            max_drift = max(max_drift, drift)
+            if sampled:
+                record(t)
+        steps += len(flags)
 
     times, gammas, p_gs, per_state, prob_up, bloch_mag = map(np.array, zip(*samples))
     return QARun(times=times, gammas=gammas, p_gs=p_gs, p_gs_per_state=per_state,
                  prob_up=prob_up, bloch_mag=bloch_mag, ground_indices=ground,
-                 state=QuantumState(psi, t), energies=energies, max_norm_drift=max_drift)
+                 state=QuantumState(psi, t), energies=energies, max_norm_drift=max_drift,
+                 steps=steps)
 
 
 def _hamiltonian_operator(energies: np.ndarray, gamma_now: float, n: int) -> LinearOperator:

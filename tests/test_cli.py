@@ -66,11 +66,9 @@ class TestOracleCommand:
         assert main(["oracle", "--n", "8", "--j", "0.15", "--out", str(outs[1])]) == 0
         assert _stats(capsys.readouterr().err)["blocks"] == "8"
         assert b"stats" not in outs[0].read_bytes()
-
-        def rows(path):  # the zero level's key may print as -0.0 or as 0.0
-            return [[q.replace("@-0.0", "@0.0"), value] for q, value in _read_csv(path)[2]]
-
-        assert rows(outs[0]) == rows(outs[1])
+        rows = _read_csv(outs[0])[2]
+        assert ["count@0.0", "64"] in rows  # the zero level, whichever block meets it first
+        assert rows == _read_csv(outs[1])[2]
 
 
 class TestSweepCommand:
@@ -156,6 +154,21 @@ class TestSweepCommand:
         parser = _build_parser()
         assert parser.parse_args(["sweep"]).seed is None
         assert parser.parse_args(["sweep", "--seed", "7"]).seed == 7
+
+    def test_parser_built_once(self):
+        # parse_args leaves the parser unchanged, so every main call shares one
+        assert _build_parser() is _build_parser()
+
+    def test_seed_only_where_it_is_used(self, capsys):
+        parser = _build_parser()
+        for argv in (["basins", "--j", "0.4", "--p", "2"], ["critical", "--j", "0.4", "--p", "2"],
+                     ["branches"], ["trajectory", "--j", "0.4"]):
+            assert parser.parse_args([*argv, "--seed", "3"]).seed == 3
+        # deterministic commands take no --seed: it would be recorded nowhere
+        for argv in (["graph", "--n", "8", "--j-grid", "0.4"], ["oracle", "--n", "8", "--j", "0.4"],
+                     ["qa-run", "--j", "0.4"], ["master-run", "--j", "0.4"]):
+            assert main([*argv, "--seed", "3"]) == 1
+            assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_empty_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -262,6 +275,7 @@ class TestRunCommands:
         assert header == ["t", "temperature", "p_gs", "equilibrium_p_gs"]
         assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
         assert _stats(capsys.readouterr().err) == {"mode": "sa", "steps": "500",
+                                                    "dt_bound": "0.06",
                                                     "negativity_events": "0"}
 
     def test_master_run_builds_diagonal_once(self, tmp_path, monkeypatch):

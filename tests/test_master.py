@@ -94,7 +94,10 @@ class TestRateTables:
                 Ts = rng.uniform(0.05, 8.0, K)
                 for T, rhs in zip(Ts, at(Ts), strict=True):
                     q = rng.random(E.size)
-                    assert np.array_equal(rhs(q), _per_temperature_rhs(E, T, mode)(q))
+                    expected = _per_temperature_rhs(E, T, mode)(q)
+                    assert np.array_equal(rhs(q), expected)
+                    out = np.empty(E.size)  # the anneal's slope buffers
+                    assert rhs(q, out) is out and np.array_equal(out, expected)
 
     def test_tables_are_contiguous_per_temperature(self):
         rng = np.random.default_rng(7)
@@ -346,6 +349,8 @@ class TestChunkedAnneal:
             assert np.array_equal(run.times, expected)
             assert np.array_equal(run.temps, [temperature(s, schedule) for s in expected])
             assert np.array_equal(run.probabilities, _per_step_anneal(E, schedule, mode, dt, steps))
+            assert run.steps == steps
+            assert run.dt_bound == dt * (8 if mode == "sa" else 255)
 
 
 class TestBoltzmannReference:

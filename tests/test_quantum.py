@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,12 @@ from scipy.integrate import quad
 from isinglab import graph, master, oracle, quantum
 from isinglab.quantum import (
     QAConfig,
+    _time_grid,
     basis_index,
     bloch_vector,
     build_diagonal,
     gamma,
+    ground_set,
     ground_state_probability,
     index_spins,
     initial_state,
@@ -39,6 +42,57 @@ def _butterfly_split_step(psi, half, z, n):
         a[:, 0, :] = diag * lo + off * hi
         a[:, 1, :] = off * lo + diag * hi
     psi *= half
+
+
+def _per_step_split_step(psi, half, z, n):
+    """The block split step as it ran before the chunked tables: blocks and a temporary per step."""
+    psi *= half
+    for k in range(0, n, 4):
+        m = min(4, n - k)
+        d = np.arange(m + 1)
+        block = (np.cosh(z) ** (m - d) * np.sinh(z) ** d)[quantum._hamming_distances(m)]
+        if k == 0:
+            a = psi.reshape(-1, 1 << m)
+            a[...] = a @ block.T
+        else:
+            a = psi.reshape(1 << (n - k - m), 1 << m, 1 << k)
+            a[...] = np.matmul(block, a)
+    psi *= half
+
+
+def _per_step_evolution(J, h, config, imaginary):
+    """QA or imaginary time one step at a time, with the scalar t += dt: (times, samples, psi).
+
+    A sample is (p_gs, prob_up, bloch_mag) for QA and p_gs for imaginary time.
+    """
+    n = len(J)
+    E = build_diagonal(J, h)
+    ground = ground_set(E)
+    dt = config.dt
+    if imaginary:
+        psi = np.full(1 << n, 2.0 ** (-n / 2))
+        half = np.exp(-0.5 * dt * (E - E.min()))
+    else:
+        psi = initial_state(n).amplitudes
+        half = np.exp(-0.5j * dt * E)
+
+    def sample():
+        if imaginary:
+            return float(np.sum(psi[ground] ** 2))
+        return (ground_state_probability(psi, ground)[0],
+                *quantum._single_spin_observables(psi, n))
+
+    t, times, samples = 0.0, [0.0], [sample()]
+    for sampled in _time_grid(dt, config.t_end, config.sample_every):
+        theta = transverse_angle(t, t + dt, config.b, config.t0)
+        _per_step_split_step(psi, half, theta if imaginary else 1j * theta, n)
+        if imaginary:
+            psi /= np.linalg.norm(psi)
+        t += dt
+        if sampled:
+            times.append(t)
+            samples.append(sample())
+    return times, samples, psi
 
 
 class TestBasisConvention:
@@ -153,12 +207,46 @@ class TestSplitStep:
         psi /= np.linalg.norm(psi)
         expected = psi.copy()
         _butterfly_split_step(expected, half, z, n)
-        quantum._split_step(psi, half, z, n)
+        blocks = [quantum._mixer_block(z, m) for m in quantum._block_sizes(n)]
+        quantum._split_stepper(psi, np.empty_like(psi), n)(half, blocks)
         assert psi.dtype == expected.dtype
         # imaginary time grows the norm by up to e^(n theta); compare the
         # renormalized state it goes on with (the unitary case has norm 1)
         scale = np.linalg.norm(expected)
         np.testing.assert_allclose(psi / scale, expected / scale, rtol=0, atol=1e-13)
+
+
+class TestChunkedEvolutions:
+    """run_qa and imaginary time build their mixer blocks per chunk of steps and
+    move the state between two buffers; both must equal the per-step loop bitwise."""
+
+    @pytest.mark.parametrize("n", range(2, 14))  # every remainder of n mod 4
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["K=1", "K=3", "K=default"])
+    def test_match_the_per_step_loop(self, n, chunk, monkeypatch):
+        rng = np.random.default_rng(500 + n)
+        A = rng.normal(scale=0.5, size=(n, n))
+        J, h = np.triu(A, 1) + np.triu(A, 1).T, rng.normal(scale=0.2, size=n)
+        if chunk is None:
+            chunk = quantum._mixer_chunk(n, 16)
+            assert chunk > 3 and quantum._mixer_chunk(n, 8) >= chunk
+        else:
+            for module in (quantum, master):  # master binds it by name
+                monkeypatch.setattr(module, "_mixer_chunk", lambda n, itemsize: chunk)
+        for steps in sorted({0, 1, chunk - 1, chunk, chunk + 1}):
+            config = QAConfig(b=2.0, t0=0.5, dt=0.1, t_end=steps * 0.1, sample_every=2)
+            times, samples, psi = _per_step_evolution(J, h, replace(config, h=h), False)
+            run = run_qa(J, replace(config, h=h))
+            assert run.steps == steps and np.array_equal(run.times, times)
+            assert np.array_equal(run.state.amplitudes, psi) and run.state.t == times[-1]
+            p_gs, prob_up, bloch_mag = (np.array(col) for col in zip(*samples))
+            assert np.array_equal(run.p_gs, p_gs)
+            assert np.array_equal(run.prob_up, prob_up)
+            assert np.array_equal(run.bloch_mag, bloch_mag)
+
+            times, samples, psi = _per_step_evolution(J, h, config, True)
+            imag = master.imaginary_time_evolve(J, h, config)
+            assert imag.steps == steps and np.array_equal(imag.times, times)
+            assert np.array_equal(imag.amplitudes, psi) and np.array_equal(imag.p_gs, samples)
 
 
 class TestGoldenEvolutions:
@@ -292,6 +380,10 @@ class TestSingleSpinObservables:
             psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             psi /= np.linalg.norm(psi)
             prob_up, mags = quantum._single_spin_observables(psi, n)
+            conj = np.empty_like(psi)  # run_qa passes its second state buffer
+            for got, want in zip(quantum._single_spin_observables(psi, n, conj), (prob_up, mags)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(conj, np.conj(psi))
             for k in range(n):
                 rho = _partner_copies_rho(psi, k)
                 np.testing.assert_allclose(reduced_density_matrix(psi, k), rho, rtol=0, atol=1e-14)
@@ -382,13 +474,17 @@ class TestRunQA:
         assert run_qa(J, QAConfig(t_end=0.0)).max_norm_drift == 0.0  # no step taken
 
     def test_nan_state_aborts(self, monkeypatch):
-        split_step = quantum._split_step
+        split_stepper = quantum._split_stepper
 
-        def poisoned(psi, half, z, n):
-            split_step(psi, half, z, n)
-            psi[3] = np.nan
+        def poisoned(psi, other, n):
+            step = split_stepper(psi, other, n)
 
-        monkeypatch.setattr(quantum, "_split_step", poisoned)
+            def poisoned_step(half, blocks):
+                step(half, blocks)
+                psi[3] = np.nan
+            return poisoned_step
+
+        monkeypatch.setattr(quantum, "_split_stepper", poisoned)
         with pytest.raises(RuntimeError, match="norm drift nan"):
             run_qa(graph.build_mobius_ladder(4, 0.5), QAConfig(t_end=1.0))
 
