@@ -18,10 +18,8 @@ read their rates from one table helper: a rate depends only on dE / T, so
 temperatures, and the anneal builds at most RATE_TABLE_ENTRIES table
 entries at a time.  RK4 keeps its four slopes, one stage buffer and one
 accumulator for the whole anneal, and each rhs writes into the slope it
-fills, so no step allocates a 2^n array.  Imaginary time runs the QA split
-step with real factors, its mixer blocks built per chunk and its state
-moved between two buffers as in QA.  Every evolution here walks the one
-chunked QA time grid.
+fills, so no step allocates a 2^n array.  The anneal walks QA's step
+iterator; imaginary time is QA's split evolution with real factors.
 """
 
 from __future__ import annotations
@@ -35,15 +33,11 @@ from .graph import validate_coupling_matrix
 from .quantum import (
     TABLE_BYTES,
     QAConfig,
-    _block_sizes,
-    _mixer_blocks,
-    _mixer_chunk,
-    _split_stepper,
-    _time_chunks,
+    _fixed_steps,
+    _split_evolution,
     _time_grid,
     build_diagonal,
     ground_set,
-    transverse_angle,
 )
 
 __all__ = [
@@ -232,42 +226,43 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
         pgs.append(float(p[ground].sum()))
         per_state.append(p[ground].copy())
 
-    record(0.0)
-    for ts, flags in _time_chunks(grid, dt, chunk):
+    def step_rates(ts):
         # one table build per chunk: every step's start and end, then its midpoint
         rhs = make_rhs(temperature(np.concatenate([ts, ts[:-1] + 0.5 * dt]), schedule))
-        for t, sampled, rhs_a, rhs_m, rhs_end in zip(ts[1:].tolist(), flags, rhs,
-                                                    rhs[len(ts):], rhs[1:]):
-            # stages p + (c dt) k and p + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in the
-            # textbook expressions' order (2 k is k + k exactly); ufuncs take out
-            # positionally, which numpy parses faster than out=
-            rhs_a(p, k1)
-            np.multiply(half_dt, k1, stage)
-            np.add(stage, p, stage)
-            rhs_m(stage, k2)
-            np.multiply(half_dt, k2, stage)
-            np.add(stage, p, stage)
-            rhs_m(stage, k3)
-            np.multiply(dt, k3, stage)
-            np.add(stage, p, stage)
-            rhs_end(stage, k4)
-            np.add(k2, k2, acc)
-            np.add(acc, k1, acc)
-            np.add(k3, k3, stage)
-            np.add(acc, stage, acc)
-            np.add(acc, k4, acc)
-            np.multiply(sixth_dt, acc, acc)
-            np.add(p, acc, p)
-            if np.minimum.reduce(p) < NEGATIVITY_TOL:
-                negativity += 1
-                np.clip(p, 0.0, None, out=p)
-                p /= p.sum()
-            total = np.add.reduce(p)
-            if not abs(total - 1.0) <= 1e-8:  # NaN breaches too
-                raise RuntimeError(f"probability conservation breach {abs(total - 1.0):.3e} at t = {t:.2f}")
-            if sampled:
-                record(t)
-        steps += len(flags)
+        return rhs, rhs[len(ts):], rhs[1:]
+
+    record(0.0)
+    for steps, (t, sampled, rhs_a, rhs_m, rhs_end) in enumerate(
+            _fixed_steps(grid, dt, chunk, step_rates), 1):
+        # stages p + (c dt) k and p + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in the
+        # textbook expressions' order (2 k is k + k exactly); ufuncs take out
+        # positionally, which numpy parses faster than out=
+        rhs_a(p, k1)
+        np.multiply(half_dt, k1, stage)
+        np.add(stage, p, stage)
+        rhs_m(stage, k2)
+        np.multiply(half_dt, k2, stage)
+        np.add(stage, p, stage)
+        rhs_m(stage, k3)
+        np.multiply(dt, k3, stage)
+        np.add(stage, p, stage)
+        rhs_end(stage, k4)
+        np.add(k2, k2, acc)
+        np.add(acc, k1, acc)
+        np.add(k3, k3, stage)
+        np.add(acc, stage, acc)
+        np.add(acc, k4, acc)
+        np.multiply(sixth_dt, acc, acc)
+        np.add(p, acc, p)
+        if np.minimum.reduce(p) < NEGATIVITY_TOL:
+            negativity += 1
+            np.clip(p, 0.0, None, out=p)
+            p /= p.sum()
+        total = np.add.reduce(p)
+        if not abs(total - 1.0) <= 1e-8:  # NaN breaches too
+            raise RuntimeError(f"probability conservation breach {abs(total - 1.0):.3e} at t = {t:.2f}")
+        if sampled:
+            record(t)
 
     return MasterRun(
         times=np.array(times),
@@ -308,40 +303,33 @@ class ImagRun:
 def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig) -> ImagRun:
     """Norm-preserved imaginary-time analog of the quantum anneal.
 
-    Runs the QA split step with real decay factors exp(-dt E/2) and cosh/sinh
-    mixing; renormalizing after every step plays the role of the energy-shift
-    term that keeps the wavefunction normalized.  The field is h; a
-    config.h that differs from it raises ValueError rather than being dropped.
+    Runs QA's split evolution with real decay factors exp(-dt E/2) and cosh/sinh
+    mixing; renormalizing after every step (a zero or non-finite norm aborts)
+    keeps the wavefunction normalized, as the energy-shift term would.  The
+    field is h; a config.h that differs from it raises ValueError.
     """
     if config.h is not None and not np.array_equal(config.h, h):
         raise ValueError("config.h differs from h; imaginary time anneals under h")
     grid = _time_grid(config.dt, config.t_end, config.sample_every)
     J = validate_coupling_matrix(J)
     n = J.shape[0]
-    E = build_diagonal(J, h)
-    ground = ground_set(E)
-    psi = np.full(1 << n, 2.0 ** (-n / 2))
-    other = np.empty_like(psi)  # the split step's second buffer
-    dt = config.dt
-    half = E - E.min()  # shift for overflow safety only
-    np.multiply(-0.5 * dt, half, out=half)
+    half = build_diagonal(J, h)
+    ground = ground_set(half)
+    np.subtract(half, half.min(), out=half)  # shift for overflow safety only
+    np.multiply(-0.5 * config.dt, half, out=half)
     np.exp(half, out=half)
+    psi = np.full(1 << n, 2.0 ** (-n / 2))
 
     times, pgs = [0.0], [float(np.sum(psi[ground] ** 2))]
     steps = 0
-    sizes = _block_sizes(n)
-    step = _split_stepper(psi, other, n)
-    for ts, flags in _time_chunks(grid, dt, _mixer_chunk(n, psi.itemsize)):
-        tables = _mixer_blocks(transverse_angle(ts[:-1], ts[1:], config.b, config.t0), sizes)
-        for t, sampled, *blocks in zip(ts[1:].tolist(), flags, *tables):
-            step(half, blocks)
-            norm = math.sqrt(psi.dot(psi))  # what np.linalg.norm computes for a real vector
-            if norm == 0.0 or not math.isfinite(norm):
-                raise RuntimeError(f"norm underflow at t = {t:.2f}")
-            psi /= norm
-            if sampled:
-                times.append(t)
-                pgs.append(float(np.sum(psi[ground] ** 2)))
-        steps += len(flags)
+    for steps, (t, sampled) in enumerate(_split_evolution(psi, np.empty_like(psi), half, grid,
+                                                          config, 1), 1):
+        norm = math.sqrt(psi.dot(psi))  # what np.linalg.norm computes for a real vector
+        if norm == 0.0 or not math.isfinite(norm):
+            raise RuntimeError(f"state norm {norm:.3e} at t = {t:.2f}")
+        psi /= norm
+        if sampled:
+            times.append(t)
+            pgs.append(float(np.sum(psi[ground] ** 2)))
 
     return ImagRun(np.array(times), np.array(pgs), ground, psi, steps)

@@ -9,17 +9,13 @@ the analytically integrated angle, then another half phase step.  The
 rotation prod_k exp(z Sx_k) is applied four spins at a time: over m spins it
 is one 2^m x 2^m matrix whose entry between basis indices at Hamming distance
 d is cosh(z)^(m-d) sinh(z)^d, so one batched matrix product per group of four
-spins mixes them, n/4 passes through the state in all.  This one split step,
-`_split_stepper`, serves `run_qa`, `strang_step` and master's imaginary time.
+spins mixes them, n/4 passes through the state in all.
 
-A fixed-step evolution takes its steps from one chunked time grid: each chunk
-holds the times t += dt reaches and the steps' sample flags, and a bad dt,
-t_end or sample_every is rejected before any work.  For every chunk, QA and
-imaginary time build all of its mixer blocks at once, one (K, 2^m, 2^m)
-table per group size from one cosh and one sinh over the chunk's angles,
-kept within a quarter of TABLE_BYTES.  The split step then moves the state
-between two buffers allocated once per run, each group's product writing
-into the other buffer, so no step allocates a state-sized array.
+Every fixed-step evolution (QA, imaginary time, the master equation) walks
+one step iterator, `_fixed_steps`.  QA and imaginary time (z = i or 1 on the
+angle) share one split evolution, `_split_evolution`, which builds each
+chunk's mixer blocks within a quarter of TABLE_BYTES and moves the state
+between two buffers allocated once, so no step allocates a state-sized array.
 
 The basis convention (bit k of index xi set when spin k is up), the
 all-state energy table behind the diagonal and the ground-set tie rule are
@@ -30,7 +26,7 @@ owned by :mod:`isinglab.oracle`; this module re-exports `basis_index`,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -168,17 +164,17 @@ def _time_grid(dt: float, t_end: float, sample_every: int):
     return ((step + 1) % sample_every == 0 or step == steps - 1 for step in range(steps))
 
 
-def _time_chunks(grid, dt: float, steps: int):
-    """(ts, flags) for each chunk of at most `steps` steps of a `_time_grid`.
+def _fixed_steps(grid, dt: float, chunk: int, coefficients):
+    """(t, sampled, *coefficients(ts)) for every step of a `_time_grid`, `chunk` steps at a time.
 
-    ts holds the chunk's start time and the time after each of its steps,
-    summed in order as the scalar t += dt would sum them.
+    ts holds a chunk's start time and the times after its steps, summed as the
+    scalar t += dt sums them; coefficients(ts) gives the chunk's per-step tables.
     """
     t = 0.0
-    while flags := list(islice(grid, steps)):
+    while flags := list(islice(grid, chunk)):
         ts = np.add.accumulate([t] + [dt] * len(flags))
         t = ts[-1]
-        yield ts, flags
+        yield from zip(ts[1:].tolist(), flags, *coefficients(ts))
 
 
 @functools.cache
@@ -261,6 +257,27 @@ def _split_stepper(psi: np.ndarray, other: np.ndarray, n: int):
         np.multiply(last, half, psi)
 
     return step
+
+
+def _split_evolution(psi: np.ndarray, other: np.ndarray, half: np.ndarray, grid,
+                     config: QAConfig, z):
+    """Strang steps in place on psi along `grid`, yielding (t, sampled) after each.
+
+    A step is half * exp(z theta Sx) * half, theta the exact integral of gamma
+    over the step: QA passes z = 1j, imaginary time z = 1, which leaves the
+    angles' bits as they are.  `other` is the split step's second buffer.
+    """
+    n = psi.size.bit_length() - 1
+    sizes = _block_sizes(n)
+    step = _split_stepper(psi, other, n)
+
+    def mixer_blocks(ts):
+        return _mixer_blocks(z * transverse_angle(ts[:-1], ts[1:], config.b, config.t0), sizes)
+
+    for t, sampled, *blocks in _fixed_steps(grid, config.dt, _mixer_chunk(n, psi.itemsize),
+                                            mixer_blocks):
+        step(half, blocks)
+        yield t, sampled
 
 
 def strang_step(state: QuantumState, energies: np.ndarray, schedule: QAConfig,
@@ -354,7 +371,6 @@ class QARun:
     bloch_mag: np.ndarray           # (T, n) Bloch-vector magnitudes
     ground_indices: np.ndarray
     state: QuantumState
-    energies: np.ndarray | None = field(repr=False, default=None)
     max_norm_drift: float = 0.0     # worst |<psi|psi> - 1| over all steps
     steps: int = 0                  # Strang steps taken
 
@@ -384,6 +400,7 @@ def run_qa(J: np.ndarray, config: QAConfig) -> QARun:
 
     psi = initial_state(n).amplitudes
     half_phase = np.multiply(-0.5j * config.dt, energies)
+    del energies  # the steps need only the half phase
     np.exp(half_phase, out=half_phase)
     other = np.empty_like(psi)  # the split step's second buffer, and the sampled conjugate
 
@@ -398,25 +415,19 @@ def run_qa(J: np.ndarray, config: QAConfig) -> QARun:
     t = 0.0
     steps = 0
     max_drift = 0.0
-    sizes = _block_sizes(n)
-    step = _split_stepper(psi, other, n)
-    for ts, flags in _time_chunks(grid, config.dt, _mixer_chunk(n, psi.itemsize)):
-        tables = _mixer_blocks(1j * transverse_angle(ts[:-1], ts[1:], config.b, config.t0), sizes)
-        for t, sampled, *blocks in zip(ts[1:].tolist(), flags, *tables):
-            step(half_phase, blocks)
-            drift = abs(float(np.vdot(psi, psi).real) - 1.0)
-            if not drift <= 1e-8:  # a NaN state fails too
-                raise RuntimeError(f"norm drift {drift:.3e} at t = {t:.2f}")
-            max_drift = max(max_drift, drift)
-            if sampled:
-                record(t)
-        steps += len(flags)
+    for steps, (t, sampled) in enumerate(_split_evolution(psi, other, half_phase, grid,
+                                                          config, 1j), 1):
+        drift = abs(float(np.vdot(psi, psi).real) - 1.0)
+        if not drift <= 1e-8:  # a NaN state fails too
+            raise RuntimeError(f"norm drift {drift:.3e} at t = {t:.2f}")
+        max_drift = max(max_drift, drift)
+        if sampled:
+            record(t)
 
     times, gammas, p_gs, per_state, prob_up, bloch_mag = map(np.array, zip(*samples))
     return QARun(times=times, gammas=gammas, p_gs=p_gs, p_gs_per_state=per_state,
                  prob_up=prob_up, bloch_mag=bloch_mag, ground_indices=ground,
-                 state=QuantumState(psi, t), energies=energies, max_norm_drift=max_drift,
-                 steps=steps)
+                 state=QuantumState(psi, t), max_norm_drift=max_drift, steps=steps)
 
 
 def _hamiltonian_operator(energies: np.ndarray, gamma_now: float, n: int) -> LinearOperator:

@@ -421,7 +421,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                      collect_samples: bool = False):
     """Shared integration core for trajectories and ensembles.
 
-    Returns (x, spins, diverged, steps, samples).  HT runs read spins out at
+    Returns (x, spins, diverged, steps, locked_step, samples).  HT runs read spins out at
     the first time max|x_i| >= 1 (the linear dynamics has no saturation);
     the other variants stop early once every run's signs have been stable for
     FREEZE_STEPS steps in the locked regime.  A run whose amplitudes leave
@@ -544,7 +544,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     spins = spin_readout(x)
     if variant == "ht":
         spins = np.where(ht_done[:, None], ht_spins.T, spins)
-    return x, spins, diverged, step, samples
+    return x, spins, diverged, step, locked_step, samples
 
 
 def run_trajectory(J: np.ndarray, config: SolverConfig) -> TrajectoryResult:
@@ -553,7 +553,7 @@ def run_trajectory(J: np.ndarray, config: SolverConfig) -> TrajectoryResult:
     n = J.shape[0]
     x0 = _initial_batch(n, 1, config.init_amplitude, config.seed)
     collect = config.sample_every > 0
-    x, spins, diverged, steps, samples = _integrate_batch(J, config, x0, collect_samples=collect)
+    x, spins, diverged, steps, _, samples = _integrate_batch(J, config, x0, collect_samples=collect)
     xf = x[0]
     p_final = pump_tanh(steps * config.dt, config.p0, config.eps)
     return TrajectoryResult(
@@ -576,9 +576,9 @@ def run_ensemble(J: np.ndarray, config: SolverConfig, runs: int, seed: int,
         raise ValueError("runs must be >= 1")
     n = J.shape[0]
     x0 = _initial_batch(n, runs, config.init_amplitude, seed)
-    x, spins, diverged, steps, _ = _integrate_batch(J, config, x0, delta_per_run=delta_per_run)
+    x, spins, diverged, steps, locked_step, _ = _integrate_batch(J, config, x0, delta_per_run)
     return EnsembleResult(spins=spins, final_x=x, diverged=diverged, steps_run=steps,
-                          locked_step=_locked_step(config))
+                          locked_step=locked_step)
 
 
 def ground_readouts(J: np.ndarray) -> np.ndarray:

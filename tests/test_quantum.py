@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from isinglab import graph, master, oracle, quantum
+from isinglab.cli import main
 from isinglab.quantum import (
     QAConfig,
     _time_grid,
@@ -216,6 +217,35 @@ class TestSplitStep:
         np.testing.assert_allclose(psi / scale, expected / scale, rtol=0, atol=1e-13)
 
 
+class TestFixedSteps:
+    """One step iterator: the scalar t += dt and `_time_grid`'s flags, whatever the chunk."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["K=1", "K=3", "K=default"])
+    def test_times_and_flags(self, chunk):
+        chunk = chunk or quantum._mixer_chunk(8, 16)
+        dt, every = 0.1, 2
+        for steps in sorted({0, 1, chunk - 1, chunk, chunk + 1}):
+            t_end = steps * dt
+            starts = []  # the times coefficients() was called with, chunk by chunk
+
+            def coefficients(ts):
+                starts.append(ts[0])
+                return (ts[:-1],)  # each step's start time as its one coefficient
+
+            got = list(quantum._fixed_steps(_time_grid(dt, t_end, every), dt, chunk,
+                                            coefficients))
+            t, times, begins = 0.0, [], []
+            for _ in range(steps):
+                begins.append(t)
+                t += dt
+                times.append(t)
+            assert [row[0] for row in got] == times  # bitwise: floats compare exactly
+            assert [row[1] for row in got] == list(_time_grid(dt, t_end, every))
+            assert [row[2] for row in got] == begins
+            assert starts == begins[::chunk]
+            assert all(len(row) == 3 for row in got)
+
+
 class TestChunkedEvolutions:
     """run_qa and imaginary time build their mixer blocks per chunk of steps and
     move the state between two buffers; both must equal the per-step loop bitwise."""
@@ -230,8 +260,7 @@ class TestChunkedEvolutions:
             chunk = quantum._mixer_chunk(n, 16)
             assert chunk > 3 and quantum._mixer_chunk(n, 8) >= chunk
         else:
-            for module in (quantum, master):  # master binds it by name
-                monkeypatch.setattr(module, "_mixer_chunk", lambda n, itemsize: chunk)
+            monkeypatch.setattr(quantum, "_mixer_chunk", lambda n, itemsize: chunk)
         for steps in sorted({0, 1, chunk - 1, chunk, chunk + 1}):
             config = QAConfig(b=2.0, t0=0.5, dt=0.1, t_end=steps * 0.1, sample_every=2)
             times, samples, psi = _per_step_evolution(J, h, replace(config, h=h), False)
@@ -473,7 +502,7 @@ class TestRunQA:
         assert run.max_norm_drift >= run.state.norm_error()
         assert run_qa(J, QAConfig(t_end=0.0)).max_norm_drift == 0.0  # no step taken
 
-    def test_nan_state_aborts(self, monkeypatch):
+    def test_nan_state_aborts(self, monkeypatch, tmp_path, capsys):
         split_stepper = quantum._split_stepper
 
         def poisoned(psi, other, n):
@@ -485,8 +514,16 @@ class TestRunQA:
             return poisoned_step
 
         monkeypatch.setattr(quantum, "_split_stepper", poisoned)
+        J = graph.build_mobius_ladder(4, 0.5)
         with pytest.raises(RuntimeError, match="norm drift nan"):
-            run_qa(graph.build_mobius_ladder(4, 0.5), QAConfig(t_end=1.0))
+            run_qa(J, QAConfig(t_end=1.0))
+        # imaginary time steps through the same split evolution and names the bad norm
+        with pytest.raises(RuntimeError, match="state norm nan at t = 0.10"):
+            master.imaginary_time_evolve(J, None, QAConfig(t_end=1.0))
+        argv = ["master-run", "--mode", "imag", "--n", "4", "--j", "0.5", "--t-end", "1",
+                "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert "state norm nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_rejected_up_front(self, value):

@@ -478,7 +478,7 @@ class TestFusedStep:
 
     def _loop_and_reference(self, rng, variant, n, runs, steps):
         J, cfg, x0, frac = self._random_case(rng, variant, n, runs, steps)
-        x, _, diverged, steps_run, _ = softspin._integrate_batch(
+        x, _, diverged, steps_run, _, _ = softspin._integrate_batch(
             J, cfg, x0, delta_per_run=frac[:, 0] if variant == "cim3" else None)
         assert steps_run == steps and not diverged.any()
         return x, self._reference(J, cfg, x0, frac, steps)
@@ -649,7 +649,7 @@ class TestEarlyStopWindow:
         got = softspin._integrate_batch(J, cfg, x0, delta_per_run=frac[:, 0])
         assert got[3] == steps
         assert np.array_equal(got[0], x)
-        assert softspin._locked_step(cfg) == locked_step
+        assert got[4] == softspin._locked_step(cfg) == locked_step
         return steps, locked_step, changes
 
     @pytest.mark.parametrize("block", [softspin.SCHEDULE_BLOCK, 64])
