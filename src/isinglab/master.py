@@ -15,11 +15,12 @@ O(2^n + L^2) cost per application.  CA has no spin-count limit of its own:
 only the diagonal's 20-spin guard and the bound on L apply.  Both kernels
 read their rates from one table helper: a rate depends only on dE / T, so
 `expit` runs once per distinct energy difference for a whole chunk of
-temperatures, and the anneal builds at most RATE_TABLE_ENTRIES table
-entries at a time.  RK4 keeps its four slopes, one stage buffer and one
+temperatures.  The anneal walks QA's step iterator, which fits the two new
+tables of each step (its midpoint and its end) for a chunk of steps in
+`quantum.TABLE_BYTES`.  RK4 keeps its four slopes, one stage buffer and one
 accumulator for the whole anneal, and each rhs writes into the slope it
-fills, so no step allocates a 2^n array.  The anneal walks QA's step
-iterator; imaginary time is QA's split evolution with real factors.
+fills, so no step allocates a 2^n array.  Imaginary time is QA's split
+evolution with real factors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from .graph import validate_coupling_matrix
 from .quantum import (
-    TABLE_BYTES,
     QAConfig,
     _fixed_steps,
     _split_evolution,
@@ -54,7 +54,6 @@ __all__ = [
 
 MAX_CA_LEVELS = 1 << 12  # the all-pairs rates between L levels are an L x L matrix
 NEGATIVITY_TOL = -1e-10
-RATE_TABLE_ENTRIES = TABLE_BYTES // 8  # float64 rate-table entries per chunk of temperatures
 RK4_STABLE_LIMIT = 2.785  # RK4 is stable on the negative real axis for dt |lambda| up to this
 
 
@@ -89,13 +88,8 @@ def _rate_tables(dE: np.ndarray):
     return lambda Ts: expit(D / Ts[:, None]).take(inv, axis=1).reshape(len(Ts), *dE.shape)
 
 
-def _chunk_length(entries: int) -> int:
-    """Steps per chunk so that the 2K + 1 tables of K RK4 steps hold RATE_TABLE_ENTRIES entries."""
-    return max(1, (RATE_TABLE_ENTRIES // entries - 1) // 2)
-
-
 def _sa_rates(E: np.ndarray):
-    """Single-spin-flip generator: E -> (chunk length, Ts -> one rhs per T), n rates per state.
+    """Single-spin-flip generator: E -> (bytes per step, Ts -> one rhs per T), n rates per state.
 
     Row k < n of a temperature's table holds the rate into each state from its
     bit-k partner.  Row n pairs each state with itself and holds
@@ -121,11 +115,11 @@ def _sa_rates(E: np.ndarray):
         w[:, n] = np.add.reduce(w[:, :n], axis=1) - n
         return [rhs(w_T) for w_T in w]
 
-    return _chunk_length(partner.size), at
+    return 16 * partner.size, at  # two float64 tables per RK4 step
 
 
 def _ca_rates(E: np.ndarray):
-    """All-pairs generator through the energy levels: E -> (chunk length, Ts -> one rhs per T).
+    """All-pairs generator through the energy levels: E -> (bytes per step, Ts -> one rhs per T).
 
     A_ij depends only on E_i and E_j, so with P_b the probability summed over
     level b and g_b its degeneracy, dp_i = (W P)_a - p_i (2^n - W g)_a at
@@ -148,7 +142,7 @@ def _ca_rates(E: np.ndarray):
             return out
         return apply
 
-    return _chunk_length(L * L), lambda Ts: [rhs(W) for W in tables(Ts)]
+    return 16 * L * L, lambda Ts: [rhs(W) for W in tables(Ts)]  # two float64 tables per step
 
 
 def _apply_at(rates, p, energies, T: float) -> np.ndarray:
@@ -214,7 +208,7 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
     p = np.full(E.size, 1.0 / E.size)
     k1, k2, k3, k4, stage, acc = (np.empty_like(p) for _ in range(6))
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    chunk, make_rhs = (_sa_rates if mode == "sa" else _ca_rates)(E)
+    step_bytes, make_rhs = (_sa_rates if mode == "sa" else _ca_rates)(E)
 
     times, temps, pgs, per_state = [], [], [], []
     negativity = 0
@@ -233,7 +227,7 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
 
     record(0.0)
     for steps, (t, sampled, rhs_a, rhs_m, rhs_end) in enumerate(
-            _fixed_steps(grid, dt, chunk, step_rates), 1):
+            _fixed_steps(grid, dt, step_bytes, step_rates), 1):
         # stages p + (c dt) k and p + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), in the
         # textbook expressions' order (2 k is k + k exactly); ufuncs take out
         # positionally, which numpy parses faster than out=

@@ -11,11 +11,12 @@ is one 2^m x 2^m matrix whose entry between basis indices at Hamming distance
 d is cosh(z)^(m-d) sinh(z)^d, so one batched matrix product per group of four
 spins mixes them, n/4 passes through the state in all.
 
-Every fixed-step evolution (QA, imaginary time, the master equation) walks
-one step iterator, `_fixed_steps`.  QA and imaginary time (z = i or 1 on the
-angle) share one split evolution, `_split_evolution`, which builds each
-chunk's mixer blocks within a quarter of TABLE_BYTES and moves the state
-between two buffers allocated once, so no step allocates a state-sized array.
+Every fixed-step evolution (QA, imaginary time, the master equation, the
+soft-spin ensembles) walks one step iterator, `_fixed_steps`, which builds the
+per-step coefficients for chunks of steps that fit in TABLE_BYTES.  QA and
+imaginary time (z = i or 1 on the angle) share one split evolution,
+`_split_evolution`, which moves the state between two buffers allocated once,
+so no step allocates a state-sized array.
 
 The basis convention (bit k of index xi set when spin k is up), the
 all-state energy table behind the diagonal and the ground-set tie rule are
@@ -61,7 +62,7 @@ __all__ = [
 MAX_QUBITS = 20  # 2^20 complex amplitudes; memory guard for run_qa
 MAX_DENSE_QUBITS = 12  # guard for instantaneous eigensolves
 _BLOCK_SPINS = 4  # spins mixed by one matrix product in the transverse rotation
-TABLE_BYTES = 1 << 18  # per-chunk tables of step coefficients (mixer blocks, rates): 256 KB
+TABLE_BYTES = 1 << 18  # coefficients per chunk of steps: 256 KB; SA and CA run slower below it
 
 
 @dataclass
@@ -164,16 +165,27 @@ def _time_grid(dt: float, t_end: float, sample_every: int):
     return ((step + 1) % sample_every == 0 or step == steps - 1 for step in range(steps))
 
 
-def _fixed_steps(grid, dt: float, chunk: int, coefficients):
-    """(t, sampled, *coefficients(ts)) for every step of a `_time_grid`, `chunk` steps at a time.
+def _chunk_times(grid, dt: float, step_bytes: int):
+    """(flags, ts) per chunk of max(1, TABLE_BYTES // step_bytes) steps of a flag iterator.
 
-    ts holds a chunk's start time and the times after its steps, summed as the
-    scalar t += dt sums them; coefficients(ts) gives the chunk's per-step tables.
+    ts holds the chunk's start time and the times after its steps, summed as
+    the scalar t += dt sums them.
     """
+    chunk = max(1, TABLE_BYTES // step_bytes)
     t = 0.0
     while flags := list(islice(grid, chunk)):
-        ts = np.add.accumulate([t] + [dt] * len(flags))
+        ts = np.add.accumulate(np.append(t, np.full(len(flags), dt)))
         t = ts[-1]
+        yield flags, ts
+
+
+def _fixed_steps(grid, dt: float, step_bytes: int, coefficients):
+    """(t, sampled, *coefficients(ts)) for every step of a flag iterator such as `_time_grid`.
+
+    coefficients(ts) gives the per-step tables of each chunk of `_chunk_times`;
+    they take step_bytes bytes per step.
+    """
+    for flags, ts in _chunk_times(grid, dt, step_bytes):
         yield from zip(ts[1:].tolist(), flags, *coefficients(ts))
 
 
@@ -211,16 +223,6 @@ def _mixer_blocks(zs: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
 def _mixer_block(z, m: int) -> np.ndarray:
     """prod_k exp(z Sx_k) over m spins: the one-step case of `_mixer_blocks`."""
     return _mixer_blocks(np.array([z]), [m])[0][0]
-
-
-def _mixer_chunk(n: int, itemsize: int) -> int:
-    """Steps per chunk so that the chunk's mixer blocks of n spins fit in a quarter of TABLE_BYTES.
-
-    64 KB already spreads the per-chunk work thin (16 QA steps at n = 8); tables
-    of the full 256 KB, which the allocator no longer serves from freed memory,
-    raised the exact-n8 peak RSS by 0.3-0.5 MB for about 1 % less time.
-    """
-    return max(1, TABLE_BYTES // 4 // (itemsize * sum(4 ** m for m in _block_sizes(n))))
 
 
 def _split_stepper(psi: np.ndarray, other: np.ndarray, n: int):
@@ -274,8 +276,8 @@ def _split_evolution(psi: np.ndarray, other: np.ndarray, half: np.ndarray, grid,
     def mixer_blocks(ts):
         return _mixer_blocks(z * transverse_angle(ts[:-1], ts[1:], config.b, config.t0), sizes)
 
-    for t, sampled, *blocks in _fixed_steps(grid, config.dt, _mixer_chunk(n, psi.itemsize),
-                                            mixer_blocks):
+    step_bytes = psi.itemsize * sum(4 ** m for m in sizes)
+    for t, sampled, *blocks in _fixed_steps(grid, config.dt, step_bytes, mixer_blocks):
         step(half, blocks)
         yield t, sampled
 

@@ -20,11 +20,15 @@ flow's endpoint; a descent that lands on a saddle is kicked off it along the
 most unstable direction and, like one whose Newton failed, flows again to a
 tighter tolerance.  Basin minima and landscape's critical points share one
 catalogue: `_cluster_rows` merges the rows and `_classify` makes the records.
+
+Trajectories and ensembles walk QA's fixed-step iterator,
+`quantum._fixed_steps`, with each step's pumps and locked flag from `_schedule`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .graph import (
     validate_coupling_matrix,
 )
 from .oracle import MAX_SPINS, exhaustive_ground_state
+from .quantum import _chunk_times, _fixed_steps
 
 __all__ = [
     "BranchSolution",
@@ -77,7 +82,6 @@ __all__ = [
 VARIANTS = ("ht", "cim1", "cim2", "cim3")
 DIVERGENCE_LIMIT = 1e6
 FREEZE_STEPS = 200  # early stop after this many steps without a sign change
-SCHEDULE_BLOCK = 1 << 12  # steps per block of precomputed times and pumps
 GRADIENT_TOL = 1e-9  # a Newton root counts as critical below this gradient
 NEWTON_TOL = 1e-12  # a Newton row stops below this gradient
 NEWTON_ITER = 80  # most Newton steps per row
@@ -328,6 +332,10 @@ class SolverConfig:
             raise ValueError("p0 must be finite")
         if not 0.0 < self.c < np.inf:  # NaN fails too
             raise ValueError("c must be positive and finite")
+        if not 0.0 < self.init_amplitude < np.inf:  # NaN fails too
+            raise ValueError("init_amplitude must be positive and finite")
+        if not self.sample_every >= 0:
+            raise ValueError(f"sample_every must be >= 0, got {self.sample_every}")
 
     @property
     def steps(self) -> int:
@@ -381,38 +389,32 @@ def _initial_batch(n: int, runs: int, amplitude: float, seed: int) -> np.ndarray
     return x0
 
 
-def _schedule_blocks(config: SolverConfig):
-    """The step schedule of one solver call: blocks (ts, pumps, locked) of SCHEDULE_BLOCK steps.
+def _schedule(config: SolverConfig):
+    """The step schedule of one solver call: (bytes per step, ts -> per-step coefficients).
 
-    For the k-th step s of a block, ts[k] is the time at the start of step s,
-    reached by s additions t += dt (so bitwise the scalar loop's value),
-    pumps[k] is pump_tanh(ts[k]), and ts and pumps hold one more entry, the
-    end of the block's last step.  locked[k] marks the steps of the locked
-    regime, where early stopping may end a run: the pump is above 0.9 (for
-    cim2, t + dt is past 2 / eps).  Blocks keep the memory independent of
-    the step count.
+    For chunk times ts, a step's coefficients are its start and end pumps,
+    pump_tanh(ts), and whether it is locked, so that early stopping may end it:
+    its start pump is above 0.9 (for cim2, its end is past 2 / eps).
     """
-    steps, t = config.steps, 0.0
-    for start in range(0, steps, SCHEDULE_BLOCK):
-        ts = np.full(min(SCHEDULE_BLOCK, steps - start) + 1, config.dt)
-        ts[0] = t
-        np.add.accumulate(ts, out=ts)
+    def coefficients(ts):
         pumps = pump_tanh(ts, config.p0, config.eps)
         locked = ts[1:] > 2.0 / config.eps if config.variant == "cim2" else pumps[:-1] > 0.9
-        yield ts, pumps, locked
-        t = ts[-1]
+        return pumps[:-1], pumps[1:], locked
+
+    return 17, coefficients  # a time and a pump (float64) and a locked flag per step
 
 
 def _locked_step(config: SolverConfig) -> int:
     """The first step of the locked regime, or the step count if the run never reaches it."""
     if config.variant == "ht":  # no locked regime
         return config.steps
+    step_bytes, coefficients = _schedule(config)
     start = 0
-    for _, _, locked in _schedule_blocks(config):
-        first = np.flatnonzero(locked)
+    for flags, ts in _chunk_times(repeat(False, config.steps), config.dt, step_bytes):
+        first = np.flatnonzero(coefficients(ts)[2])
         if first.size:
             return start + int(first[0])
-        start += len(locked)
+        start += len(flags)
     return config.steps
 
 
@@ -421,7 +423,8 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                      collect_samples: bool = False):
     """Shared integration core for trajectories and ensembles.
 
-    Returns (x, spins, diverged, steps, locked_step, samples).  HT runs read spins out at
+    Returns (x, spins, diverged, steps, locked_step, samples, (t, pump)), t and
+    the (runs, n) pumps at the end of the last step.  HT runs read spins out at
     the first time max|x_i| >= 1 (the linear dynamics has no saturation);
     the other variants stop early once every run's signs have been stable for
     FREEZE_STEPS steps in the locked regime.  A run whose amplitudes leave
@@ -439,7 +442,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     and the cim3 mixing reuses the same buffers for magnitudes and signs
     (`_mix_in_place`), with frac, keep = 1 - frac and the mask of runs at
     delta = 0 held as (1, runs) rows.  The divergence check takes |x| into
-    a work buffer.  Times and pumps come from :func:`_schedule_blocks`.
+    a work buffer.
 
     Signs are tracked only where they can decide the early stop: from step
     locked_step - FREEZE_STEPS + 1 on (from step 0 when that is negative),
@@ -465,7 +468,9 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     x = np.array(x0.T, order="C")  # spin-major (n, runs)
     steps = config.steps
     locked_step = _locked_step(config)
-    blocks = _schedule_blocks(config)
+    step_bytes, coefficients = _schedule(config)
+    every = config.sample_every if collect_samples else 0  # 0: no step is sampled
+    grid = ((s + 1) % every == 0 for s in range(steps)) if every else repeat(False, steps)
     samples = []
 
     g = np.empty_like(x)  # gradient, then magnitudes in the cim3 mixing
@@ -487,15 +492,13 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     changed = np.empty((n, runs), dtype=bool)
     last_change = 0  # last step at which some run's signs changed
 
-    step = 0
-    for step in range(steps):
-        k = step % SCHEDULE_BLOCK  # the step's index in its schedule block
-        if k == 0:
-            ts, pumps, locked = next(blocks)
+    t, pump_end = 0.0, pump_tanh(0.0, config.p0, eps)  # where a run of no steps ends
+    for step, (t, sampled, pump, pump_end, locked) in enumerate(
+            _fixed_steps(grid, dt, step_bytes, coefficients)):
         if step == track_from:
             np.sign(x, out=signs)
         if variant == "ht":
-            _ht_into(x, pumps[k], J, g, work)
+            _ht_into(x, pump, J, g, work)
             g *= dt
             x += g
             if np.abs(x, out=work).max() >= 1.0:
@@ -507,7 +510,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                     step += 1
                     break
         else:
-            _gradient_into(x, pump_i if variant == "cim2" else pumps[k], c, J, g, work)
+            _gradient_into(x, pump_i if variant == "cim2" else pump, c, J, g, work)
             g *= dt
             x += g
             if variant == "cim2":
@@ -524,17 +527,17 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                 diverged |= bad
                 any_diverged = True
 
-        if collect_samples and config.sample_every > 0 and (step + 1) % config.sample_every == 0:
-            pv = pump_i[:, 0].copy() if variant == "cim2" else pumps[k + 1]
+        if sampled:
+            pv = pump_i[:, 0].copy() if variant == "cim2" else pump_end
             x_0 = x[:, 0].copy()
-            samples.append((float(ts[k + 1]), pv, x_0, soft_energy(x_0, pv, c, J)))
+            samples.append((t, pv, x_0, soft_energy(x_0, pv, c, J)))
 
         if step >= track_from:
             np.sign(x, out=new_signs)
             if np.not_equal(new_signs, signs, out=changed).any():
                 last_change = step
             signs, new_signs = new_signs, signs
-            if locked[k] and step - last_change >= FREEZE_STEPS:
+            if locked and step - last_change >= FREEZE_STEPS:
                 step += 1
                 break
     else:
@@ -544,7 +547,8 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     spins = spin_readout(x)
     if variant == "ht":
         spins = np.where(ht_done[:, None], ht_spins.T, spins)
-    return x, spins, diverged, step, locked_step, samples
+    return x, spins, diverged, step, locked_step, samples, (
+        t, pump_i.T if variant == "cim2" else np.full(x.shape, pump_end))
 
 
 def run_trajectory(J: np.ndarray, config: SolverConfig) -> TrajectoryResult:
@@ -552,16 +556,15 @@ def run_trajectory(J: np.ndarray, config: SolverConfig) -> TrajectoryResult:
     J = validate_coupling_matrix(J)
     n = J.shape[0]
     x0 = _initial_batch(n, 1, config.init_amplitude, config.seed)
-    collect = config.sample_every > 0
-    x, spins, diverged, steps, _, samples = _integrate_batch(J, config, x0, collect_samples=collect)
+    x, spins, diverged, _, _, samples, (t, pump) = _integrate_batch(
+        J, config, x0, collect_samples=config.sample_every > 0)
     xf = x[0]
-    p_final = pump_tanh(steps * config.dt, config.p0, config.eps)
     return TrajectoryResult(
         x=xf,
         spins=spins[0],
-        t=steps * config.dt,
+        t=t,
         ising_energy=ising_energy(J, spins[0].astype(float)),
-        soft_energy=soft_energy(xf, p_final, config.c, J),
+        soft_energy=soft_energy(xf, pump[0], config.c, J),
         diverged=bool(diverged[0]),
         samples=samples,
     )
@@ -576,7 +579,7 @@ def run_ensemble(J: np.ndarray, config: SolverConfig, runs: int, seed: int,
         raise ValueError("runs must be >= 1")
     n = J.shape[0]
     x0 = _initial_batch(n, runs, config.init_amplitude, seed)
-    x, spins, diverged, steps, locked_step, _ = _integrate_batch(J, config, x0, delta_per_run)
+    x, spins, diverged, steps, locked_step, *_ = _integrate_batch(J, config, x0, delta_per_run)
     return EnsembleResult(spins=spins, final_x=x, diverged=diverged, steps_run=steps,
                           locked_step=locked_step)
 

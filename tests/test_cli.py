@@ -209,6 +209,26 @@ class TestSweepCommand:
         assert "Traceback" not in err and "# stats:" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("init_amplitude", "1e309", "init_amplitude must be positive and finite"),
+        ("init_amplitude", "NaN", "init_amplitude must be positive and finite"),
+        ("init_amplitude", "-1", "init_amplitude must be positive and finite"),
+        ("init_amplitude", "0", "init_amplitude must be positive and finite"),
+        ("sample_every", "-1", "sample_every must be >= 0, got -1"),
+    ], ids=["amplitude-inf", "amplitude-nan", "amplitude-negative", "amplitude-zero",
+            "sample-every-negative"])
+    def test_bad_softspin_start_rejected(self, tmp_path, capsys, field, value, message):
+        # an infinite or NaN amplitude died with an OverflowError traceback, a negative one
+        # only inside the first ensemble, and 0 left every run at the origin
+        path = tmp_path / "bad.json"
+        path.write_text('{"instance": {"n": 8, "j": 0.3}, "variants": ["cim1"], "runs": 3, '
+                        f'"softspin": {{"{field}": {value}}}}}')
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: invalid solver config: {message}" in err
+        assert "Traceback" not in err and "# stats:" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("j", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_non_finite_j_rejected_before_any_run(self, tmp_path, capsys, j):
         path = tmp_path / "bad.json"

@@ -76,6 +76,10 @@ def _per_step_anneal(E, schedule, mode, dt, steps):
     return p
 
 
+def _steps_per_chunk(step_bytes):
+    return max(1, quantum.TABLE_BYTES // step_bytes)
+
+
 def _criterion9():
     return graph.build_mobius_ladder(8, 0.35), quantum.symmetry_breaking_field(8, 0.05, 0.05)
 
@@ -89,8 +93,8 @@ class TestRateTables:
             n = int(rng.integers(2, 9))
             J, h = _random_instance(rng, n, integer=seed % 3 == 0)
             E = build_diagonal(J, h)
-            chunk, at = rates(E)
-            for K in (1, 2, chunk + 1):
+            step_bytes, at = rates(E)
+            for K in (1, 2, 2 * _steps_per_chunk(step_bytes) + 2):  # a chunk's 2K + 1, and more
                 Ts = rng.uniform(0.05, 8.0, K)
                 for T, rhs in zip(Ts, at(Ts), strict=True):
                     q = rng.random(E.size)
@@ -110,14 +114,34 @@ class TestRateTables:
                 for T, table in zip(Ts, tables):
                     assert np.array_equal(table, expit(dE / T))
 
-    def test_chunk_length_follows_the_entry_budget(self):
-        # K steps take 2K + 1 tables: the start and end of every step, and its midpoint
-        E = build_diagonal(*_criterion9())
-        for chunk, entries in ((master._sa_rates(E)[0], 9 * 256),
-                               (master._ca_rates(E)[0], np.unique(E).size ** 2)):
-            assert (2 * chunk + 1) * entries <= master.RATE_TABLE_ENTRIES
-            assert (2 * chunk + 3) * entries > master.RATE_TABLE_ENTRIES
-        assert master._ca_rates(np.arange(4096.0))[0] == 1  # never below one step
+    def test_chunks_follow_the_table_budget(self, monkeypatch):
+        # K steps take 2K + 1 tables: the start and end of every step, and its
+        # midpoint; the two new float64 tables of each step fit in TABLE_BYTES,
+        # and a chunk never holds less than one step
+        J, h = _criterion9()
+        E = build_diagonal(J, h)
+        for table_bytes in (quantum.TABLE_BYTES, 1):
+            monkeypatch.setattr(quantum, "TABLE_BYTES", table_bytes)
+            for mode, entries in (("sa", 9 * 256), ("ca", np.unique(E).size ** 2)):
+                rates = getattr(master, f"_{mode}_rates")
+                temperatures = []  # temperatures per table build of the anneal
+
+                def counted(E, rates=rates):
+                    step_bytes, at = rates(E)
+                    assert step_bytes == 2 * 8 * entries
+                    return step_bytes, lambda Ts: temperatures.append(len(Ts)) or at(Ts)
+
+                monkeypatch.setattr(master, f"_{mode}_rates", counted)
+                steps = anneal_master(J, h, AnnealSchedule(), mode=mode, dt=0.01, t_end=0.4).steps
+                monkeypatch.setattr(master, f"_{mode}_rates", rates)
+                chunk = (temperatures[0] - 1) // 2
+                if table_bytes == 1:
+                    assert chunk == 1
+                else:
+                    step_bytes = 16 * entries
+                    assert 1 < chunk and chunk * step_bytes <= table_bytes < (chunk + 1) * step_bytes
+                assert sum(K - 1 for K in temperatures) == 2 * steps == 80
+                assert all(K == 2 * chunk + 1 for K in temperatures[:-1])
 
 
 class TestRates:
@@ -336,7 +360,7 @@ class TestChunkedAnneal:
     def test_chunk_boundaries(self, mode):
         J, h = _criterion9()
         E = build_diagonal(J, h)
-        chunk = (master._sa_rates if mode == "sa" else master._ca_rates)(E)[0]
+        chunk = _steps_per_chunk((master._sa_rates if mode == "sa" else master._ca_rates)(E)[0])
         schedule, dt, every = AnnealSchedule(), 0.01, 4
         for steps in sorted({0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk + 1}):
             run = anneal_master(J, h, schedule, mode=mode, dt=dt, t_end=steps * dt,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from isinglab import graph, master, oracle, quantum
+from isinglab import graph, master, oracle, quantum, softspin
 from isinglab.cli import main
 from isinglab.quantum import (
     QAConfig,
@@ -217,12 +217,25 @@ class TestSplitStep:
         np.testing.assert_allclose(psi / scale, expected / scale, rtol=0, atol=1e-13)
 
 
+def _mixer_step_bytes(n, itemsize):
+    """Bytes of one step's mixer blocks of n spins: itemsize times the sum of 4^m over the blocks."""
+    return itemsize * sum(4 ** m for m in quantum._block_sizes(n))
+
+
+def _steps_per_chunk(step_bytes):
+    return max(1, quantum.TABLE_BYTES // step_bytes)
+
+
 class TestFixedSteps:
     """One step iterator: the scalar t += dt and `_time_grid`'s flags, whatever the chunk."""
 
     @pytest.mark.parametrize("chunk", [1, 3, None], ids=["K=1", "K=3", "K=default"])
-    def test_times_and_flags(self, chunk):
-        chunk = chunk or quantum._mixer_chunk(8, 16)
+    def test_times_and_flags(self, chunk, monkeypatch):
+        step_bytes = _mixer_step_bytes(8, 16)
+        if chunk is None:
+            chunk = _steps_per_chunk(step_bytes)
+        else:  # TABLE_BYTES is the one knob of the chunk length
+            monkeypatch.setattr(quantum, "TABLE_BYTES", chunk * step_bytes + step_bytes - 1)
         dt, every = 0.1, 2
         for steps in sorted({0, 1, chunk - 1, chunk, chunk + 1}):
             t_end = steps * dt
@@ -232,7 +245,7 @@ class TestFixedSteps:
                 starts.append(ts[0])
                 return (ts[:-1],)  # each step's start time as its one coefficient
 
-            got = list(quantum._fixed_steps(_time_grid(dt, t_end, every), dt, chunk,
+            got = list(quantum._fixed_steps(_time_grid(dt, t_end, every), dt, step_bytes,
                                             coefficients))
             t, times, begins = 0.0, [], []
             for _ in range(steps):
@@ -245,6 +258,47 @@ class TestFixedSteps:
             assert starts == begins[::chunk]
             assert all(len(row) == 3 for row in got)
 
+    @pytest.mark.parametrize("table_bytes", [None, 5000, 1], ids=["default", "5000", "1"])
+    def test_one_chunk_rule(self, monkeypatch, table_bytes):
+        # every evolution calls its coefficients once per chunk of
+        # max(1, TABLE_BYTES // step_bytes) steps, with the bytes per step it declares
+        if table_bytes is not None:
+            monkeypatch.setattr(quantum, "TABLE_BYTES", table_bytes)
+        calls = []  # (step_bytes, steps of each coefficients call) per walk of the iterator
+        fixed_steps = quantum._fixed_steps
+
+        def counted(grid, dt, step_bytes, coefficients):
+            lengths = []
+            calls.append((step_bytes, lengths))
+
+            def count(ts):
+                lengths.append(len(ts) - 1)
+                return coefficients(ts)
+            return fixed_steps(grid, dt, step_bytes, count)
+
+        for module in (quantum, master, softspin):
+            monkeypatch.setattr(module, "_fixed_steps", counted)
+        J, h = graph.build_mobius_ladder(8, 0.35), symmetry_breaking_field(8, 0.05, 0.05)
+        config = QAConfig(dt=0.1, t_end=3.7, h=h)
+        cases = [  # (evolution, its steps, bytes per step)
+            (lambda: run_qa(J, config).steps, _mixer_step_bytes(8, 16)),
+            (lambda: master.imaginary_time_evolve(J, h, config).steps, _mixer_step_bytes(8, 8)),
+            (lambda: master.anneal_master(J, h, master.AnnealSchedule(), "sa", 0.01, 0.53).steps,
+             16 * 9 * 256),
+            (lambda: master.anneal_master(J, h, master.AnnealSchedule(), "ca", 0.01, 0.53).steps,
+             16 * np.unique(build_diagonal(J, h)).size ** 2),
+            (lambda: softspin.run_ensemble(J, softspin.default_solver_config(
+                0.35, variant="cim2", t_end=70.0, early_stop=False), 5, 0).steps_run, 17),
+        ]
+        for evolution, step_bytes in cases:
+            calls.clear()
+            steps = evolution()
+            assert [b for b, _ in calls] == [step_bytes]
+            chunk = _steps_per_chunk(step_bytes)
+            lengths = calls[0][1]
+            assert len(lengths) == -(-steps // chunk) and sum(lengths) == steps > 0
+            assert all(k == chunk for k in lengths[:-1]) and 0 < lengths[-1] <= chunk
+
 
 class TestChunkedEvolutions:
     """run_qa and imaginary time build their mixer blocks per chunk of steps and
@@ -256,14 +310,18 @@ class TestChunkedEvolutions:
         rng = np.random.default_rng(500 + n)
         A = rng.normal(scale=0.5, size=(n, n))
         J, h = np.triu(A, 1) + np.triu(A, 1).T, rng.normal(scale=0.2, size=n)
+        qa_bytes, imag_bytes = _mixer_step_bytes(n, 16), _mixer_step_bytes(n, 8)
         if chunk is None:
-            chunk = quantum._mixer_chunk(n, 16)
-            assert chunk > 3 and quantum._mixer_chunk(n, 8) >= chunk
-        else:
-            monkeypatch.setattr(quantum, "_mixer_chunk", lambda n, itemsize: chunk)
+            chunk = _steps_per_chunk(qa_bytes)
+            assert chunk > 3 and _steps_per_chunk(imag_bytes) >= chunk
+        table_bytes = {}  # TABLE_BYTES that gives each evolution chunks of `chunk` steps
+        if chunk in (1, 3):
+            table_bytes = {"qa": chunk * qa_bytes, "imag": chunk * imag_bytes}
         for steps in sorted({0, 1, chunk - 1, chunk, chunk + 1}):
             config = QAConfig(b=2.0, t0=0.5, dt=0.1, t_end=steps * 0.1, sample_every=2)
             times, samples, psi = _per_step_evolution(J, h, replace(config, h=h), False)
+            if table_bytes:
+                monkeypatch.setattr(quantum, "TABLE_BYTES", table_bytes["qa"])
             run = run_qa(J, replace(config, h=h))
             assert run.steps == steps and np.array_equal(run.times, times)
             assert np.array_equal(run.state.amplitudes, psi) and run.state.t == times[-1]
@@ -273,6 +331,8 @@ class TestChunkedEvolutions:
             assert np.array_equal(run.bloch_mag, bloch_mag)
 
             times, samples, psi = _per_step_evolution(J, h, config, True)
+            if table_bytes:
+                monkeypatch.setattr(quantum, "TABLE_BYTES", table_bytes["imag"])
             imag = master.imaginary_time_evolve(J, h, config)
             assert imag.steps == steps and np.array_equal(imag.times, times)
             assert np.array_equal(imag.amplitudes, psi) and np.array_equal(imag.p_gs, samples)

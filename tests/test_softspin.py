@@ -1,11 +1,12 @@
 import json
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isinglab import graph, oracle, softspin
+from isinglab import graph, oracle, quantum, softspin
 from isinglab.cli import main
 from isinglab.softspin import (
     SolverConfig,
@@ -32,6 +33,11 @@ from isinglab.softspin import (
 
 J8 = graph.build_mobius_ladder(8, 0.4)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "softspin_golden.json").read_text())
+
+
+def _force_chunk(monkeypatch, config, steps):
+    """Make the step iterator walk `config`'s schedule in chunks of `steps` steps."""
+    monkeypatch.setattr(quantum, "TABLE_BYTES", steps * softspin._schedule(config)[0])
 
 
 class TestSoftEnergy:
@@ -314,6 +320,11 @@ class TestTrajectories:
         for eps in (0.0, -0.0, -0.003, -np.inf):  # a pump that never rises, or falls
             with pytest.raises(ValueError, match="eps must be positive and finite"):
                 SolverConfig(variant="cim2", p0=-1.65, eps=eps)
+        for amplitude in (np.inf, np.nan, -1.0, 0.0):  # 0 would leave every run at the origin
+            with pytest.raises(ValueError, match="init_amplitude must be positive and finite"):
+                default_solver_config(0.35, init_amplitude=amplitude)
+        with pytest.raises(ValueError, match="sample_every must be >= 0, got -1"):
+            default_solver_config(0.35, sample_every=-1)
         with pytest.raises(ValueError):
             run_ensemble(J8, default_solver_config(0.4), runs=0, seed=0)
 
@@ -478,7 +489,7 @@ class TestFusedStep:
 
     def _loop_and_reference(self, rng, variant, n, runs, steps):
         J, cfg, x0, frac = self._random_case(rng, variant, n, runs, steps)
-        x, _, diverged, steps_run, _, _ = softspin._integrate_batch(
+        x, _, diverged, steps_run, *_ = softspin._integrate_batch(
             J, cfg, x0, delta_per_run=frac[:, 0] if variant == "cim3" else None)
         assert steps_run == steps and not diverged.any()
         return x, self._reference(J, cfg, x0, frac, steps)
@@ -556,48 +567,69 @@ class TestSpinMajorKernels:
             softspin._row_sum(spin_major, out, np.empty((n, runs)))
             assert np.array_equal(out.T, want)
 
-    @pytest.mark.parametrize("block", [softspin.SCHEDULE_BLOCK, 7])
+    @pytest.mark.parametrize("block", [4096, 7, None], ids=["4096", "7", "default"])
     def test_schedule_equals_the_scalar_loop(self, monkeypatch, block):
-        monkeypatch.setattr(softspin, "SCHEDULE_BLOCK", block)
+        # the steps `_fixed_steps` walks over `_schedule`, in chunks of `block` steps
         rng = np.random.default_rng(3)
         for _ in range(40):
             dt = rng.uniform(0.001, 0.5)
             cfg = SolverConfig(variant=str(rng.choice(["cim1", "cim2", "cim3"])),
                                p0=rng.uniform(-2.0, 0.99), eps=10.0 ** rng.uniform(-3.0, 0.0),
                                dt=dt, t_end=dt * int(rng.integers(0, 2000)) + dt)
-            blocks = list(softspin._schedule_blocks(cfg))
-            assert all(len(locked) <= block for _, _, locked in blocks)
+            step_bytes, coefficients = softspin._schedule(cfg)
+            if block is not None:
+                _force_chunk(monkeypatch, cfg, block)
+            chunk = max(1, quantum.TABLE_BYTES // step_bytes)  # `block` when forced
+            lengths = []  # steps per coefficients call
+
+            def counted(ts):
+                lengths.append(len(ts) - 1)
+                return coefficients(ts)
+
+            got = list(quantum._fixed_steps(repeat(False, cfg.steps), dt, step_bytes, counted))
+            assert sum(lengths) == len(got) == cfg.steps and 0 < lengths[-1] <= chunk
+            assert lengths[:-1] == [chunk] * (len(lengths) - 1)
             t, want_t, want_p = 0.0, [], []
             for _ in range(cfg.steps + 1):
                 want_t.append(t)
                 want_p.append(pump_tanh(t, cfg.p0, cfg.eps))
                 t += dt
-            start = 0
-            for ts, pumps, locked in blocks:  # each block ends where the next starts
-                end = start + len(locked)
-                assert np.array_equal(ts, want_t[start:end + 1])
-                assert np.array_equal(pumps, want_p[start:end + 1])
-                start = end
-            assert start == cfg.steps
+            times, sampled, starts, ends, locked = (list(col) for col in zip(*got))
+            assert times == want_t[1:] and not any(sampled)  # bitwise: floats compare exactly
+            assert starts == want_p[:-1] and ends == want_p[1:]
             if cfg.variant == "cim2":
                 want_locked = [t + dt > 2.0 / cfg.eps for t in want_t[:-1]]
             else:
                 want_locked = [p > 0.9 for p in want_p[:-1]]
-            assert np.array_equal(np.concatenate([b[2] for b in blocks]), want_locked)
+            assert locked == want_locked
             want_step = want_locked.index(True) if any(want_locked) else cfg.steps
             assert softspin._locked_step(cfg) == want_step
-
 
     @pytest.mark.parametrize("variant", ["cim1", "cim2"])
     def test_samples_do_not_depend_on_the_schedule_block(self, monkeypatch, variant):
         cfg = default_solver_config(0.4, variant=variant, t_end=20.0, sample_every=3)
         want = run_trajectory(J8, cfg)
-        monkeypatch.setattr(softspin, "SCHEDULE_BLOCK", 7)
+        _force_chunk(monkeypatch, cfg, 7)
         got = run_trajectory(J8, cfg)
         assert len(got.samples) == len(want.samples) == 66
         for a, b in zip(got.samples, want.samples):
             assert all(np.array_equal(u, v) for u, v in zip(a, b))
         assert np.array_equal(got.x, want.x)
+
+    @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
+    def test_final_record_is_the_last_sample(self, variant):
+        # the result's time and soft energy come from the last step the loop took,
+        # at cim2's per-spin pumps
+        J = graph.build_mobius_ladder(8, 0.35)
+        cfg = default_solver_config(0.35, variant=variant, t_end=700.0, sample_every=1)
+        res = run_trajectory(J, cfg)
+        t, pump, x, energy = res.samples[-1]
+        assert len(res.samples) == cfg.steps == 7000
+        assert res.t == t and res.soft_energy == energy and np.array_equal(res.x, x)
+        none = run_trajectory(J, replace(cfg, t_end=0.04))  # rounds to 0 steps
+        x0 = softspin._initial_batch(8, 1, cfg.init_amplitude, cfg.seed)[0]
+        assert none.samples == [] and none.t == 0.0 and np.array_equal(none.x, x0)
+        assert none.soft_energy == soft_energy(x0, cfg.p0, cfg.c, J)
 
     def test_public_kernels_take_any_leading_axes(self):
         # the spin-major kernels see (..., n) rows through .T views
@@ -652,14 +684,14 @@ class TestEarlyStopWindow:
         assert got[4] == softspin._locked_step(cfg) == locked_step
         return steps, locked_step, changes
 
-    @pytest.mark.parametrize("block", [softspin.SCHEDULE_BLOCK, 64])
+    @pytest.mark.parametrize("block", [4096, 64])
     @pytest.mark.parametrize("variant, p0, eps", [
         ("cim1", -1.65, 0.02), ("cim2", -1.65, 0.05), ("cim3", -1.65, 0.02),
         ("cim1", 0.95, 0.003), ("cim3", 0.9, 0.003), ("cim2", 0.95, 0.2),
     ], ids=["cim1", "cim2", "cim3", "cim1-locked-at-0", "cim3-p0-0.9", "cim2-early-lock"])
     def test_matches_tracking_on_every_step(self, monkeypatch, variant, p0, eps, block):
-        monkeypatch.setattr(softspin, "SCHEDULE_BLOCK", block)
         cfg = SolverConfig(variant=variant, p0=p0, eps=eps, dt=0.1, t_end=600.0)
+        _force_chunk(monkeypatch, cfg, block)
         steps, locked_step, _ = self._check(cfg, 12, 5)
         assert locked_step < steps < 6000
         if variant != "cim2" and p0 >= 0.9:  # cim2 locks by time alone
