@@ -34,6 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # the common case, ahead of the isinstance chain
+        return repr(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -62,8 +64,7 @@ def _write_rows(path, protocol: str, params: dict, header: list[str], rows: list
         lines = [f"# protocol={protocol}"]
         lines.append("# " + " ".join(f"{k}={_fmt(params[k])}" for k in sorted(params)))
         lines.append(",".join(header))
-        for r in rows:
-            lines.append(",".join(_fmt(v) for v in r))
+        lines.extend(",".join(map(_fmt, r)) for r in rows)
         text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -317,14 +318,11 @@ def cmd_oracle(ns) -> int:
 def cmd_basins(ns) -> int:
     J = graph.build_mobius_ladder(ns.n, ns.j)
     sample = softspin.basin_sample(J, ns.p, ns.c, ns.samples, ns.seed)
-    rows = []
-    for i in range(sample.samples):
-        lab = int(sample.labels[i])
-        if lab >= 0:
-            m = sample.minima[lab]
-            rows.append([sample.m[i], sample.xcorr[i], m.family, m.energy, int(m.is_ground)])
-        else:
-            rows.append([sample.m[i], sample.xcorr[i], "unresolved", "", ""])
+    # one tail per minimum, and the unresolved tail last, where label -1 finds it
+    tails = [(m.family, m.energy, int(m.is_ground)) for m in sample.minima]
+    tails.append(("unresolved", "", ""))
+    rows = [(m, xcorr, *tails[lab]) for m, xcorr, lab in
+            zip(sample.m.tolist(), sample.xcorr.tolist(), sample.labels.tolist())]
     params = {"n": ns.n, "j": ns.j, "p": ns.p, "c": ns.c,
               "samples": ns.samples, "seed": ns.seed, "unresolved": sample.unresolved}
     _write_rows(ns.out, "basin-of-attraction-sample", params,

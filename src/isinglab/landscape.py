@@ -7,7 +7,8 @@ reported counts carry the start budget alongside; completeness is checked
 only in the sense that the known analytic states are recovered.  Barriers
 launch two of softspin's fixed-pump descents from each index-1 saddle, one to
 each side, with the kick that descent gives a row landing on a saddle
-(capped in length, so a nearly flat saddle is not left far behind).
+(capped in length, so a nearly flat saddle is not left far behind); the
+descents from all saddles at one pump run as one batch.
 """
 
 from __future__ import annotations
@@ -104,9 +105,10 @@ def barrier_height(J: np.ndarray, p: float, c: float,
     A saddle connects the two minima when the two descents launched from it
     by the saddle kick, one to each side along its unstable direction,
     terminate at one minimum of each family (matched at infinity-norm
-    distance MATCH_TOL).  Returns a flagged absent result when either
-    minimum is missing or no connecting saddle is found within the start
-    budget.
+    distance MATCH_TOL).  The descents of every index-1 saddle run as one
+    `_descend_batch` call, and the lowest connecting saddle is kept.
+    Returns a flagged absent result when either minimum is missing or no
+    connecting saddle is found within the start budget.
     """
     points = find_critical_points(J, p, c, starts=starts, seed=seed)
     minima = [cp for cp in points if cp.index == 0]
@@ -123,16 +125,19 @@ def barrier_height(J: np.ndarray, p: float, c: float,
         return any(np.max(np.abs(end - t)) < MATCH_TOL for t in targets)
 
     best = None
-    for cp in points:  # sorted by (index, energy): the first connecting saddle is the lowest
-        if cp.index != 1:
-            continue
-        step = _saddle_kick(*np.linalg.eigh(soft_hessian(cp.x, p, c, J)), FLOW_TOL)
-        (a, b), ok = _descend_batch(J, p, c, cp.x + np.array([step, -step]))
-        if not ok.all():
-            continue
-        if (hits(a, targets0) and hits(b, targets1)) or (hits(a, targets1) and hits(b, targets0)):
-            best = cp
-            break
+    saddles = [cp for cp in points if cp.index == 1]  # sorted by energy: the first hit is the lowest
+    if saddles:
+        xs = np.array([cp.x for cp in saddles])
+        step = _saddle_kick(*np.linalg.eigh(soft_hessian(xs, p, c, J)), FLOW_TOL)
+        n = xs.shape[1]
+        kicked = np.stack([xs + step, xs - step], axis=1).reshape(-1, n)  # saddle k: rows 2k, 2k + 1
+        ends, ok = _descend_batch(J, p, c, kicked)
+        pairs = zip(saddles, ends.reshape(-1, 2, n), ok.reshape(-1, 2).all(axis=1))
+        for cp, (a, b), both in pairs:
+            if both and ((hits(a, targets0) and hits(b, targets1))
+                         or (hits(a, targets1) and hits(b, targets0))):
+                best = cp
+                break
     if best is None:
         return BarrierResult(False, e0_minus_e1=e0_energy - e1_energy)
     return BarrierResult(

@@ -131,19 +131,23 @@ def _gradient_into(x, p, c, J, out=None, scratch=None):
     scratch = np.multiply(x, x, out=scratch)
     scratch *= x
     out -= scratch
-    out *= c
+    if c != 1.0:  # y * 1.0 is y bitwise
+        out *= c
     np.matmul(x.T, J.T, out=scratch.T)
     out += scratch
     return out
 
 
 def soft_hessian(x, p, c, J):
-    """Energy Hessian H_ij = delta_ij c (3 x_i^2 - p) - J_ij."""
+    """Energy Hessian H_ij = delta_ij c (3 x_i^2 - p) - J_ij; x is (..., n).
+
+    -J is written into a fresh array and the diagonal term added through the
+    strided view of each matrix's diagonal, with no index arrays.
+    """
     x = np.asarray(x, dtype=float)
-    H = np.broadcast_to(-J, x.shape[:-1] + J.shape).copy()
     n = J.shape[0]
-    diag = c * (3.0 * x**2 - p)
-    H[..., np.arange(n), np.arange(n)] += diag
+    H = np.negative(J, out=np.empty(x.shape[:-1] + J.shape))
+    H.reshape(x.shape[:-1] + (n * n,))[..., ::n + 1] += c * (3.0 * x**2 - p)
     return H
 
 
@@ -492,6 +496,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     changed = np.empty((n, runs), dtype=bool)
     last_change = 0  # last step at which some run's signs changed
 
+    all_read = False  # every HT run has read out: the loop ends after this step's sample
     t, pump_end = 0.0, pump_tanh(0.0, config.p0, eps)  # where a run of no steps ends
     for step, (t, sampled, pump, pump_end, locked) in enumerate(
             _fixed_steps(grid, dt, step_bytes, coefficients)):
@@ -506,9 +511,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                 if np.any(hit):
                     ht_spins[:, hit] = spin_readout(x[:, hit])
                     ht_done[hit] = True
-                if ht_done.all():
-                    step += 1
-                    break
+                all_read = ht_done.all()
         else:
             _gradient_into(x, pump_i if variant == "cim2" else pump, c, J, g, work)
             g *= dt
@@ -531,6 +534,9 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
             pv = pump_i[:, 0].copy() if variant == "cim2" else pump_end
             x_0 = x[:, 0].copy()
             samples.append((t, pv, x_0, soft_energy(x_0, pv, c, J)))
+        if all_read:
+            step += 1
+            break
 
         if step >= track_from:
             np.sign(x, out=new_signs)
@@ -690,18 +696,28 @@ def _newton_roots(J: np.ndarray, p: float, c: float,
     """Batched undamped Newton on dE/dx = 0 from the rows of x0: (x, converged).
 
     The one root-finder for soft-spin critical points (minima and saddles
-    alike).  Each step is capped at infinity norm 2; a row stops once its
-    gradient is below NEWTON_TOL and is dropped if its Hessian is singular.
-    converged marks the rows whose final gradient is below GRADIENT_TOL.
+    alike).  Each step is capped at infinity norm 2.  A row whose gradient
+    is below NEWTON_TOL has reached its final x and leaves the batch, so
+    each iteration evaluates gradients and solves only for the rows still
+    moving; a row whose Hessian is singular leaves it too and is marked
+    inactive.  converged marks the active rows whose final gradient is
+    below GRADIENT_TOL.
     """
     x = x0.copy()
     active = np.ones(len(x), dtype=bool)
+    rows = np.arange(len(x))  # the rows still moving
     for _ in range(NEWTON_ITER):
-        g = -soft_gradient(x[active], p, c, J)
+        if len(rows) == 1 < np.count_nonzero(active):
+            # numpy multiplies a lone row by J through gemv, which can round
+            # differently from a batch's gemm: evaluate it as a pair, as a
+            # batch of every active row would
+            g = -soft_gradient(x[rows.repeat(2)], p, c, J)[:1]
+        else:
+            g = -soft_gradient(x[rows], p, c, J)
         done = np.max(np.abs(g), axis=1) < NEWTON_TOL
         if done.all():
             break
-        rows = np.flatnonzero(active)[~done]
+        rows = rows[~done]
         g = g[~done]
         H = soft_hessian(x[rows], p, c, J)
         try:
@@ -717,10 +733,17 @@ def _newton_roots(J: np.ndarray, p: float, c: float,
                     keep[r] = False
             active[rows[~keep]] = False
             rows, step = rows[keep], step[keep]
+        del H  # the largest array here: the next iteration's must not be built beside it
         norm = np.max(np.abs(step), axis=1, keepdims=True)
         x[rows] += step * np.minimum(1.0, 2.0 / np.maximum(norm, 1e-30))
     g = soft_gradient(x, p, c, J)
     return x, active & (np.max(np.abs(g), axis=1) < GRADIENT_TOL)
+
+
+def _check_c(c: float) -> None:
+    """Raise ValueError unless the quartic coefficient c is finite and positive."""
+    if not 0.0 < c < np.inf:  # NaN fails too
+        raise ValueError(f"c must be positive and finite, got {c}")
 
 
 def _e1_amplitude_vector(n: int, x_l: float, x_b: float, i0: int = 0) -> np.ndarray:
@@ -736,6 +759,7 @@ def branch_e0(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
 
     Absent below the bifurcation pump p = (j - 2)/c.
     """
+    _check_c(c)
     X2 = p + (2.0 - j) / c
     if X2 < 0.0:
         return BranchSolution("E0", False)
@@ -756,6 +780,7 @@ def branch_e1(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
     n = 4).  Needs n/2 even; returns an absent branch otherwise or when no
     such root is found.
     """
+    _check_c(c)
     if n % 2 != 0 or (n // 2) % 2 != 0:
         return BranchSolution("E1", False)
     J = build_mobius_ladder(n, j)
@@ -909,8 +934,7 @@ def _check_fixed_pump(p: float, c: float) -> None:
     """Raise ValueError unless the pump p is finite and c is finite and positive."""
     if not np.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
-    if not 0.0 < c < np.inf:  # NaN fails too
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _check_c(c)
 
 
 def _stable_flow_dt(p: float, c: float, J: np.ndarray) -> float:
@@ -1016,10 +1040,9 @@ def _cluster_rows(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _classify(J: np.ndarray, p: float, c: float, reps: np.ndarray) -> list[CriticalPoint]:
-    """A CriticalPoint for each row of reps, in order."""
+    """A CriticalPoint for each row of reps, in order, from one batched eigvalsh."""
     points = []
-    for x in reps:
-        evals = np.linalg.eigvalsh(soft_hessian(x, p, c, J))
+    for x, evals in zip(reps, np.linalg.eigvalsh(soft_hessian(reps, p, c, J))):
         points.append(CriticalPoint(
             x=x,
             energy=float(soft_energy(x, p, c, J)),

@@ -474,6 +474,19 @@ class TestRunCommands:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("c", ["0", "inf"])
+    def test_bad_region_nonlinearity_rejected(self, tmp_path, capsys, c):
+        # a warning raised as an error here would escape main's handlers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["branches", "--what", "region", "--n", "8", "--j-grid", "0.4",
+                       "--p-grid=0.0,0.5", "--c", c, "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: c must be positive and finite, got {float(c)}" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["oracle", "--n", "4"],
         ["qa-run", "--n", "4", "--t-end", "1"],

@@ -6,9 +6,15 @@ import pytest
 
 from isinglab import graph, landscape, softspin
 from isinglab.softspin import (
+    GRADIENT_TOL,
+    NEWTON_ITER,
+    NEWTON_TOL,
+    _classify,
     _cluster_rows,
     _descend_batch,
     _newton_roots,
+    spin_family,
+    spin_readout,
     soft_energy,
     soft_gradient,
     soft_hessian,
@@ -298,3 +304,94 @@ class TestClusterRows:
         reps, labels = _cluster_rows(np.empty((0, 8)), softspin.MATCH_TOL)
         assert reps.shape == (0, 8) and labels.shape == (0,)
         self._assert_matches_reference(np.empty((0, 8)), softspin.MATCH_TOL)
+
+
+def _newton_roots_all_rows(J, p, c, x0):
+    """The Newton loop that `_newton_roots` replaced, kept as its reference.
+
+    It evaluates the gradient of every active row on every iteration, rows
+    that have already converged included.
+    """
+    x = x0.copy()
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(NEWTON_ITER):
+        g = -soft_gradient(x[active], p, c, J)
+        done = np.max(np.abs(g), axis=1) < NEWTON_TOL
+        if done.all():
+            break
+        rows = np.flatnonzero(active)[~done]
+        g = g[~done]
+        H = soft_hessian(x[rows], p, c, J)
+        try:
+            step = np.linalg.solve(H, -g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.zeros_like(g)
+            keep = np.ones(len(step), dtype=bool)
+            for r in range(len(step)):
+                try:
+                    step[r] = np.linalg.solve(H[r], -g[r])
+                except np.linalg.LinAlgError:
+                    keep[r] = False
+            active[rows[~keep]] = False
+            rows, step = rows[keep], step[keep]
+        norm = np.max(np.abs(step), axis=1, keepdims=True)
+        x[rows] += step * np.minimum(1.0, 2.0 / np.maximum(norm, 1e-30))
+    g = soft_gradient(x, p, c, J)
+    return x, active & (np.max(np.abs(g), axis=1) < GRADIENT_TOL)
+
+
+class TestNewtonRoots:
+    def _assert_matches_reference(self, J, p, x0):
+        x, ok = _newton_roots(J, p, 1.0, x0)
+        want_x, want_ok = _newton_roots_all_rows(J, p, 1.0, x0)
+        assert np.array_equal(x, want_x) and np.array_equal(ok, want_ok)
+        return x, ok
+
+    @pytest.mark.parametrize("p", [2.0, -0.5])
+    def test_matches_the_all_rows_loop(self, p):
+        # the search box of find_critical_points, with the origin as its first start
+        half = 1.0 + np.sqrt(max(p, 0.0))
+        x0 = np.random.default_rng(3).uniform(-half, half, size=(3000, 8))
+        x, ok = self._assert_matches_reference(J8, p, np.vstack([np.zeros((1, 8)), x0]))
+        assert ok[0] and len(np.unique(np.round(x[ok], 6), axis=0)) > 20
+
+    def test_a_lone_moving_row_matches_the_batch(self):
+        # rows 0 and 1 start at critical points and leave at once, so row 2 is
+        # the only row moving while the reference still evaluates all three
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x0 = np.vstack([np.zeros(8), graph.build_s0(8) * np.sqrt(3.6), rng.uniform(-2.0, 2.0, 8)])
+            self._assert_matches_reference(J8, 2.0, x0)
+
+    def test_singular_rows_are_retried_one_by_one_and_dropped(self):
+        # at j = 0.5 and p = 1.25 the uniform row x_i = 0.5 has the Hessian
+        # -0.5 I - J, which is exactly singular, and it is not critical
+        J = graph.build_mobius_ladder(8, 0.5)
+        uniform = np.full(8, 0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(soft_hessian(uniform, 1.25, 1.0, J), np.ones(8))
+        assert np.max(np.abs(soft_gradient(uniform, 1.25, 1.0, J))) == 0.75
+        x0 = np.vstack([np.random.default_rng(0).uniform(-2.0, 2.0, size=(40, 8)), uniform])
+        x, ok = self._assert_matches_reference(J, 1.25, x0)
+        assert np.array_equal(x[-1], uniform) and not ok[-1]
+        assert ok[:-1].sum() > 0
+
+
+class TestClassify:
+    def test_batched_eigenvalues_equal_the_per_point_ones(self):
+        points = landscape.find_critical_points(J8, 0.5, 1.0, starts=400, seed=2)
+        reps = np.array([cp.x for cp in points])
+        got = _classify(J8, 0.5, 1.0, reps)
+        e_min = min(float(soft_energy(x, 0.5, 1.0, J8)) for x, cp in zip(reps, got) if cp.index == 0)
+        for x, cp in zip(reps, got):
+            evals = np.linalg.eigvalsh(soft_hessian(x, 0.5, 1.0, J8))
+            energy = float(soft_energy(x, 0.5, 1.0, J8))
+            assert (cp.energy, cp.index, cp.degenerate, cp.distance_from_origin, cp.family) == \
+                (energy, int(np.sum(evals < -softspin.DEGENERATE_TOL)),
+                 bool(np.any(np.abs(evals) < softspin.DEGENERATE_TOL)),
+                 float(np.linalg.norm(x)), spin_family(spin_readout(x)))
+            assert cp.is_ground == (cp.index == 0 and abs(energy - e_min) < softspin.ENERGY_TOL)
+        assert {cp.index for cp in got} >= {0, 1, 2}
+
+    def test_no_points(self):
+        assert _classify(J8, 0.5, 1.0, np.empty((0, 8))) == []

@@ -95,6 +95,38 @@ class TestGradient:
             col = -(soft_gradient(x + e, p, 1.0, J8) - soft_gradient(x - e, p, 1.0, J8)) / (2 * h)
             np.testing.assert_allclose(col, H[:, i], atol=1e-6)
 
+    def test_hessian_equals_the_broadcast_construction(self):
+        # the -J copy with the diagonal added through index arrays that
+        # soft_hessian replaced
+        def broadcast_hessian(x, p, c, J):
+            H = np.broadcast_to(-J, x.shape[:-1] + J.shape).copy()
+            n = J.shape[0]
+            H[..., np.arange(n), np.arange(n)] += c * (3.0 * x**2 - p)
+            return H
+
+        rng = np.random.default_rng(8)
+        J = rng.normal(size=(8, 8))  # not symmetric: the layout of -J must be kept
+        for shape in [(8,), (1, 8), (50, 8), (3, 4, 8), (0, 8)]:
+            x = rng.uniform(-2.0, 2.0, shape)
+            for p, c in [(0.4, 1.0), (-1.3, 0.7)]:
+                H = soft_hessian(x, p, c, J)
+                assert H.shape == shape[:-1] + (8, 8)
+                assert np.array_equal(H, broadcast_hessian(x, p, c, J))
+
+    def test_unit_nonlinearity_equals_the_multiply_by_c(self):
+        # at c = 1.0 the kernel skips `out *= c`, which would leave every value as it is
+        rng = np.random.default_rng(9)
+        J = rng.normal(size=(8, 8))
+        x = rng.normal(size=(300, 8)) * 10.0 ** rng.uniform(-3.0, 3.0, (300, 1))
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[0, :3] = -0.0, np.inf, np.nan
+        for p in (0.7, rng.uniform(-2.0, 2.0, (300, 8))):
+            with np.errstate(invalid="ignore"):
+                want = 1.0 * (p * x - x * x * x) + x @ J.T
+                got = soft_gradient(x, p, 1.0, J)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_ht_rhs(self):
         assert np.all(ht_rhs(np.zeros(8), 0.5, J8) == 0.0)
         x = np.ones(8)
@@ -271,6 +303,16 @@ class TestTrajectories:
         stats = success_probability(J, default_solver_config(j, variant="ht"),
                                     runs=200, seed=3)
         assert 0.0 <= stats.p_gs <= 1.0
+
+    def test_ht_samples_its_final_step(self):
+        # an HT trajectory stops at the step where its amplitude reaches 1,
+        # and that step is sampled like any other
+        cfg = default_solver_config(0.35, "ht", sample_every=1)
+        res = run_trajectory(graph.build_mobius_ladder(8, 0.35), cfg)
+        t, _, x, _ = res.samples[-1]
+        assert len(res.samples) < cfg.steps
+        assert res.t == t and np.array_equal(res.x, x)
+        assert np.max(np.abs(x)) >= 1.0 > np.max(np.abs(res.samples[-2][2]))
 
     def test_divergence_flagged(self):
         j = 0.4
@@ -833,6 +875,17 @@ class TestBranches:
     def test_region_map_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             region_map(np.array([]), np.array([0.0]), 8)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("call", [
+        lambda c: region_map(np.array([0.4]), np.array([0.0]), 8, c),
+        lambda c: branch_e0(0.0, 0.4, 8, c),
+        lambda c: branch_e1(0.0, 0.4, 8, c),
+        lambda c: branch_crossing_pump(0.4, 8, c),
+    ], ids=["region_map", "branch_e0", "branch_e1", "branch_crossing_pump"])
+    def test_branches_reject_a_bad_nonlinearity(self, call, c):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            call(c)
 
 
 class TestBasins:
