@@ -160,16 +160,22 @@ def _resolve_j_grid(instance: dict) -> np.ndarray:
 
 
 def _family_shares(spins: np.ndarray) -> tuple[float, float, float]:
+    """Shares of the readouts in the S0, S1 and other two-defect families.
+
+    An ensemble's readouts take few distinct values, so each distinct row is
+    classified once and counted as often as it occurs.
+    """
     runs = len(spins)
     sp0 = sp1 = sp2 = 0
-    for row in spins:
+    rows, counts = np.unique(spins, axis=0, return_counts=True)
+    for row, count in zip(rows, counts.tolist()):
         fam = softspin.spin_family(row)
         if fam == "S0":
-            sp0 += 1
+            sp0 += count
         elif fam == "S1":
-            sp1 += 1
+            sp1 += count
         elif fam.startswith("2-defect"):
-            sp2 += 1
+            sp2 += count
     return sp0 / runs, sp1 / runs, sp2 / runs
 
 
@@ -222,7 +228,9 @@ def _sweep_one_j(args) -> list:
             print(f"# note: QA omitted for n = {n} > {quantum.MAX_QUBITS}", file=sys.stderr)
         else:
             t_start = time.monotonic()
-            run = quantum.run_qa(J, qa_cfg)
+            # the row reads p_gs at the end only, and the grid always samples the last step
+            steps = int(round(qa_cfg.t_end / qa_cfg.dt))
+            run = quantum.run_qa(J, replace(qa_cfg, sample_every=max(1, steps)))
             print(f"# stats: variant=qa j={j!r} steps={run.steps} "
                   f"wall_s={time.monotonic() - t_start:.3f}", file=sys.stderr)
             rows.append(["qa", float(j), "", 1, float(run.p_gs[-1]), 0.0, "", "", ""])
@@ -433,9 +441,9 @@ def cmd_master_run(ns) -> int:
     params = {"n": ns.n, "j": ns.j, "d": ns.d, "t0": ns.t0, "dt": ns.dt,
               "t_end": ns.t_end, "h0": ns.h0, "h1": ns.h1, "mode": ns.mode}
     if ns.mode == "imag":
-        if not (ns.d >= 0 and ns.t0 > 0):  # QAConfig would name its own field, b
-            raise ValidationError(f"d must be >= 0 and t0 must be positive, got d = {ns.d}, "
-                                  f"t0 = {ns.t0}")
+        if not (0.0 <= ns.d < np.inf and 0.0 < ns.t0 < np.inf):  # QAConfig would name b
+            raise ValidationError(f"d must be >= 0 and t0 must be positive, both finite, "
+                                  f"got d = {ns.d}, t0 = {ns.t0}")
         config = quantum.QAConfig(b=ns.d, t0=ns.t0, dt=ns.dt, t_end=ns.t_end,
                                   sample_every=ns.sample_every)
         run = master.imaginary_time_evolve(J, h, config)

@@ -96,8 +96,9 @@ class QAConfig:
 
     def __post_init__(self):
         # b = 0 is allowed: it disables the transverse drive (pure phase evolution)
-        if not (self.b >= 0 and self.t0 > 0):  # NaN fails too
-            raise ValueError("b must be >= 0 and t0 must be positive")
+        if not (0.0 <= self.b < np.inf and 0.0 < self.t0 < np.inf):  # NaN fails too
+            raise ValueError(f"b must be finite and >= 0 and t0 finite and positive, "
+                             f"got b = {self.b}, t0 = {self.t0}")
         _time_grid(self.dt, self.t_end, self.sample_every)  # a bad grid fails here, not mid-sweep
 
 
@@ -168,14 +169,16 @@ def _time_grid(dt: float, t_end: float, sample_every: int):
 def _chunk_times(grid, dt: float, step_bytes: int):
     """(flags, ts) per chunk of max(1, TABLE_BYTES // step_bytes) steps of a flag iterator.
 
-    ts holds the chunk's start time and the times after its steps, summed as
-    the scalar t += dt sums them.
+    flags holds the chunk's flags as bytes, one byte (0 or 1) per step, and
+    ts the chunk's start time and the times after its steps, summed as the
+    scalar t += dt sums them.
     """
     chunk = max(1, TABLE_BYTES // step_bytes)
     t = 0.0
-    while flags := list(islice(grid, chunk)):
-        ts = np.add.accumulate(np.append(t, np.full(len(flags), dt)))
-        t = ts[-1]
+    while flags := bytes(islice(grid, chunk)):
+        ts = np.full(len(flags) + 1, dt)
+        ts[0] = t
+        t = np.add.accumulate(ts, out=ts)[-1]
         yield flags, ts
 
 
@@ -183,10 +186,12 @@ def _fixed_steps(grid, dt: float, step_bytes: int, coefficients):
     """(t, sampled, *coefficients(ts)) for every step of a flag iterator such as `_time_grid`.
 
     coefficients(ts) gives the per-step tables of each chunk of `_chunk_times`;
-    they take step_bytes bytes per step.
+    they take step_bytes bytes per step.  A chunk holds no Python object per
+    step: each t is made as the step comes, a float read through a
+    memoryview of ts, and sampled is 0 or 1 from the flags' bytes.
     """
     for flags, ts in _chunk_times(grid, dt, step_bytes):
-        yield from zip(ts[1:].tolist(), flags, *coefficients(ts))
+        yield from zip(memoryview(ts)[1:], flags, *coefficients(ts))
 
 
 @functools.cache

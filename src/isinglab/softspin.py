@@ -112,30 +112,38 @@ def soft_gradient(x, p, c, J):
     """Flow right-hand side c (p x - x^3) + J x, equal to -dE/dx; x is (..., n)."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    _gradient_into(x.T, np.transpose(p), c, J, out.T, np.empty_like(x).T)
+    _gradient_kernel(x.T, c, J, out.T, np.empty_like(x).T)(np.transpose(p))
     return out
 
 
-def _gradient_into(x, p, c, J, out=None, scratch=None):
-    """soft_gradient of spin-major x (n, runs) into out, with scratch (x's shape) as work space.
+def _gradient_kernel(x, c, J, out, scratch):
+    """soft_gradient of spin-major x (n, runs) as a function of the pump: p -> out.
 
-    Either buffer left as None is allocated.  The cube is a product: numpy
-    raises an array to the power 3 through `pow` per element, about fifty
-    times slower than `x * x * x` on an ensemble batch.  Every operation
-    writes into out or scratch, in the order of `c * (p * x - x * x * x) + J x`.
-    The coupling term is written (J x).T = x.T J.T: numpy runs it as the
-    product `J @ x` on a C-contiguous (n, runs) x, and on the `.T` views of
-    (..., n) rows that :func:`soft_gradient` passes as `rows @ J.T`.
+    The returned function writes into out, with scratch (x's shape) as work
+    space, through views bound once here, so a loop over steps binds nothing
+    per step.  The cube is a product: numpy raises an array to the power 3
+    through `pow` per element, about fifty times slower than `x * x * x` on
+    an ensemble batch.  Every operation writes into out or scratch, in the
+    order of `c * (p * x - x * x * x) + J x`.  The coupling term is written
+    (J x).T = x.T J.T: numpy runs it as the product `J @ x` on a C-contiguous
+    (n, runs) x, and on the `.T` views of (..., n) rows that
+    :func:`soft_gradient` passes as `rows @ J.T`.
     """
-    out = np.multiply(p, x, out=out)
-    scratch = np.multiply(x, x, out=scratch)
-    scratch *= x
-    out -= scratch
-    if c != 1.0:  # y * 1.0 is y bitwise
-        out *= c
-    np.matmul(x.T, J.T, out=scratch.T)
-    out += scratch
-    return out
+    xT, JT, coupling = x.T, J.T, scratch.T
+    scaled = c != 1.0  # y * 1.0 is y bitwise
+
+    def gradient(p):
+        np.multiply(p, x, out)  # ufuncs take out positionally, which numpy parses faster
+        np.square(x, scratch)  # x * x bitwise, by a unary loop that runs about twice as fast
+        np.multiply(scratch, x, scratch)
+        np.subtract(out, scratch, out)
+        if scaled:
+            np.multiply(out, c, out)
+        np.matmul(xT, JT, coupling)
+        np.add(out, scratch, out)
+        return out
+
+    return gradient
 
 
 def soft_hessian(x, p, c, J):
@@ -155,16 +163,21 @@ def ht_rhs(x, p, J):
     """Linear Hopfield-Tank right-hand side p x + J x; x is (..., n)."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    _ht_into(x.T, p, J, out.T, np.empty_like(x).T)
+    _ht_kernel(x.T, J, out.T, np.empty_like(x).T)(p)
     return out
 
 
-def _ht_into(x, p, J, out, scratch):
-    """ht_rhs of spin-major x (n, runs), written into out, with scratch as work space."""
-    np.multiply(p, x, out=out)
-    np.matmul(x.T, J.T, out=scratch.T)  # J x, as in _gradient_into
-    out += scratch
-    return out
+def _ht_kernel(x, J, out, scratch):
+    """ht_rhs of spin-major x (n, runs) as a function of the pump, like `_gradient_kernel`."""
+    xT, JT, coupling = x.T, J.T, scratch.T
+
+    def ht(p):
+        np.multiply(p, x, out)
+        np.matmul(xT, JT, coupling)  # J x, as in _gradient_kernel
+        np.add(out, scratch, out)
+        return out
+
+    return ht
 
 
 def pump_tanh(t, p0, eps):
@@ -180,10 +193,10 @@ def cim2_pump_step(p_i, x, eps, dt):
 
 def _pump_increment(x, eps, dt, out):
     """The cim2 pump increment eps (1 - x^2) dt, written into out (x's shape)."""
-    np.multiply(x, x, out=out)
-    np.subtract(1.0, out, out=out)
-    out *= eps
-    out *= dt
+    np.square(x, out)
+    np.subtract(1.0, out, out)
+    np.multiply(out, eps, out)
+    np.multiply(out, dt, out)
     return out
 
 
@@ -215,7 +228,7 @@ def homogenize_intensities(x, frac):
     x = np.asarray(x, dtype=float)
     frac = _mixing_fraction(frac)
     out = np.array(np.broadcast_to(x, np.broadcast(x, frac).shape))
-    _mix_in_place(out.T, frac.T, (1.0 - frac).T, np.transpose(_mixed_rows(frac)))
+    _mixer(out.T, frac.T, (1.0 - frac).T, _mixed_rows(frac.T))()
     return out
 
 
@@ -228,73 +241,94 @@ def _mixing_fraction(frac) -> np.ndarray:
 
 
 def _mixed_rows(frac: np.ndarray):
-    """The `where` mask of :func:`_mix_in_place`: True when every frac is positive."""
+    """The `where` mask of :func:`_mixer`: True when every frac is positive."""
     positive = frac > 0.0
     return True if positive.all() else positive
 
 
-def _row_sum(m, out, scratch):
-    """Sum of m (n, ...) over its first axis into out (1, ...), in numpy's pairwise order.
+def _row_sum_ops(m, out, scratch):
+    """Sum of m (n, ...) over its first axis into out (1, ...), as steps (ufunc, *operands).
 
-    `np.add.reduce(axis=-1)` sums each contiguous row of m.T pairwise, and
-    this kernel adds the same numbers in the same order, one whole slice
-    m[i] at a time: below 8 terms in sequence; up to 128 in eight strided
-    accumulators r_k = m[k] + m[k + 8] + ..., combined as
+    Running the steps in order sums in numpy's pairwise order, on views made
+    once.  `np.add.reduce(axis=-1)` sums each contiguous row of m.T
+    pairwise, and the steps add the same numbers in the same order, one
+    whole slice m[i] at a time: below 8 terms in sequence; up to 128 in
+    eight strided accumulators r_k = m[k] + m[k + 8] + ..., combined as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and followed by the
     tail in sequence; longer sums split at a multiple of 8 below n / 2 and
     add the two halves' sums.  scratch (m's shape) holds the accumulators.
     """
     n = len(m)
-    if n < 8:
-        np.copyto(out, m[:1])
-        for i in range(1, n):
-            out += m[i:i + 1]
-        return out
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        _row_sum(m[:half], out, scratch)
-        out += _row_sum(m[half:], np.empty_like(out), scratch)
-        return out
-    blocks = n - n % 8
-    if blocks == 8:
-        r, pairs = m[:8], scratch[:6]
+        upper = np.empty_like(out)
+        return [*_row_sum_ops(m[:half], out, scratch), *_row_sum_ops(m[half:], upper, scratch),
+                (np.add, out, upper, out)]
+    if n < 8:
+        ops, tail = [(np.copyto, out, m[:1])], 1
     else:
-        r, pairs = scratch[:8], scratch[8:14]
-        np.add(m[:8], m[8:16], out=r)
-        for i in range(16, blocks, 8):
-            r += m[i:i + 8]
-    np.add(r[0::2], r[1::2], out=pairs[:4])
-    np.add(pairs[0:4:2], pairs[1:4:2], out=pairs[4:])
-    np.add(pairs[4:5], pairs[5:6], out=out)
-    for i in range(blocks, n):
-        out += m[i:i + 1]
-    return out
+        tail = n - n % 8
+        if tail == 8:
+            r, pairs, ops = m[:8], scratch[:6], []
+        else:
+            r, pairs = scratch[:8], scratch[8:14]
+            ops = [(np.add, m[:8], m[8:16], r)]
+            for i in range(16, tail, 8):
+                ops.append((np.add, r, m[i:i + 8], r))
+        ops += [(np.add, r[0::2], r[1::2], pairs[:4]),
+                (np.add, pairs[0:4:2], pairs[1:4:2], pairs[4:]),
+                (np.add, pairs[4:5], pairs[5:6], out)]
+    for i in range(tail, n):
+        ops.append((np.add, out, m[i:i + 1], out))
+    return ops
 
 
-def _mix_in_place(x, frac, keep, mixed, mag=None, sgn=None, R=None, fR=None):
+def _mixer(x, frac, keep, mixed, mag=None, sgn=None, R=None):
     """The homogenization of :func:`homogenize_intensities` on spin-major x (n, runs), in place.
 
-    frac is range-checked, keep is 1 - frac, and entries of x where `mixed`
-    (from :func:`_mixed_rows`) is False stay as they are.  frac, keep and
-    mixed are scalars or rows (1, runs), so every operation runs along the
-    contiguous run axis.  Work buffers left as None are allocated: mag and
-    sgn of x's shape, R of its shape with a first axis of 1, and fR of the
-    shape of frac * R (R itself will do when frac has R's shape).  R is the
-    mean intensity as `np.mean` computes it over each row of x.T: the
-    pairwise :func:`_row_sum` (sgn holds its accumulators) divided by n.
-    The sign comes from `np.sign`: `copysign` would give an exact-zero
-    component the magnitude sqrt(frac R).
+    Returns mix(), which mixes x once per call and returns True when mag
+    then holds |x|.  frac is range-checked, keep is 1 - frac, and entries
+    of x where `mixed` (from :func:`_mixed_rows`) is False stay as they are.
+    frac and mixed are scalars or rows (1, runs), and keep the same or x's
+    shape, so every operation runs along the contiguous run axis.  Work
+    buffers left as None are allocated: mag and sgn of x's shape and R of
+    its shape with a first axis of 1.  Every view, the row sum's too, is
+    bound here once.  R is the mean intensity as `np.mean` computes it over
+    each row of x.T: the pairwise `_row_sum_ops` (sgn holds its
+    accumulators) divided by n.
+
+    The magnitudes sqrt(keep x^2 + frac R) take their signs by one
+    `np.copysign(mag, x, x)` when every run is mixed and every square x^2
+    is positive, so x has no exact zero and no NaN; mag is then |x|
+    exactly.  Otherwise the sign comes from `np.sign` and a masked multiply:
+    `copysign` would give an exact-zero component the magnitude
+    sqrt(frac R) and a NaN component a number.
     """
-    mag = np.multiply(x, x, out=mag)
+    mag = np.empty_like(x) if mag is None else mag
     sgn = np.empty_like(x) if sgn is None else sgn
-    R = _row_sum(mag, np.empty((1,) + x.shape[1:]) if R is None else R, sgn)
-    R /= len(x)
-    mag *= keep
-    mag += np.multiply(frac, R, out=fR)
-    np.sqrt(mag, out=mag)
-    np.sign(x, out=sgn)
-    np.multiply(sgn, mag, out=x, where=mixed)
-    return x
+    R = np.empty((1,) + x.shape[1:]) if R is None else R
+    fR = R if np.broadcast_shapes(np.shape(frac), R.shape) == R.shape else None  # frac R's buffer
+    row_sum = _row_sum_ops(mag, R, sgn)
+    n = len(x)
+    every_run = mixed is True and x.size > 0  # `min` needs an entry
+
+    def mix():
+        np.square(x, mag)
+        by_copysign = every_run and mag.min() > 0.0  # NaN fails too
+        for op, *args in row_sum:
+            op(*args)
+        np.divide(R, n, R)
+        np.multiply(mag, keep, mag)
+        np.add(mag, np.multiply(frac, R, fR), mag)
+        np.sqrt(mag, mag)
+        if by_copysign:
+            np.copysign(mag, x, x)
+        else:
+            np.sign(x, sgn)
+            np.multiply(sgn, mag, x, where=mixed)
+        return by_copysign
+
+    return mix
 
 
 def spin_readout(x):
@@ -439,14 +473,18 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     The batch is stored spin-major: x0 is transposed once into a C-contiguous
     (n, runs) array and x back once at the end, so every elementwise
     operation, the coupling product `J @ x` and the cim3 row sum run along
-    the contiguous run axis.  A step makes no new batch-sized arrays.  Two
-    (n, runs) work buffers, allocated once, hold the gradient and its cube
-    and coupling terms (`_gradient_into`, or `_ht_into`); the Euler update is
-    `x += dt g`, the cim2 pumps are updated in place (`_pump_increment`)
-    and the cim3 mixing reuses the same buffers for magnitudes and signs
-    (`_mix_in_place`), with frac, keep = 1 - frac and the mask of runs at
-    delta = 0 held as (1, runs) rows.  The divergence check takes |x| into
-    a work buffer.
+    the contiguous run axis.  A step makes no new batch-sized arrays and
+    binds no views: two (n, runs) work buffers, allocated once, hold the
+    gradient and its cube and coupling terms, and the kernels
+    (`_gradient_kernel` or `_ht_kernel`, and cim3's `_mixer`) bind their
+    `.T` views and row-sum slices to them once per batch.  The Euler update
+    is `x += dt g`, the cim2 pumps are updated in place (`_pump_increment`)
+    and the cim3 mixing reuses the same buffers for magnitudes and signs,
+    with frac and the mask of runs at delta = 0 held as (1, runs) rows and
+    keep = 1 - frac repeated to (n, runs).  The divergence check reads max|x|: on the mixing's
+    `copysign` path its magnitude buffer already holds |x| exactly, unless
+    some run has diverged, since the frozen runs are written back after the
+    mixing; otherwise it takes |x| into a work buffer.
 
     Signs are tracked only where they can decide the early stop: from step
     locked_step - FREEZE_STEPS + 1 on (from step 0 when that is negative),
@@ -479,10 +517,17 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
 
     g = np.empty_like(x)  # gradient, then magnitudes in the cim3 mixing
     work = np.empty_like(x)  # cube and coupling terms, pump increments, signs, |x|
+    if variant == "ht":
+        rhs = _ht_kernel(x, J, g, work)
+    else:
+        rhs = _gradient_kernel(x, c, J, g, work)
     if variant == "cim3":  # one mixing fraction per run, range-checked once
         frac = np.full(runs, config.delta) if delta_per_run is None else delta_per_run
         frac = _mixing_fraction(frac).reshape(1, runs)
-        keep, mixed, R = 1.0 - frac, _mixed_rows(frac), np.empty((1, runs))
+        # keep at x's shape: numpy multiplies by a same-shape array about twice
+        # as fast as by a broadcast row
+        keep = np.repeat(1.0 - frac, n, axis=0)
+        mix = _mixer(x, frac, keep, _mixed_rows(frac), g, work, np.empty((1, runs)))
 
     pump_i = np.full((n, runs), config.p0) if variant == "cim2" else None
     ht_spins = np.zeros((n, runs), dtype=np.int8)
@@ -501,28 +546,25 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     for step, (t, sampled, pump, pump_end, locked) in enumerate(
             _fixed_steps(grid, dt, step_bytes, coefficients)):
         if step == track_from:
-            np.sign(x, out=signs)
+            np.sign(x, signs)
+        rhs(pump_i if variant == "cim2" else pump)
+        np.multiply(g, dt, g)
+        np.add(x, g, x)
         if variant == "ht":
-            _ht_into(x, pump, J, g, work)
-            g *= dt
-            x += g
-            if np.abs(x, out=work).max() >= 1.0:
+            if np.abs(x, work).max() >= 1.0:
                 hit = (work.max(axis=0) >= 1.0) & ~ht_done
                 if np.any(hit):
                     ht_spins[:, hit] = spin_readout(x[:, hit])
                     ht_done[hit] = True
                 all_read = ht_done.all()
         else:
-            _gradient_into(x, pump_i if variant == "cim2" else pump, c, J, g, work)
-            g *= dt
-            x += g
             if variant == "cim2":
-                pump_i += _pump_increment(x, eps, dt, work)
-            if variant == "cim3":
-                _mix_in_place(x, frac, keep, mixed, g, work, R, R)
+                np.add(pump_i, _pump_increment(x, eps, dt, work), pump_i)
+            magnitudes = variant == "cim3" and mix()  # True: g holds |x|
             if any_diverged:
                 x[:, diverged] = frozen_x[:, diverged]  # diverged runs stay flagged, not evolved
-            if not np.abs(x, out=work).max() <= DIVERGENCE_LIMIT:  # NaN fails too
+            absx = g if magnitudes and not any_diverged else np.abs(x, work)
+            if not absx.max() <= DIVERGENCE_LIMIT:  # NaN fails too
                 with np.errstate(invalid="ignore"):
                     bad = ~np.all(np.isfinite(x), axis=0) | (np.max(np.abs(x), axis=0) > DIVERGENCE_LIMIT)
                 x[:, bad] = np.nan_to_num(np.clip(x[:, bad], -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT))
@@ -539,8 +581,8 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
             break
 
         if step >= track_from:
-            np.sign(x, out=new_signs)
-            if np.not_equal(new_signs, signs, out=changed).any():
+            np.sign(x, new_signs)
+            if np.not_equal(new_signs, signs, changed).any():
                 last_change = step
             signs, new_signs = new_signs, signs
             if locked and step - last_change >= FREEZE_STEPS:
@@ -951,12 +993,13 @@ def _flow_into_basin(J: np.ndarray, p: float, c: float, x: np.ndarray, tol: floa
     """
     dt = _stable_flow_dt(p, c, J)
     g, work = np.empty_like(x), np.empty_like(x)
+    gradient = _gradient_kernel(x.T, c, J, g.T, work.T)
     for _ in range(MAX_FLOW_STEPS):
-        _gradient_into(x.T, p, c, J, g.T, work.T)
-        if np.abs(g, out=work).max() < tol:
+        gradient(p)
+        if np.abs(g, work).max() < tol:
             break
-        g *= dt
-        x += g
+        np.multiply(g, dt, g)
+        np.add(x, g, x)
 
 
 def _saddle_kick(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:

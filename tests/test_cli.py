@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isinglab import graph, oracle
+from isinglab import graph, oracle, quantum, softspin
 from isinglab.cli import _build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -136,6 +136,36 @@ class TestSweepCommand:
         assert float(stats["wall_s"]) >= 0.0
         _, _, rows = _read_csv(out)
         assert [row[0] for row in rows] == ["qa"] and "steps" not in out.read_text()
+
+    def test_qa_row_equals_the_last_sample_of_a_full_run(self, tmp_path):
+        # the row samples the last step only; the full run at the default
+        # sampling has it as its last sample, bit for bit
+        cfg = {"instance": {"n": 8, "j": 0.35}, "variants": ["qa"], "runs": 1, "seed": 0}
+        path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        _, _, rows = _read_csv(out)
+        run = quantum.run_qa(graph.build_mobius_ladder(8, 0.35), quantum.QAConfig())
+        assert len(run.p_gs) == 501
+        assert rows[0][4] == repr(float(run.p_gs[-1]))
+
+    @pytest.mark.parametrize("field", ["b", "t0"])
+    def test_non_finite_qa_schedule_rejected_before_any_run(self, tmp_path, capsys,
+                                                           monkeypatch, field):
+        # it used to run every soft-spin ensemble, then exit 2 on a NaN QA state
+        ran = []
+        monkeypatch.setattr(softspin, "run_ensemble", lambda *args, **kwargs: ran.append(args))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"instance": {"n": 8, "j": 0.35}, "variants": ["cim1", "qa"],
+                                    "runs": 3, "qa": {field: float("inf")}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid solver config: b must be finite and >= 0")
+        assert ran == [] and "# stats:" not in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_analytic_ground_set_above_oracle_limit(self, tmp_path):
         # n = 64: the ground set comes from the closed form, and readouts no
@@ -331,6 +361,24 @@ class TestRunCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: d must be >= 0")
         assert "b must" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["qa-run", "--b", "inf"],
+        ["qa-run", "--t0", "inf"],
+        ["master-run", "--mode", "imag", "--d", "inf"],
+        ["master-run", "--mode", "imag", "--t0", "inf"],
+    ], ids=["qa-b-inf", "qa-t0-inf", "imag-d-inf", "imag-t0-inf"])
+    def test_non_finite_schedule_rejected(self, tmp_path, capsys, argv):
+        # these ran to a NaN or infinite state and exited 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--n", "4", "--j", "0.5", "--t-end", "1",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_branches_region_contains_crossing(self, tmp_path):

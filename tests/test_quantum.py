@@ -190,6 +190,14 @@ class TestStrangStep:
             state = strang_step(state, E, cfg)
         assert state.norm_error() < 1e-12
 
+    @pytest.mark.parametrize("schedule", [
+        {"b": np.inf}, {"b": np.nan}, {"b": -1.0}, {"t0": np.inf}, {"t0": np.nan}, {"t0": 0.0},
+    ], ids=["b-inf", "b-nan", "b-negative", "t0-inf", "t0-nan", "t0-zero"])
+    def test_schedule_must_be_finite(self, schedule):
+        # an infinite b or t0 used to run to a NaN state and fail the norm check
+        with pytest.raises(ValueError, match="b must be finite and >= 0 and t0 finite"):
+            QAConfig(**schedule)
+
 
 class TestSplitStep:
     @pytest.mark.parametrize("n", range(1, 14))  # every remainder of n mod 4

@@ -35,6 +35,18 @@ J8 = graph.build_mobius_ladder(8, 0.4)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "softspin_golden.json").read_text())
 
 
+def _mixing_reference(x, frac):
+    """cim3's homogenization as one array expression, independent of `softspin`'s kernels.
+
+    sign(x) sqrt((1 - frac) x^2 + frac R) with R the mean of x^2 over each
+    row, and x itself in rows at frac = 0.  np.sign maps an exact zero of
+    either sign to +0.0, which the product keeps.
+    """
+    intensity = x * x
+    R = np.mean(intensity, axis=-1, keepdims=True)
+    return np.where(frac > 0.0, np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R), x)
+
+
 def _force_chunk(monkeypatch, config, steps):
     """Make the step iterator walk `config`'s schedule in chunks of `steps` steps."""
     monkeypatch.setattr(quantum, "TABLE_BYTES", steps * softspin._schedule(config)[0])
@@ -495,8 +507,9 @@ class TestFusedStep:
     Seeded random batches (sizes, scales, couplings, exact zeros, all-zero
     rows, cim3 rows with delta = 0) run a few steps through the loop and
     through the reference composition x + dt soft_gradient(x, p, c, J), then
-    cim2_pump_step or homogenize_intensities; later steps see the earlier
-    steps' cim2 pumps.
+    cim2_pump_step or the array expression of the cim3 mixing
+    (`_mixing_reference`, which shares no code with the loop); later steps
+    see the earlier steps' cim2 pumps.
     """
 
     @staticmethod
@@ -508,7 +521,7 @@ class TestFusedStep:
             if cfg.variant == "cim2":
                 pump = cim2_pump_step(pump, x, cfg.eps, cfg.dt)
             if cfg.variant == "cim3":
-                x = homogenize_intensities(x, frac)
+                x = _mixing_reference(x, frac)
             t += cfg.dt
         return x
 
@@ -576,10 +589,105 @@ class TestFusedStep:
             for pv in (p, pump):
                 assert np.array_equal(soft_gradient(x, pv, c, J), c * (pv * x - x * x * x) + x @ J.T)
             assert np.array_equal(cim2_pump_step(pump, x, eps, dt), pump + eps * (1.0 - x**2) * dt)
-            intensity = x * x
-            R = np.mean(intensity, axis=-1, keepdims=True)
-            mixed = np.where(frac > 0.0, np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R), x)
-            assert np.array_equal(homogenize_intensities(x, frac), mixed)
+            assert np.array_equal(homogenize_intensities(x, frac), _mixing_reference(x, frac))
+
+    @staticmethod
+    def _mix_spin_major(x, frac):
+        # the kernel as the loop runs it: (mixed x, magnitudes, whether it took the copysign path)
+        xs, mag = np.ascontiguousarray(x.T), np.empty((x.shape[1], len(x)))
+        mixed = softspin._mixed_rows(frac.T)
+        by_copysign = softspin._mixer(xs, frac.T, (1.0 - frac).T, mixed, mag)()
+        return xs.T, mag, by_copysign
+
+    @pytest.mark.parametrize("case, copysign", [
+        ("nonzero", True), ("signed-zeros", False), ("zero-rows", False), ("delta-0", False),
+        ("nan-beside-zero", False), ("nan-run", False), ("underflowed-square", False),
+        ("overflowed-square", True),
+    ])
+    def test_mixing_equals_the_reference_bitwise(self, case, copysign):
+        # every bit, signed zeros included, on either path; on the copysign path
+        # the magnitudes are |x| exactly.  NaNs compare by position: copysign
+        # gives the NaN of keep * x^2 = 0 * inf (run 0 at delta = 1, with an
+        # overflowed square) the sign of x, and the loop clips any NaN to 0
+        def bits(a):
+            return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for _ in range(20):
+            n, runs = int(rng.integers(2, 17)), int(rng.integers(3, 200))
+            x = rng.normal(size=(runs, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (runs, 1))
+            frac = rng.uniform(0.01, 1.0, (runs, 1))
+            frac[0] = 1.0  # keep = 0
+            if case == "signed-zeros":
+                x[rng.random((runs, n)) < 0.1] = rng.choice([0.0, -0.0])
+                x[0, 0] = -0.0
+            elif case == "zero-rows":
+                x[1], x[2] = 0.0, -0.0
+            elif case == "delta-0":
+                frac[rng.random(runs) < 0.3] = 0.0
+                frac[1] = 0.0
+            elif case == "nan-beside-zero":
+                x[1] = np.nan
+                x[2, 0] = 0.0
+            elif case == "nan-run":
+                x[1, int(rng.integers(n))] = np.nan
+            elif case == "underflowed-square":
+                x[1, 0] = 1e-170
+            elif case == "overflowed-square":
+                x[:2] *= 1e160
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _mixing_reference(x, frac)
+                got, mag, by_copysign = self._mix_spin_major(x, frac)
+                public = homogenize_intensities(x, frac)
+            assert by_copysign == copysign
+            assert np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits(public), bits(want))
+            if by_copysign:
+                assert np.array_equal(bits(mag.T), bits(np.abs(got)))
+
+    @staticmethod
+    def _diverging_reference(J, cfg, x0, frac):
+        # the cim3 loop in (runs, n) rows: check with np.abs on every step,
+        # clip and freeze, track signs on every step; returns (x, diverged, steps run)
+        limit = softspin.DIVERGENCE_LIMIT
+        x, frozen, diverged = x0.copy(), np.zeros_like(x0), np.zeros(len(x0), dtype=bool)
+        signs, last_change, t = np.sign(x), 0, 0.0
+        for step in range(cfg.steps):
+            p = pump_tanh(t, cfg.p0, cfg.eps)
+            x = _mixing_reference(x + cfg.dt * soft_gradient(x, p, cfg.c, J), frac)
+            x[diverged] = frozen[diverged]
+            bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > limit)
+            x[bad] = np.nan_to_num(np.clip(x[bad], -limit, limit))
+            frozen[bad] = x[bad]
+            diverged |= bad
+            t += cfg.dt
+            new = np.sign(x)
+            if np.any(new != signs):
+                last_change = step
+            signs = new
+            if p > 0.9 and step - last_change >= softspin.FREEZE_STEPS:
+                return x, diverged, step + 1
+        return x, diverged, cfg.steps
+
+    @pytest.mark.parametrize("starts", [{5: 30.0}, {2: 1e200, 4: 1e200, 7: 1e3}],
+                             ids=["overshoot-at-step-2", "inf-nan-and-overshoot-at-step-1"])
+    def test_cim3_divergence_equals_a_reference_loop(self, starts):
+        # the loop reads max|x| from the mixing's magnitudes until a run diverges;
+        # run 4 has delta = 1, so keep * x^2 = 0 * inf makes it NaN
+        J = graph.build_mobius_ladder(8, 0.35)
+        cfg = SolverConfig(variant="cim3", p0=-0.5, eps=0.02, dt=0.1, t_end=300.0)
+        x0 = softspin._initial_batch(8, 10, 1e-3, 3)
+        for run, scale in starts.items():
+            x0[run] = scale * np.sign(x0[run])
+        frac = np.linspace(0.05, 1.0, 10)
+        frac[4] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = softspin._integrate_batch(J, cfg, x0, delta_per_run=frac)
+            x, diverged, steps = self._diverging_reference(J, cfg, x0, frac[:, None])
+        np.testing.assert_array_equal(res[2], diverged)
+        np.testing.assert_array_equal(diverged, np.isin(np.arange(10), list(starts)))
+        assert np.array_equal(res[0], x)
+        assert res[3] == steps < cfg.steps
 
     def test_exact_zero_component_stays_zero_under_cim3_mixing(self):
         # spin 3 is decoupled, so its zero amplitude has zero gradient; mixing
@@ -606,7 +714,8 @@ class TestSpinMajorKernels:
         want = np.add.reduce(m, axis=-1, keepdims=True)
         for spin_major in (np.ascontiguousarray(m.T), m.T):
             out = np.empty((1, runs))
-            softspin._row_sum(spin_major, out, np.empty((n, runs)))
+            for op, *operands in softspin._row_sum_ops(spin_major, out, np.empty((n, runs))):
+                op(*operands)
             assert np.array_equal(out.T, want)
 
     @pytest.mark.parametrize("block", [4096, 7, None], ids=["4096", "7", "default"])
@@ -681,10 +790,7 @@ class TestSpinMajorKernels:
         assert np.array_equal(soft_gradient(x, pump, 1.5, J), 1.5 * (pump * x - x * x * x) + x @ J.T)
         assert np.array_equal(ht_rhs(x, 0.3, J), 0.3 * x + x @ J.T)
         frac = rng.uniform(0.0, 1.0, (3, 5, 1))
-        intensity = x * x
-        R = np.mean(intensity, axis=-1, keepdims=True)
-        mixed = np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R)
-        assert np.array_equal(homogenize_intensities(x, frac), mixed)
+        assert np.array_equal(homogenize_intensities(x, frac), _mixing_reference(x, frac))
 
 
 class TestEarlyStopWindow:
