@@ -24,40 +24,34 @@ from . import graph, invariants, landscape, master, oracle, quantum, softspin
 __all__ = ["main"]
 
 
-class ValidationError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); validation errors are exit 1
-        raise ValidationError(message)
+        raise ValueError(message)
+
+
+def _plain(value):
+    """A numpy scalar as the Python number it holds; anything else as it is."""
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return value
 
 
 def _fmt(value) -> str:
     if type(value) is float:  # the common case, ahead of the isinstance chain
         return repr(value)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return str(_plain(value))  # str of a float is its repr
 
 
 def _write_rows(path, protocol: str, params: dict, header: list[str], rows: list,
                 fmt: str) -> None:
     if fmt == "json":
-        def plain(v):
-            if isinstance(v, (float, np.floating)):
-                return float(v)
-            if isinstance(v, (int, np.integer)):
-                return int(v)
-            return v
-
         payload = {
             "protocol": protocol,
-            "params": {k: plain(params[k]) for k in sorted(params)},
+            "params": {k: _plain(params[k]) for k in sorted(params)},
             "columns": header,
-            "rows": [[plain(v) for v in r] for r in rows],
+            "rows": [[_plain(v) for v in r] for r in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -96,12 +90,12 @@ def _load_config(path: str | None) -> dict:
         with open(path) as fh:
             user = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config parse error in {path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
+        raise ValueError(f"config parse error in {path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
     if not isinstance(user, dict):
-        raise ValidationError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     for key, value in user.items():
         if key not in cfg:
-            raise ValidationError(f"unknown config field {key!r}")
+            raise ValueError(f"unknown config field {key!r}")
         if isinstance(cfg[key], dict) and isinstance(value, dict):
             cfg[key].update(value)
         else:
@@ -117,31 +111,34 @@ def _check_config_shape(cfg: dict) -> None:
     """Reject a sweep config whose fields have the wrong JSON shape or type."""
     instance = cfg["instance"]
     if not isinstance(instance, dict):
-        raise ValidationError("instance must be an object")
+        raise ValueError("instance must be an object")
     unknown = sorted(set(instance) - {"n", "j", "j_grid"})
     if unknown:
-        raise ValidationError(f"unknown instance fields {unknown}")
+        raise ValueError(f"unknown instance fields {unknown}")
     grid = instance.get("j_grid")
     if isinstance(grid, dict):
         if set(grid) != {"start", "stop", "points"}:
-            raise ValidationError(f"instance.j_grid needs exactly the fields start, stop and "
-                                  f"points, got {sorted(grid)}")
+            raise ValueError(f"instance.j_grid needs exactly the fields start, stop and "
+                             f"points, got {sorted(grid)}")
         if not _is_int(grid["points"]):
-            raise ValidationError("instance.j_grid.points must be an integer")
+            raise ValueError("instance.j_grid.points must be an integer")
     elif grid is not None and not isinstance(grid, list):
-        raise ValidationError("instance.j_grid must be a list or a {start, stop, points} object")
+        raise ValueError("instance.j_grid must be a list or a {start, stop, points} object")
+    for name in ("softspin", "cim3", "qa"):
+        if not isinstance(cfg[name], dict):
+            raise ValueError(f"{name} must be an object")
     for name, value in (("instance.n", instance.get("n")), ("runs", cfg["runs"]),
-                        ("seed", cfg["seed"])):
+                        ("seed", cfg["seed"]), ("cim3.prelim_runs", cfg["cim3"]["prelim_runs"])):
         if not _is_int(value):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not isinstance(cfg["variants"], list):
-        raise ValidationError("variants must be a list")
+        raise ValueError("variants must be a list")
 
 
 def _resolve_j_grid(instance: dict) -> np.ndarray:
     grid_spec = instance.get("j_grid")
     if "j" not in instance and grid_spec is None:
-        raise ValidationError("instance needs field 'j' or 'j_grid'")
+        raise ValueError("instance needs field 'j' or 'j_grid'")
     try:
         if "j" in instance:
             grid = np.array([float(instance["j"])])
@@ -151,11 +148,11 @@ def _resolve_j_grid(instance: dict) -> np.ndarray:
         else:
             grid = np.asarray([float(v) for v in grid_spec], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"invalid instance.j or instance.j_grid: {exc}")
+        raise ValueError(f"invalid instance.j or instance.j_grid: {exc}")
     if grid.size == 0:
-        raise ValidationError("instance.j_grid is empty")
+        raise ValueError("instance.j_grid is empty")
     if not np.all((grid > 0) & (grid < np.inf)):
-        raise ValidationError("all j values must be finite and positive")
+        raise ValueError("all j values must be finite and positive")
     return grid
 
 
@@ -181,24 +178,29 @@ def _family_shares(spins: np.ndarray) -> tuple[float, float, float]:
 
 def _sweep_configs(cfg: dict, j: float) -> tuple[list, quantum.QAConfig | None, dict]:
     """Every solver config of one sweep point, built before any work is done."""
+    soft, cim3 = cfg["softspin"], cfg["cim3"]
     try:
-        soft_over = dict(cfg.get("softspin", {}))
-        solvers = [(v, softspin.default_solver_config(j, variant=v, **soft_over))
+        solvers = [(v, softspin.default_solver_config(j, variant=v, **soft))
                    for v in cfg["variants"] if v != "qa"]
-        qa_cfg = quantum.QAConfig(**cfg.get("qa", {})) if "qa" in cfg["variants"] else None
-        cim3 = dict(cfg.get("cim3", {}))
+        qa_cfg = quantum.QAConfig(**cfg["qa"]) if "qa" in cfg["variants"] else None
+        # ensembles draw from the top-level seed and take no samples, and cim3 tunes its delta
+        ignored = sorted(set(soft) & {"seed", "delta"})
+        if soft.get("sample_every", 0):
+            ignored.append("sample_every")
+        if ignored:
+            raise ValueError(f"softspin fields {ignored} are not used by a sweep")
         unknown = sorted(set(cim3) - {"prelim_runs", "delta_grid"})
         if unknown:
             raise ValueError(f"unknown cim3 fields {unknown}")
         grid = cim3.get("delta_grid")
-        grid = None if grid is None else np.asarray(grid, dtype=float)
-        tuning = {"prelim_runs": int(cim3.get("prelim_runs", 200)), "grid": grid}
-        if tuning["prelim_runs"] < 1 or (grid is not None and not (
-                grid.ndim == 1 and grid.size and np.all((grid >= 0.0) & (grid <= 1.0)))):
-            raise ValueError("cim3 needs prelim_runs >= 1 and a nonempty delta_grid in [0, 1]")
+        if grid is not None:
+            grid = np.asarray(grid, dtype=float)
+            if grid.ndim != 1 or grid.size == 0:
+                raise ValueError("cim3.delta_grid must be a nonempty list")
+            softspin._mixing_fraction(grid)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"invalid solver config: {exc}")
-    return solvers, qa_cfg, tuning
+        raise ValueError(f"invalid solver config: {exc}")
+    return solvers, qa_cfg, {"prelim_runs": cim3["prelim_runs"], "grid": grid}
 
 
 def _sweep_one_j(args) -> list:
@@ -238,30 +240,33 @@ def _sweep_one_j(args) -> list:
 
 
 def cmd_sweep(ns) -> int:
+    if ns.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {ns.threads}")
     cfg = _load_config(ns.config)
     if ns.runs is not None:
         cfg["runs"] = ns.runs
     if ns.seed is not None:
         cfg["seed"] = ns.seed
     _check_config_shape(cfg)
-    if cfg["runs"] < 1:
-        raise ValidationError("runs must be >= 1")
+    for name, value in (("runs", cfg["runs"]), ("cim3.prelim_runs", cfg["cim3"]["prelim_runs"])):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     unknown = [v for v in cfg["variants"] if v not in (*softspin.VARIANTS, "qa")]
     if unknown:
-        raise ValidationError(f"unknown variants in config: {unknown}")
+        raise ValueError(f"unknown variants in config: {unknown}")
     j_grid = _resolve_j_grid(cfg["instance"])
     n = cfg["instance"]["n"]
-    if n % 2 != 0 or n < 4:
-        raise ValidationError(f"instance.n must be even and >= 4, got {n}")
+    graph._check_even_n(n)
 
     t_start = time.monotonic()
     tasks = [(cfg, float(j), *_sweep_configs(cfg, float(j))) for j in j_grid]
+    workers = min(ns.threads, len(tasks))  # a worker per j point at most
     rows: list = []
     try:
-        if ns.threads > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # only threaded sweeps pay for it
 
-            with ProcessPoolExecutor(max_workers=ns.threads) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for chunk in pool.map(_sweep_one_j, tasks):
                     rows.extend(chunk)
         else:
@@ -287,11 +292,11 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
     try:
         vals = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ValidationError(f"{name} must be a comma-separated list of numbers")
+        raise ValueError(f"{name} must be a comma-separated list of numbers")
     if not vals:
-        raise ValidationError(f"{name} is empty")
+        raise ValueError(f"{name} is empty")
     if not np.isfinite(vals).all():
-        raise ValidationError(f"{name} must hold finite numbers")
+        raise ValueError(f"{name} must hold finite numbers")
     return np.asarray(vals)
 
 
@@ -382,7 +387,7 @@ def cmd_branches(ns) -> int:
 
 def cmd_trajectory(ns) -> int:
     if ns.sample_every < 1:  # a trajectory dump without samples writes no rows
-        raise ValidationError(f"--sample-every must be >= 1, got {ns.sample_every}")
+        raise ValueError(f"--sample-every must be >= 1, got {ns.sample_every}")
     J = graph.build_mobius_ladder(ns.n, ns.j)
     config = softspin.default_solver_config(
         ns.j, variant=ns.variant, delta=ns.delta, seed=ns.seed,
@@ -442,8 +447,8 @@ def cmd_master_run(ns) -> int:
               "t_end": ns.t_end, "h0": ns.h0, "h1": ns.h1, "mode": ns.mode}
     if ns.mode == "imag":
         if not (0.0 <= ns.d < np.inf and 0.0 < ns.t0 < np.inf):  # QAConfig would name b
-            raise ValidationError(f"d must be >= 0 and t0 must be positive, both finite, "
-                                  f"got d = {ns.d}, t0 = {ns.t0}")
+            raise ValueError(f"d must be >= 0 and t0 must be positive, both finite, "
+                             f"got d = {ns.d}, t0 = {ns.t0}")
         config = quantum.QAConfig(b=ns.d, t0=ns.t0, dt=ns.dt, t_end=ns.t_end,
                                   sample_every=ns.sample_every)
         run = master.imaginary_time_evolve(J, h, config)
@@ -474,7 +479,7 @@ def cmd_verify(ns) -> int:
     only = ns.only.split(",") if ns.only else known
     unknown = [name for name in only if name not in known]
     if unknown:
-        raise ValidationError(f"unknown check names {unknown}; known: {', '.join(known)}")
+        raise ValueError(f"unknown check names {unknown}; known: {', '.join(known)}")
     failures = 0
     print(invariants.HEADER)
     for name in known:
@@ -514,6 +519,24 @@ def _build_parser() -> _Parser:
         common(p)
         p.add_argument("--seed", type=int, default=default)
 
+    def fixed_pump(p):  # the landscape at one pump
+        p.add_argument("--n", type=int, default=8)
+        p.add_argument("--j", type=float, required=True)
+        p.add_argument("--p", type=float, required=True)
+        p.add_argument("--c", type=float, default=1.0)
+        seeded(p)
+
+    def anneal(p, dt, sample_every):  # the schedule, field and sampling of an anneal
+        p.add_argument("--n", type=int, default=8)
+        p.add_argument("--j", type=float, required=True)
+        p.add_argument("--t0", type=float, default=0.5)
+        p.add_argument("--dt", type=float, default=dt)
+        p.add_argument("--t-end", type=float, default=500.0)
+        p.add_argument("--h0", type=float, default=0.0, help="field coefficient on the S0 pattern")
+        p.add_argument("--h1", type=float, default=0.0, help="field coefficient on the S1 pattern")
+        p.add_argument("--sample-every", type=int, default=sample_every)
+        common(p)
+
     p = sub.add_parser("sweep", help="ground-state probability sweep over couplings")
     p.add_argument("--config", default=None, help="JSON configuration file")
     seeded(p, default=None)
@@ -534,21 +557,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("basins", help="basin-of-attraction point cloud")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--j", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--c", type=float, default=1.0)
+    fixed_pump(p)
     p.add_argument("--samples", type=int, default=20000)
-    seeded(p)
     p.set_defaults(func=cmd_basins)
 
     p = sub.add_parser("critical", help="critical-point scatter data")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--j", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--c", type=float, default=1.0)
+    fixed_pump(p)
     p.add_argument("--starts", type=int, default=4000)
-    seeded(p)
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("branches", help="branch region map or barrier curves")
@@ -574,31 +589,15 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("qa-run", help="quantum annealing time series")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--j", type=float, required=True)
+    anneal(p, dt=0.1, sample_every=50)
     p.add_argument("--b", type=float, default=5.0)
-    p.add_argument("--t0", type=float, default=0.5)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--t-end", type=float, default=500.0)
-    p.add_argument("--h0", type=float, default=0.0, help="field coefficient on the S0 pattern")
-    p.add_argument("--h1", type=float, default=0.0, help="field coefficient on the S1 pattern")
-    p.add_argument("--sample-every", type=int, default=50)
     p.add_argument("--snapshot", default=None, help="path for a binary state snapshot")
-    common(p)
     p.set_defaults(func=cmd_qa_run)
 
     p = sub.add_parser("master-run", help="master-equation or imaginary-time series")
+    anneal(p, dt=0.01, sample_every=1000)
     p.add_argument("--mode", choices=("sa", "ca", "imag"), default="sa")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--j", type=float, required=True)
     p.add_argument("--d", type=float, default=5.0)
-    p.add_argument("--t0", type=float, default=0.5)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-end", type=float, default=500.0)
-    p.add_argument("--h0", type=float, default=0.0)
-    p.add_argument("--h1", type=float, default=0.0)
-    p.add_argument("--sample-every", type=int, default=1000)
-    common(p)
     p.set_defaults(func=cmd_master_run)
 
     p = sub.add_parser("verify", help="run the invariant battery at desk scale")
@@ -613,10 +612,7 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

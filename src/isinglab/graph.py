@@ -52,9 +52,10 @@ class GroundStateInfo:
     degeneracy: int
 
 
-def _check_even_n(n: int, minimum: int = 4) -> None:
-    if n % 2 != 0 or n < minimum:
-        raise ValueError(f"n must be even and >= {minimum}, got {n}")
+def _check_even_n(n: int) -> None:
+    """Raise ValueError unless n is even and >= 4, the smallest Mobius ladder."""
+    if n % 2 != 0 or n < 4:
+        raise ValueError(f"n must be even and >= 4, got {n}")
 
 
 def validate_coupling_matrix(J: np.ndarray) -> np.ndarray:
@@ -73,13 +74,11 @@ def validate_coupling_matrix(J: np.ndarray) -> np.ndarray:
     return J
 
 
-def validate_spins(s: np.ndarray, n: int | None = None) -> np.ndarray:
+def validate_spins(s: np.ndarray) -> np.ndarray:
     """Check that every component is exactly +-1; return a float array."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise ValueError("spin configuration must be a 1-d vector")
-    if n is not None and s.shape[0] != n:
-        raise ValueError(f"expected {n} spins, got {s.shape[0]}")
     if not np.all(np.abs(s) == 1.0):
         raise ValueError("spins must be exactly +-1")
     return s

@@ -225,11 +225,6 @@ def _mixer_blocks(zs: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     return tables
 
 
-def _mixer_block(z, m: int) -> np.ndarray:
-    """prod_k exp(z Sx_k) over m spins: the one-step case of `_mixer_blocks`."""
-    return _mixer_blocks(np.array([z]), [m])[0][0]
-
-
 def _split_stepper(psi: np.ndarray, other: np.ndarray, n: int):
     """Strang steps in place on psi: step(half, blocks) sets psi <- half * U * half * psi.
 
@@ -287,23 +282,22 @@ def _split_evolution(psi: np.ndarray, other: np.ndarray, half: np.ndarray, grid,
         yield t, sampled
 
 
-def strang_step(state: QuantumState, energies: np.ndarray, schedule: QAConfig,
-                dt: float | None = None) -> QuantumState:
-    """One Strang split step: half diagonal phase, transverse rotation, half phase.
+def strang_step(state: QuantumState, energies: np.ndarray, schedule: QAConfig) -> QuantumState:
+    """One Strang split step of schedule.dt: half diagonal phase, transverse rotation, half phase.
 
     The transverse rotation angle is the exact integral of gamma over the
     step, applied as exp(+i theta Sx_k) on every spin.
     """
-    dt = schedule.dt if dt is None else dt
+    dt = schedule.dt
     theta = transverse_angle(state.t, state.t + dt, schedule.b, schedule.t0)
     psi = np.array(state.amplitudes, dtype=complex)
-    blocks = [_mixer_block(1j * theta, m) for m in _block_sizes(state.n)]
+    blocks = [table[0] for table in _mixer_blocks(np.array([1j * theta]), _block_sizes(state.n))]
     _split_stepper(psi, np.empty_like(psi), state.n)(np.exp(-0.5j * dt * energies), blocks)
     return QuantumState(psi, state.t + dt)
 
 
-def symmetry_breaking_field(n: int, coeff0: float, coeff1: float, i0: int = 0) -> np.ndarray:
-    """Longitudinal field h = coeff0 * s^(S0) + coeff1 * s^(S1, i0) componentwise.
+def symmetry_breaking_field(n: int, coeff0: float, coeff1: float) -> np.ndarray:
+    """Longitudinal field h = coeff0 * s^(S0) + coeff1 * s^(S1) componentwise.
 
     Raises ValueError unless coeff0 and coeff1 (the CLI's --h0 and --h1) are
     finite.  The check comes before the sum, where inf and -inf would make
@@ -315,7 +309,7 @@ def symmetry_breaking_field(n: int, coeff0: float, coeff1: float, i0: int = 0) -
         raise ValueError(f"field must be finite, got h0 = {coeff0} and h1 = {coeff1}")
     h = coeff0 * build_s0(n)
     if coeff1 != 0.0:
-        h = h + coeff1 * build_s1(n, i0)
+        h = h + coeff1 * build_s1(n)
     return h
 
 

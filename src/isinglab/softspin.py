@@ -207,8 +207,7 @@ def manifold_reduce(x, delta):
     zero components stay at zero, delta = 0 is the identity and delta = 1
     sends every magnitude to R.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    delta = _mixing_fraction(delta)
     x = np.asarray(x, dtype=float)
     R = np.mean(x**2, axis=-1, keepdims=True)
     return np.where(x != 0.0, (1.0 - delta) * x + delta * R * np.sign(x), x)
@@ -362,14 +361,12 @@ class SolverConfig:
         finite = 0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf
         if not (finite and self.t_end / self.dt < np.inf):  # a finite step count too
             raise ValueError("dt and t_end must be positive and finite")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
+        _mixing_fraction(self.delta)
         if not 0.0 < self.eps < np.inf:  # NaN fails too; the pump rises, cim2 locks at 2/eps
             raise ValueError("eps must be positive and finite")
         if not (self.p0 is None or np.isfinite(self.p0)):
             raise ValueError("p0 must be finite")
-        if not 0.0 < self.c < np.inf:  # NaN fails too
-            raise ValueError("c must be positive and finite")
+        _check_c(self.c)
         if not 0.0 < self.init_amplitude < np.inf:  # NaN fails too
             raise ValueError("init_amplitude must be positive and finite")
         if not self.sample_every >= 0:
@@ -788,14 +785,6 @@ def _check_c(c: float) -> None:
         raise ValueError(f"c must be positive and finite, got {c}")
 
 
-def _e1_amplitude_vector(n: int, x_l: float, x_b: float, i0: int = 0) -> np.ndarray:
-    signs = build_s1(n, i0)
-    mags = np.full(n, x_b)
-    for i in (i0, i0 + 1, i0 + n // 2, i0 + n // 2 + 1):
-        mags[i % n] = x_l
-    return signs * mags
-
-
 def branch_e0(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
     """Uniform-amplitude steady state X = sqrt(p + (2 - j)/c) on the S0 pattern.
 
@@ -827,7 +816,9 @@ def branch_e1(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
         return BranchSolution("E1", False)
     J = build_mobius_ladder(n, j)
     x_b0 = np.sqrt(max(p + (2.0 + j) / c, 0.05))
-    seed = _e1_amplitude_vector(n, 0.6 * x_b0, x_b0)
+    low = np.zeros(n, dtype=bool)
+    low[[0, 1, n // 2, n // 2 + 1]] = True  # the four defect-adjacent nodes of S1
+    seed = build_s1(n) * np.where(low, 0.6 * x_b0, x_b0)
     roots, ok = _newton_roots(J, p, c, seed[None, :])
     x = roots[0]
     if not (ok[0] and np.array_equal(np.sign(x), np.sign(seed))
@@ -835,7 +826,6 @@ def branch_e1(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
             and np.linalg.eigvalsh(soft_hessian(x, p, c, J))[0] >= -DEGENERATE_TOL):
         return BranchSolution("E1", False)
     mags = np.abs(x)
-    low = np.abs(seed) < x_b0  # the four defect-adjacent nodes, seeded at 0.6 x_b0
     x_l = float(np.mean(mags[low]))
     return BranchSolution(
         "E1", True,
@@ -896,11 +886,9 @@ def region_map(j_grid, p_grid, n: int, c: float = 1.0) -> RegionMap:
         for k, p in enumerate(p_grid):
             e0 = branch_e0(p, j, n, c)
             e1 = branch_e1(p, j, n, c)
-            if not e0.exists and not e1.exists:
-                labels[i, k] = 0
-            elif e0.exists and (not e1.exists or e0.energy <= e1.energy):
+            if e0.exists and (not e1.exists or e0.energy <= e1.energy):
                 labels[i, k] = 1
-            else:
+            elif e1.exists:  # where neither branch exists, the label stays 0
                 labels[i, k] = 2
         pc = branch_crossing_pump(j, n, c, p_grid.min(), p_grid.max())
         if pc is not None:
@@ -1018,7 +1006,7 @@ def _descend_batch(J: np.ndarray, p: float, c: float, x0: np.ndarray):
     The flow runs down to FLOW_TOL and `_newton_roots` solves from its
     endpoints.  A root counts only if Newton converged without climbing
     above the flow endpoint's energy; it is a minimum when its smallest
-    Hessian eigenvalue is above -DEGENERATE_TOL.  Rows without a minimum
+    Hessian eigenvalue is at least -DEGENERATE_TOL.  Rows without a minimum
     descend again with a flow tolerance 1000 times tighter, up to
     KICK_ROUNDS times: a row whose Newton failed or climbed flows on from
     its flow endpoint, and a row whose descent reached a saddle is kicked
@@ -1036,7 +1024,7 @@ def _descend_batch(J: np.ndarray, p: float, c: float, x0: np.ndarray):
         ok &= soft_energy(roots, p, c, J) <= soft_energy(xs, p, c, J) + 1e-12
         solved = np.flatnonzero(ok)
         vals, vecs = np.linalg.eigh(soft_hessian(roots[solved], p, c, J))
-        at_min = vals[:, 0] > -DEGENERATE_TOL
+        at_min = vals[:, 0] >= -DEGENERATE_TOL
         done = np.zeros(len(rows), dtype=bool)
         done[solved[at_min]] = True
         x[rows[done]] = roots[done]

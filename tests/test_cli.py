@@ -219,13 +219,21 @@ class TestSweepCommand:
         {"instance": {"n": 8.5, "j": 0.3}, "variants": ["cim1"], "runs": 3},
         {"instance": {"n": 8, "j": 0.3}, "variants": ["qa"], "qa": {"t_end": -1}},
         {"instance": {"n": 8, "j": 0.3}, "variants": ["cim1"], "softspin": {"eps": float("nan")}},
+        {"instance": {"n": 8, "j": 0.3}, "cim3": {"prelim_runs": 2.7}},  # used to run as 2
+        {"instance": {"n": 8, "j": 0.3}, "cim3": {"delta_grid": []}},
+        {"instance": {"n": 8, "j": 0.3}, "cim3": 4},
     ], ids=["top-level", "softspin", "qa", "cim3", "cim3-grid", "cim3-runs",
             "instance-not-object", "j-grid-not-list", "runs-null", "instance-extra-key",
-            "n-not-integer", "qa-time-grid", "softspin-eps-nan"])
-    def test_unknown_field_rejected(self, tmp_path, config):
+            "n-not-integer", "qa-time-grid", "softspin-eps-nan", "cim3-runs-not-integer",
+            "cim3-grid-empty", "cim3-not-object"])
+    def test_unknown_field_rejected(self, tmp_path, capsys, config):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(config))
-        assert main(["sweep", "--config", str(path)]) == 1
+        path.write_text(json.dumps({"runs": 3, **config}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and "# stats:" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("eps", [0.0, -0.003], ids=["zero", "negative"])
     def test_non_positive_eps_rejected(self, tmp_path, capsys, eps):
@@ -245,11 +253,15 @@ class TestSweepCommand:
         ("init_amplitude", "-1", "init_amplitude must be positive and finite"),
         ("init_amplitude", "0", "init_amplitude must be positive and finite"),
         ("sample_every", "-1", "sample_every must be >= 0, got -1"),
+        ("sample_every", "10", "softspin fields ['sample_every'] are not used by a sweep"),
+        ("seed", "9", "softspin fields ['seed'] are not used by a sweep"),
+        ("delta", "0.2", "softspin fields ['delta'] are not used by a sweep"),
     ], ids=["amplitude-inf", "amplitude-nan", "amplitude-negative", "amplitude-zero",
-            "sample-every-negative"])
+            "sample-every-negative", "sample-every-ignored", "seed-ignored", "delta-ignored"])
     def test_bad_softspin_start_rejected(self, tmp_path, capsys, field, value, message):
         # an infinite or NaN amplitude died with an OverflowError traceback, a negative one
-        # only inside the first ensemble, and 0 left every run at the origin
+        # only inside the first ensemble, and 0 left every run at the origin; the fields
+        # a sweep ignores ran and left the CSV byte-identical
         path = tmp_path / "bad.json"
         path.write_text('{"instance": {"n": 8, "j": 0.3}, "variants": ["cim1"], "runs": 3, '
                         f'"softspin": {{"{field}": {value}}}}}')
@@ -275,6 +287,53 @@ class TestSweepCommand:
         path.write_text("{ not json }")
         assert main(["sweep", "--config", str(path)]) == 1
         assert "line" in capsys.readouterr().err
+
+    def test_unused_softspin_fields_at_their_defaults_accepted(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({"instance": {"n": 8, "j": 0.3}, "variants": ["cim1"],
+                                    "runs": 3, "softspin": {"sample_every": 0, "t_end": 30.0}}))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        path = self._config(tmp_path, runs=3)
+        rc = main(["sweep", "--config", str(path), "--threads", threads,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: --threads must be >= 1, got {threads}" in err
+        assert "# stats:" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("j_grid, expected", [([0.3], []), ([0.3, 0.4, 0.5], [3])],
+                             ids=["one-point", "three-points"])
+    def test_threads_capped_at_the_j_points(self, tmp_path, monkeypatch, j_grid, expected):
+        # a stub pool that records its size and maps serially: no process starts
+        import concurrent.futures
+
+        pools = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"instance": {"n": 8, "j_grid": j_grid}, "variants": ["cim1"],
+                                    "runs": 3, "softspin": {"t_end": 30.0}}))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(path), "--threads", "5000", "--out", str(out)]) == 0
+        assert pools == expected
+        assert len(_read_csv(out)[2]) == len(j_grid)
 
     def test_unknown_variant_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -216,7 +216,8 @@ class TestSplitStep:
         psi /= np.linalg.norm(psi)
         expected = psi.copy()
         _butterfly_split_step(expected, half, z, n)
-        blocks = [quantum._mixer_block(z, m) for m in quantum._block_sizes(n)]
+        blocks = [table[0] for table in quantum._mixer_blocks(np.array([z]),
+                                                                quantum._block_sizes(n))]
         quantum._split_stepper(psi, np.empty_like(psi), n)(half, blocks)
         assert psi.dtype == expected.dtype
         # imaginary time grows the norm by up to e^(n theta); compare the
@@ -633,6 +634,48 @@ class TestInstantaneousOverlap:
     def test_dense_guard(self):
         with pytest.raises(ValueError):
             instantaneous_ground_overlap(initial_state(13), np.zeros((13, 13)), None, 1.0)
+
+    @staticmethod
+    def _kron_hamiltonian(J, h, gamma_now):
+        """H = -(1/2) sum J_ij Z_i Z_j - sum h_i Z_i - gamma sum X_k from explicit Kronecker products.
+
+        Spin k is bit k of the basis index, up (Z = +1) when set, so its
+        operator is I(2^(n-1-k)) (x) op (x) I(2^k).
+        """
+        n = len(J)
+
+        def on_spin(op, k):
+            return np.kron(np.kron(np.eye(1 << (n - 1 - k)), op), np.eye(1 << k))
+
+        Z = [on_spin(np.diag([-1.0, 1.0]), k) for k in range(n)]
+        X = [on_spin(np.array([[0.0, 1.0], [1.0, 0.0]]), k) for k in range(n)]
+        H = sum(-0.5 * J[i, k] * Z[i] @ Z[k] for i in range(n) for k in range(n) if i != k)
+        H = H - sum(h[k] * Z[k] for k in range(n)) - gamma_now * sum(X)
+        return H
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("case", ["field-and-drive", "degenerate-pair"])
+    def test_dense_branch_matches_kronecker_eigh(self, n, case):
+        # n <= 4 takes the dense eigh branch (dimension <= 16)
+        rng = np.random.default_rng(40 + n)
+        if case == "field-and-drive":
+            J = np.triu(rng.normal(size=(n, n)), 1)
+            h, gamma_now = rng.normal(size=n), 0.7
+        else:  # ferromagnetic bonds, no field, no drive: all up and all down share the ground
+            J = np.triu(rng.uniform(0.5, 1.5, size=(n, n)), 1)
+            h, gamma_now = None, 0.0
+        J = J + J.T
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        H = self._kron_hamiltonian(J, np.zeros(n) if h is None else h, gamma_now)
+        vals, vecs = np.linalg.eigh(H)
+        lowest = vals - vals[0] < 1e-10
+        assert lowest.sum() == (2 if case == "degenerate-pair" else 1)
+        expected = float(np.sum(np.abs(vecs[:, lowest].conj().T @ psi) ** 2))
+        assert instantaneous_ground_overlap(psi, J, h, gamma_now) == pytest.approx(
+            expected, rel=0, abs=1e-12)
+        if case == "degenerate-pair":
+            assert expected == pytest.approx(abs(psi[0]) ** 2 + abs(psi[-1]) ** 2, abs=1e-12)
 
 
 class TestSnapshots:
