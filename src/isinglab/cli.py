@@ -248,9 +248,10 @@ def cmd_sweep(ns) -> int:
     if ns.seed is not None:
         cfg["seed"] = ns.seed
     _check_config_shape(cfg)
-    for name, value in (("runs", cfg["runs"]), ("cim3.prelim_runs", cfg["cim3"]["prelim_runs"])):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value, least in (("runs", cfg["runs"], 1), ("seed", cfg["seed"], 0),
+                               ("cim3.prelim_runs", cfg["cim3"]["prelim_runs"], 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     unknown = [v for v in cfg["variants"] if v not in (*softspin.VARIANTS, "qa")]
     if unknown:
         raise ValueError(f"unknown variants in config: {unknown}")
@@ -500,6 +501,17 @@ def cmd_verify(ns) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's SeedSequence takes non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process.
@@ -517,7 +529,7 @@ def _build_parser() -> _Parser:
 
     def seeded(p, default=0):  # only the commands that draw random numbers take a seed
         common(p)
-        p.add_argument("--seed", type=int, default=default)
+        p.add_argument("--seed", type=_seed, default=default)
 
     def fixed_pump(p):  # the landscape at one pump
         p.add_argument("--n", type=int, default=8)

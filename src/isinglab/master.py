@@ -317,7 +317,7 @@ def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig)
     times, pgs = [0.0], [float(np.sum(psi[ground] ** 2))]
     steps = 0
     for steps, (t, sampled) in enumerate(_split_evolution(psi, np.empty_like(psi), half, grid,
-                                                          config, 1), 1):
+                                                          config, False), 1):
         norm = math.sqrt(psi.dot(psi))  # what np.linalg.norm computes for a real vector
         if norm == 0.0 or not math.isfinite(norm):
             raise RuntimeError(f"state norm {norm:.3e} at t = {t:.2f}")

@@ -200,6 +200,37 @@ class TestSweepCommand:
             assert main([*argv, "--seed", "3"]) == 1
             assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--seed", "-7"],  # cim3 would tune delta at seed + 7 = 0 first
+        ["sweep", "--seed", "-1"],
+        ["basins", "--j", "0.4", "--p", "2", "--seed", "-1"],
+        ["critical", "--j", "0.4", "--p", "2", "--seed", "-1"],
+        ["branches", "--what", "barrier", "--seed", "-1"],
+        ["trajectory", "--j", "0.4", "--seed", "-1"],
+        ["sweep"],  # with a config whose seed is -1
+    ], ids=["sweep-7", "sweep", "basins", "critical", "branches", "trajectory", "sweep-config"])
+    def test_negative_seed_rejected_up_front(self, argv, tmp_path, monkeypatch, capsys):
+        from isinglab import landscape
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the seed was checked")
+
+        for module, name in ((softspin, "run_ensemble"), (softspin, "tune_delta"),
+                             (softspin, "basin_sample"), (softspin, "run_trajectory"),
+                             (landscape, "find_critical_points"), (landscape, "barrier_height")):
+            monkeypatch.setattr(module, name, never)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"instance": {"n": 8, "j": 0.35}, "variants": ["cim3"],
+                                      "runs": 4, "seed": -1, "cim3": {"prelim_runs": 2}}))
+        if argv[0] == "sweep":
+            argv = [*argv, "--config", str(config)]
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        expected = ("argument --seed: must be >= 0" if "--seed" in argv
+                    else "seed must be >= 0, got -1")
+        assert err.startswith("error: ") and expected in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_empty_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"instance": {"n": 8, "j_grid": []}}))

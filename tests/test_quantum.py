@@ -61,6 +61,23 @@ def _per_step_split_step(psi, half, z, n):
     psi *= half
 
 
+def _per_step_rotation_step(psi, half, theta, n):
+    """QA's real-frame split step as a per-step loop: blocks and a temporary per step."""
+    psi *= half
+    for k in range(0, n, 4):
+        m = min(4, n - k)
+        d = np.arange(m + 1)
+        powers = np.cos(theta) ** (m - d) * np.sin(theta) ** d
+        block = np.concatenate((powers, -powers))[quantum._rotation_index(m)]
+        if k == 0:
+            a = psi.reshape(-1, 1 << m)
+            a[...] = a @ block.T
+        else:  # real and imaginary parts side by side on the float64 view
+            a = psi.view(np.float64).reshape(1 << (n - k - m), 1 << m, 2 << k)
+            a[...] = np.matmul(block, a)
+    psi *= half
+
+
 def _per_step_evolution(J, h, config, imaginary):
     """QA or imaginary time one step at a time, with the scalar t += dt: (times, samples, psi).
 
@@ -73,8 +90,9 @@ def _per_step_evolution(J, h, config, imaginary):
     if imaginary:
         psi = np.full(1 << n, 2.0 ** (-n / 2))
         half = np.exp(-0.5 * dt * (E - E.min()))
-    else:
+    else:  # QA evolves phi = D^dagger psi and samples it; the final phi goes back to psi
         psi = initial_state(n).amplitudes
+        quantum._frame(psi, n, inverse=True)
         half = np.exp(-0.5j * dt * E)
 
     def sample():
@@ -86,14 +104,45 @@ def _per_step_evolution(J, h, config, imaginary):
     t, times, samples = 0.0, [0.0], [sample()]
     for sampled in _time_grid(dt, config.t_end, config.sample_every):
         theta = transverse_angle(t, t + dt, config.b, config.t0)
-        _per_step_split_step(psi, half, theta if imaginary else 1j * theta, n)
         if imaginary:
+            _per_step_split_step(psi, half, theta, n)
             psi /= np.linalg.norm(psi)
+        else:
+            _per_step_rotation_step(psi, half, theta, n)
         t += dt
         if sampled:
             times.append(t)
             samples.append(sample())
+    if not imaginary:
+        quantum._frame(psi, n)
     return times, samples, psi
+
+
+def _complex_mixer_qa(J, h, config):
+    """QA as it ran before the real-rotation frame: complex cosh/sinh blocks on psi itself.
+
+    Returns (psi, p_gs, prob_up, bloch_mag), the observables sampled from
+    reduced density matrices.
+    """
+    n = len(J)
+    E = build_diagonal(J, h)
+    ground = ground_set(E)
+    psi = initial_state(n).amplitudes
+    half = np.exp(-0.5j * config.dt * E)
+
+    def sample():
+        rhos = [reduced_density_matrix(psi, k) for k in range(n)]
+        return (ground_state_probability(psi, ground)[0], [rho[0, 0].real for rho in rhos],
+                [bloch_vector(rho).magnitude for rho in rhos])
+
+    t, samples = 0.0, [sample()]
+    for sampled in _time_grid(config.dt, config.t_end, config.sample_every):
+        _per_step_split_step(psi, half, 1j * transverse_angle(t, t + config.dt, config.b,
+                                                                config.t0), n)
+        t += config.dt
+        if sampled:
+            samples.append(sample())
+    return (psi, *(np.array(col) for col in zip(*samples)))
 
 
 class TestBasisConvention:
@@ -216,14 +265,62 @@ class TestSplitStep:
         psi /= np.linalg.norm(psi)
         expected = psi.copy()
         _butterfly_split_step(expected, half, z, n)
-        blocks = [table[0] for table in quantum._mixer_blocks(np.array([z]),
-                                                                quantum._block_sizes(n))]
+        rotation = kind == "real-time"  # QA mixes D^dagger psi by real rotations, then D
+        blocks = [table[0] for table in quantum._mixer_tables(np.array([theta]),
+                                                                quantum._block_sizes(n), rotation)]
+        if rotation:
+            quantum._frame(psi, n, inverse=True)
         quantum._split_stepper(psi, np.empty_like(psi), n)(half, blocks)
+        if rotation:
+            quantum._frame(psi, n)
         assert psi.dtype == expected.dtype
         # imaginary time grows the norm by up to e^(n theta); compare the
         # renormalized state it goes on with (the unitary case has norm 1)
         scale = np.linalg.norm(expected)
         np.testing.assert_allclose(psi / scale, expected / scale, rtol=0, atol=1e-13)
+
+
+class TestFrame:
+    """QA's real-rotation frame: phi = D^dagger psi, D = diag(1, i) on every spin."""
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_round_trip_is_bitwise(self, n):
+        rng = np.random.default_rng(300 + n)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        phi = psi.copy()
+        quantum._frame(phi, n, inverse=True)
+        expected = psi * (-1j) ** quantum._popcounts(n)  # D^dagger, up to rounding of the powers
+        np.testing.assert_allclose(phi, expected, rtol=0, atol=1e-15)
+        quantum._frame(phi, n)
+        assert phi.tobytes() == psi.tobytes()
+
+    def test_uniform_start(self):
+        n = 6
+        phi = initial_state(n).amplitudes
+        quantum._frame(phi, n, inverse=True)
+        signs = np.array([1, -1j, -1, 1j])[quantum._popcounts(n) % 4]  # (-i)^popcount, exactly
+        assert np.array_equal(phi, 2.0 ** (-n / 2) * signs)
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_rotation_block_is_kronecker_product(self, m):
+        theta = 0.37
+        R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        expected = np.ones((1, 1))
+        for _ in range(m):
+            expected = np.kron(R, expected)
+        block = quantum._mixer_tables(np.array([theta]), [m], True)[0][0]
+        np.testing.assert_allclose(block, expected, rtol=0, atol=1e-15)
+
+    def test_matches_complex_mixer_at_criterion_9(self):
+        # the anneal of criterion 9 as it ran with complex blocks on psi itself
+        J = graph.build_mobius_ladder(8, 0.35)
+        config = QAConfig(h=symmetry_breaking_field(8, 0.05, 0.05), sample_every=50)
+        psi, p_gs, prob_up, bloch_mag = _complex_mixer_qa(J, config.h, config)
+        run = run_qa(J, config)
+        np.testing.assert_allclose(run.state.amplitudes, psi, rtol=0, atol=1e-12)
+        for got, want in ((run.p_gs, p_gs), (run.prob_up, prob_up), (run.bloch_mag, bloch_mag)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert run.p_gs[-1] > 0.9
 
 
 def _mixer_step_bytes(n, itemsize):
@@ -290,7 +387,7 @@ class TestFixedSteps:
         J, h = graph.build_mobius_ladder(8, 0.35), symmetry_breaking_field(8, 0.05, 0.05)
         config = QAConfig(dt=0.1, t_end=3.7, h=h)
         cases = [  # (evolution, its steps, bytes per step)
-            (lambda: run_qa(J, config).steps, _mixer_step_bytes(8, 16)),
+            (lambda: run_qa(J, config).steps, _mixer_step_bytes(8, 8)),  # real blocks
             (lambda: master.imaginary_time_evolve(J, h, config).steps, _mixer_step_bytes(8, 8)),
             (lambda: master.anneal_master(J, h, master.AnnealSchedule(), "sa", 0.01, 0.53).steps,
              16 * 9 * 256),
@@ -319,7 +416,7 @@ class TestChunkedEvolutions:
         rng = np.random.default_rng(500 + n)
         A = rng.normal(scale=0.5, size=(n, n))
         J, h = np.triu(A, 1) + np.triu(A, 1).T, rng.normal(scale=0.2, size=n)
-        qa_bytes, imag_bytes = _mixer_step_bytes(n, 16), _mixer_step_bytes(n, 8)
+        qa_bytes, imag_bytes = _mixer_step_bytes(n, 8), _mixer_step_bytes(n, 8)
         if chunk is None:
             chunk = _steps_per_chunk(qa_bytes)
             assert chunk > 3 and _steps_per_chunk(imag_bytes) >= chunk
@@ -630,6 +727,41 @@ class TestInstantaneousOverlap:
                 g = gamma(state.t, cfg.b, cfg.t0)
                 worst = min(worst, instantaneous_ground_overlap(state, J, None, g))
         assert worst > 0.95
+
+    @pytest.mark.parametrize("j", [0.4, 0.6])
+    def test_degenerate_ground_space_without_drive(self, j):
+        # at j = 0.6 eight states share the ground energy; the overlap is their total weight
+        J = graph.build_mobius_ladder(8, j)
+        ground = oracle.exhaustive_ground_state(J).ground_indices
+        assert len(ground) == (8 if j == 0.6 else 2)
+        assert instantaneous_ground_overlap(initial_state(8), J, None, 0.0) == pytest.approx(
+            len(ground) / 256, rel=0, abs=1e-15)
+        rng = np.random.default_rng(11)
+        psi = rng.normal(size=256) + 1j * rng.normal(size=256)
+        psi /= np.linalg.norm(psi)
+        assert instantaneous_ground_overlap(psi, J, None, 0.0) == pytest.approx(
+            float(np.sum(np.abs(psi[ground]) ** 2)), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("case", ["gapped", "cluster"])
+    def test_eigsh_branch_matches_dense_eigh(self, case):
+        # above 16 states eigsh runs; at j = 0.6 and a weak drive the eight
+        # classical ground states split by far less than 1e-10
+        rng = np.random.default_rng(12)
+        if case == "gapped":
+            n = 6
+            J = np.triu(rng.normal(size=(n, n)), 1)
+            J, h, gamma_now = J + J.T, rng.normal(size=n), 0.7
+        else:
+            n = 8
+            J, h, gamma_now = graph.build_mobius_ladder(n, 0.6), np.zeros(n), 1e-6
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        vals, vecs = np.linalg.eigh(self._kron_hamiltonian(J, h, gamma_now))
+        lowest = vals - vals[0] < 1e-10
+        assert lowest.sum() == (1 if case == "gapped" else 8)
+        expected = float(np.sum(np.abs(vecs[:, lowest].conj().T @ psi) ** 2))
+        assert instantaneous_ground_overlap(psi, J, h, gamma_now) == pytest.approx(
+            expected, rel=0, abs=1e-10)
 
     def test_dense_guard(self):
         with pytest.raises(ValueError):
