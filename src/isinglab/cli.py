@@ -335,6 +335,8 @@ def cmd_basins(ns) -> int:
     # one tail per minimum, and the unresolved tail last, where label -1 finds it
     tails = [(m.family, m.energy, int(m.is_ground)) for m in sample.minima]
     tails.append(("unresolved", "", ""))
+    if ns.format == "csv":  # a CSV row joins its cells, so each tail is joined once
+        tails = [(",".join(map(_fmt, tail)),) for tail in tails]
     rows = [(m, xcorr, *tails[lab]) for m, xcorr, lab in
             zip(sample.m.tolist(), sample.xcorr.tolist(), sample.labels.tolist())]
     params = {"n": ns.n, "j": ns.j, "p": ns.p, "c": ns.c,

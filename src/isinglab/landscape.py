@@ -51,7 +51,7 @@ def find_critical_points(J: np.ndarray, p: float, c: float,
     softspin's, as for basin minima, sorted by (index, energy).
     """
     J = validate_coupling_matrix(J)
-    _check_fixed_pump(p, c)
+    _check_fixed_pump(p, c, J)
     if starts < 1:
         raise ValueError("starts must be >= 1")
     n = J.shape[0]

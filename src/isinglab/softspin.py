@@ -86,11 +86,13 @@ GRADIENT_TOL = 1e-9  # a Newton root counts as critical below this gradient
 NEWTON_TOL = 1e-12  # a Newton row stops below this gradient
 NEWTON_ITER = 80  # most Newton steps per row
 DEGENERATE_TOL = 1e-8  # Hessian eigenvalues within this of zero count as zero
+CERTIFY_MARGIN = 1e-10  # relative margin of the Gershgorin minimum test over eigh's error
 ENERGY_TOL = 1e-8  # energies within this of each other count as one level
 MATCH_TOL = 1e-4  # infinity-norm distance at which two descent endpoints are one minimum
 DEDUP_TOL = 1e-6  # infinity-norm distance at which two Newton roots are one critical point
 FLOW_TOL = 1e-3  # the fixed-pump descent hands its flow over to Newton below this gradient
 MAX_FLOW_STEPS = 60000
+LANDSCAPE_SCALE_MAX = 1e150  # largest landscape scale that the fixed-pump commands accept
 KICK_ROUNDS = 3  # retries of a fixed-pump descent that ends off a minimum
 KICK_MAX = 0.1  # longest step off a saddle
 
@@ -730,6 +732,17 @@ class BranchSolution:
     amplitudes: np.ndarray | None = None
 
 
+def _row_max_abs(a: np.ndarray) -> np.ndarray:
+    """max_j |a_ij| of each row of a (rows, n): np.max(np.abs(a), axis=1), bitwise.
+
+    numpy reduces a C-ordered (rows, n) array along its short axis one row at
+    a time, about 45 ns per row at n = 8; written into an (n, rows) buffer,
+    the same maxima are n - 1 elementwise passes over long rows.  A maximum
+    is exact in any order, and np.maximum propagates NaN like np.max.
+    """
+    return np.abs(a.T, out=np.empty(a.shape[::-1])).max(axis=0)
+
+
 def _newton_roots(J: np.ndarray, p: float, c: float,
                   x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched undamped Newton on dE/dx = 0 from the rows of x0: (x, converged).
@@ -753,7 +766,7 @@ def _newton_roots(J: np.ndarray, p: float, c: float,
             g = -soft_gradient(x[rows.repeat(2)], p, c, J)[:1]
         else:
             g = -soft_gradient(x[rows], p, c, J)
-        done = np.max(np.abs(g), axis=1) < NEWTON_TOL
+        done = _row_max_abs(g) < NEWTON_TOL
         if done.all():
             break
         rows = rows[~done]
@@ -773,10 +786,10 @@ def _newton_roots(J: np.ndarray, p: float, c: float,
             active[rows[~keep]] = False
             rows, step = rows[keep], step[keep]
         del H  # the largest array here: the next iteration's must not be built beside it
-        norm = np.max(np.abs(step), axis=1, keepdims=True)
+        norm = _row_max_abs(step)[:, None]
         x[rows] += step * np.minimum(1.0, 2.0 / np.maximum(norm, 1e-30))
     g = soft_gradient(x, p, c, J)
-    return x, active & (np.max(np.abs(g), axis=1) < GRADIENT_TOL)
+    return x, active & (_row_max_abs(g) < GRADIENT_TOL)
 
 
 def _check_c(c: float) -> None:
@@ -960,11 +973,55 @@ def spin_family(spins: np.ndarray) -> str:
     return f"{len(defects)}-defect"
 
 
-def _check_fixed_pump(p: float, c: float) -> None:
-    """Raise ValueError unless the pump p is finite and c is finite and positive."""
+def _spin_families(spins: np.ndarray) -> list[str]:
+    """:func:`spin_family` of each row of spins (rows, n), from one pass over all ring defects.
+
+    A row with two defects at b0 < b1 has gap min(b1 - b0, n - (b1 - b0)).
+    """
+    n = spins.shape[1]
+    aligned = spins * np.roll(spins, -1, axis=1) > 0
+    first = aligned.argmax(axis=1)
+    span = n - 1 - aligned[:, ::-1].argmax(axis=1) - first
+    gaps = np.minimum(span, n - span)
+    names = []
+    for count, gap in zip(aligned.sum(axis=1).tolist(), gaps.tolist()):
+        if count == 0:
+            names.append("S0")
+        elif count != 2:
+            names.append(f"{count}-defect")
+        else:
+            names.append("S1" if gap == n // 2 else f"2-defect(sep={gap})")
+    return names
+
+
+def _check_fixed_pump(p: float, c: float, J: np.ndarray) -> None:
+    """Raise ValueError unless the landscape of (p, c, J) stays finite.
+
+    p must be finite and c finite and positive.  Over the box
+    |x_i| <= B = 1 + sqrt(max(p, 0)), which holds every start of
+    `basin_sample` and `find_critical_points`, each term of the energy,
+    gradient and Hessian is at most 3 S, with the scale
+
+        S = n (c (|p| + B^2)^2 + n max_ij |J_ij| B^2),
+
+    and S must not exceed LANDSCAPE_SCALE_MAX = 1e150.  That leaves a factor
+    above 1e150 below overflow for the iterates that leave the box: a Newton
+    step moves a row by at most 2, so its 80 steps raise a term by less than
+    161^4 < 1e9.  J is a validated coupling matrix.
+    """
     if not np.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
     _check_c(c)
+    n, p, c = J.shape[0], float(p), float(c)  # Python floats overflow to inf without a warning
+    box = 1.0 + max(p, 0.0) ** 0.5
+    box2 = box * box
+    quartic = abs(p) + box2
+    j_max = float(np.abs(J).max())
+    scale = n * (c * quartic * quartic + n * j_max * box2)
+    if not scale <= LANDSCAPE_SCALE_MAX:  # NaN fails too
+        raise ValueError(f"p = {p}, c = {c} and couplings up to {j_max:g} give a landscape "
+                         f"scale of {scale:.3g}, above {LANDSCAPE_SCALE_MAX:g}: "
+                         f"the energies would overflow")
 
 
 def _stable_flow_dt(p: float, c: float, J: np.ndarray) -> float:
@@ -1000,17 +1057,45 @@ def _saddle_kick(vals: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
     return np.minimum(10.0 * tol / np.abs(vals[..., :1]), KICK_MAX) * vecs[..., 0]
 
 
+def _certified_minima(J: np.ndarray, p: float, c: float, x: np.ndarray) -> np.ndarray:
+    """Mask of the rows of x (rows, n) that the Gershgorin bound shows to be minima.
+
+    The bound min_i (H_ii - sum_{j != i} |H_ij|) is taken on the matrix that
+    `np.linalg.eigh` reads: the lower triangle of `soft_hessian`, mirrored.
+    A row passes when the bound clears -DEGENERATE_TOL by
+    CERTIFY_MARGIN max(1, ||H||_inf).  Its verdict is then the one eigh's
+    smallest eigenvalue would give: the exact eigenvalue is at least the
+    bound, eigh's lies within its backward error of it (about
+    8 eps ||H||_2 <= 8 eps ||H||_inf at n = 8), and the bound's own rounding
+    is a few eps ||H||_inf, while the margin is over 1e4 times both.  A row
+    that fails is not known to be a saddle; eigh decides it.
+    """
+    low = np.abs(np.tril(J, -1))
+    radius = (low.sum(axis=1) + low.sum(axis=0))[:, None]
+    diag = np.square(x.T, out=np.empty(x.shape[::-1]))  # spin-major: reduce along the long axis
+    np.multiply(diag, 3.0, diag)
+    np.subtract(diag, p, diag)
+    np.multiply(diag, c, diag)
+    np.subtract(diag, np.diag(J)[:, None], diag)
+    lower = (diag - radius).min(axis=0)
+    norm = (np.abs(diag, diag) + radius).max(axis=0)
+    return lower >= -DEGENERATE_TOL + CERTIFY_MARGIN * np.maximum(norm, 1.0)
+
+
 def _descend_batch(J: np.ndarray, p: float, c: float, x0: np.ndarray):
     """Gradient flow into a basin, then the shared Newton root-finder.
 
     The flow runs down to FLOW_TOL and `_newton_roots` solves from its
     endpoints.  A root counts only if Newton converged without climbing
     above the flow endpoint's energy; it is a minimum when its smallest
-    Hessian eigenvalue is at least -DEGENERATE_TOL.  Rows without a minimum
-    descend again with a flow tolerance 1000 times tighter, up to
-    KICK_ROUNDS times: a row whose Newton failed or climbed flows on from
-    its flow endpoint, and a row whose descent reached a saddle is kicked
-    off it (`_saddle_kick`) to the side its flow came from.  Returns
+    Hessian eigenvalue is at least -DEGENERATE_TOL.  The Gershgorin bound
+    of `_certified_minima` settles that for most minima without an `eigh`;
+    only the other rows, the saddles among them, are decomposed.  Rows
+    without a minimum descend again with a flow tolerance 1000 times
+    tighter, up to KICK_ROUNDS times: a row whose Newton failed or climbed
+    flows on from its flow endpoint, and a row whose descent reached a
+    saddle is kicked off it (`_saddle_kick`) to the side its flow came
+    from.  Returns
     (x, converged), converged marking the rows resting at a minimum.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -1023,16 +1108,21 @@ def _descend_batch(J: np.ndarray, p: float, c: float, x0: np.ndarray):
         roots, ok = _newton_roots(J, p, c, xs)
         ok &= soft_energy(roots, p, c, J) <= soft_energy(xs, p, c, J) + 1e-12
         solved = np.flatnonzero(ok)
-        vals, vecs = np.linalg.eigh(soft_hessian(roots[solved], p, c, J))
+        # a certified row passes eigh's test below too: its bound clears the
+        # test by a margin above eigh's backward error (`_certified_minima`)
+        certified = _certified_minima(J, p, c, roots[solved])
+        check = solved[~certified]
+        vals, vecs = np.linalg.eigh(soft_hessian(roots[check], p, c, J))
         at_min = vals[:, 0] >= -DEGENERATE_TOL
         done = np.zeros(len(rows), dtype=bool)
-        done[solved[at_min]] = True
+        done[solved[certified]] = True
+        done[check[at_min]] = True
         x[rows[done]] = roots[done]
         converged[rows[done]] = True
         if attempt == KICK_ROUNDS or done.all():
             break
         tol *= 1e-3
-        saddle = solved[~at_min]
+        saddle = check[~at_min]
         step = _saddle_kick(vals[~at_min], vecs[~at_min], tol)
         back = np.einsum("bi,bi->b", xs[saddle] - roots[saddle], step) < 0.0
         xs[saddle] = roots[saddle] + np.where(back[:, None], -step, step)
@@ -1073,14 +1163,15 @@ def _cluster_rows(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
 def _classify(J: np.ndarray, p: float, c: float, reps: np.ndarray) -> list[CriticalPoint]:
     """A CriticalPoint for each row of reps, in order, from one batched eigvalsh."""
     points = []
-    for x, evals in zip(reps, np.linalg.eigvalsh(soft_hessian(reps, p, c, J))):
+    families = _spin_families(spin_readout(reps))
+    for x, evals, family in zip(reps, np.linalg.eigvalsh(soft_hessian(reps, p, c, J)), families):
         points.append(CriticalPoint(
             x=x,
             energy=float(soft_energy(x, p, c, J)),
             index=int(np.sum(evals < -DEGENERATE_TOL)),
             distance_from_origin=float(np.linalg.norm(x)),
             degenerate=bool(np.any(np.abs(evals) < DEGENERATE_TOL)),
-            family=spin_family(spin_readout(x)),
+            family=family,
         ))
     e_min = min((cp.energy for cp in points if cp.index == 0), default=np.inf)
     for cp in points:
@@ -1104,7 +1195,7 @@ def basin_sample(J: np.ndarray, p: float, c: float, samples: int, seed: int = 0)
     non-converged descents count as unresolved (label -1).
     """
     J = validate_coupling_matrix(J)
-    _check_fixed_pump(p, c)
+    _check_fixed_pump(p, c, J)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = J.shape[0]

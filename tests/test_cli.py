@@ -612,6 +612,40 @@ class TestRunCommands:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("value", ["1e308", "1e200"])
+    @pytest.mark.parametrize("option", ["p", "c", "j"])
+    @pytest.mark.parametrize("command", ["basins", "critical", "barrier"])
+    def test_overflowing_landscape_scale_rejected(self, tmp_path, capsys, command, option, value):
+        # these used to exit 0 after numpy overflow warnings
+        scales = {"p": "1", "c": "1", "j": "0.3", option: value}
+        argv = {"basins": ["basins", "--p", scales["p"], "--samples", "10"],
+                "critical": ["critical", "--p", scales["p"], "--starts", "10"],
+                "barrier": ["branches", "--what", "barrier", f"--p-grid={scales['p']}",
+                            "--starts", "10"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--n", "4", "--j", scales["j"], "--c", scales["c"],
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "landscape scale" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_basins_csv_cells_equal_the_json_values(self, tmp_path):
+        # the CSV joins each minimum's tail once; JSON keeps the values
+        argv = ["basins", "--n", "8", "--j", "0.4", "--p", "2.0", "--samples", "300",
+                "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+        assert main([*argv, "--format", "json", "--out", str(tmp_path / "b.json")]) == 0
+        _, header, rows = _read_csv(tmp_path / "b.csv")
+        payload = json.loads((tmp_path / "b.json").read_text())
+        assert payload["columns"] == header and len(payload["rows"]) == len(rows) == 300
+        for cells, values in zip(rows, payload["rows"]):
+            assert cells == ["" if v == "" else repr(v) if isinstance(v, float) else str(v)
+                             for v in values]
+        assert {r[2] for r in rows} >= {"S0", "S1"}
+
     @pytest.mark.parametrize("c", ["0", "inf"])
     def test_bad_region_nonlinearity_rejected(self, tmp_path, capsys, c):
         # a warning raised as an error here would escape main's handlers

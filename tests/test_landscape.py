@@ -113,6 +113,28 @@ class TestFindCriticalPoints:
         with pytest.raises(ValueError):
             landscape.find_critical_points(J8, p, c, starts=10)
 
+    def test_scale_bounds_every_term_over_the_start_box(self):
+        # the validator's claim: |E|, |dE/dx_i| and |H_ij| are at most 3 S for
+        # |x_i| <= B = 1 + sqrt(max(p, 0))
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            J = _random_coupling(n, int(rng.integers(1 << 30))) * 10.0 ** rng.uniform(-3, 3)
+            p, c = rng.uniform(-50.0, 50.0), 10.0 ** rng.uniform(-3, 3)
+            box = 1.0 + np.sqrt(max(p, 0.0))
+            scale = n * (c * (abs(p) + box**2) ** 2 + n * np.abs(J).max() * box**2)
+            x = box * rng.choice([-1.0, 1.0, rng.uniform(-1.0, 1.0)], size=(50, n))
+            assert np.abs(soft_energy(x, p, c, J)).max() <= 3.0 * scale
+            assert np.abs(soft_gradient(x, p, c, J)).max() <= 3.0 * scale
+            assert np.abs(soft_hessian(x, p, c, J)).max() <= 3.0 * scale
+
+    @pytest.mark.parametrize("p, c, j", [(1e75, 1.0, 0.4), (1.0, 1e148, 0.4), (1.0, 1.0, 1e149)])
+    def test_scale_above_the_limit_rejected(self, p, c, j):
+        with pytest.raises(ValueError, match="landscape scale"):
+            landscape.find_critical_points(graph.build_mobius_ladder(8, j), p, c, starts=10)
+        with pytest.raises(ValueError, match="landscape scale"):
+            softspin.basin_sample(graph.build_mobius_ladder(8, j), p, c, 10)
+
 
 class TestDescent:
     def test_descent_from_every_index1_saddle_reaches_a_minimum(self):
@@ -375,6 +397,128 @@ class TestNewtonRoots:
         x, ok = self._assert_matches_reference(J, 1.25, x0)
         assert np.array_equal(x[-1], uniform) and not ok[-1]
         assert ok[:-1].sum() > 0
+
+
+def _descend_batch_all_rows(J, p, c, x0):
+    """The descent that `_descend_batch` replaced, kept as its reference.
+
+    It decides every solved row by `eigh`, with no Gershgorin gate.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    converged = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))
+    tol = softspin.FLOW_TOL
+    for attempt in range(softspin.KICK_ROUNDS + 1):
+        xs = x[rows]
+        softspin._flow_into_basin(J, p, c, xs, tol)
+        roots, ok = _newton_roots(J, p, c, xs)
+        ok &= soft_energy(roots, p, c, J) <= soft_energy(xs, p, c, J) + 1e-12
+        solved = np.flatnonzero(ok)
+        vals, vecs = np.linalg.eigh(soft_hessian(roots[solved], p, c, J))
+        at_min = vals[:, 0] >= -softspin.DEGENERATE_TOL
+        done = np.zeros(len(rows), dtype=bool)
+        done[solved[at_min]] = True
+        x[rows[done]] = roots[done]
+        converged[rows[done]] = True
+        if attempt == softspin.KICK_ROUNDS or done.all():
+            break
+        tol *= 1e-3
+        saddle = solved[~at_min]
+        step = softspin._saddle_kick(vals[~at_min], vecs[~at_min], tol)
+        back = np.einsum("bi,bi->b", xs[saddle] - roots[saddle], step) < 0.0
+        xs[saddle] = roots[saddle] + np.where(back[:, None], -step, step)
+        x[rows[~done]] = xs[~done]
+        rows = rows[~done]
+    return x, converged
+
+
+def _random_coupling(n, seed):
+    upper = np.triu(np.random.default_rng(seed).uniform(-0.6, 0.6, size=(n, n)), 1)
+    return upper + upper.T
+
+
+class TestGershgorinGate:
+    COUPLINGS = {
+        "mobius-4": graph.build_mobius_ladder(4, 0.4),
+        "mobius-8": J8,
+        "mobius-12": graph.build_mobius_ladder(12, 0.4),
+        "random-5": _random_coupling(5, 1),
+        "random-10": _random_coupling(10, 2),
+    }
+
+    # cases whose solved rows fall on both sides of the gate at either margin
+    SPLIT = {("mobius-8", -0.5), ("mobius-8", 1.0), ("random-10", 1.0), ("random-10", 2.5)}
+
+    @pytest.mark.parametrize("margin", [softspin.CERTIFY_MARGIN, 0.12], ids=["default", "wide"])
+    @pytest.mark.parametrize("p", [-0.5, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("name", sorted(COUPLINGS))
+    def test_matches_the_all_rows_descent(self, monkeypatch, name, p, margin):
+        J = self.COUPLINGS[name]
+        n = J.shape[0]
+        # random starts plus starts on index-1 saddles, whose descents are kicked
+        saddles = [cp.x for cp in landscape.find_critical_points(J, p, 1.0, starts=200, seed=0)
+                   if cp.index == 1]
+        x0 = np.vstack([np.random.default_rng(4).uniform(-1.0, 1.0, size=(150, n)),
+                        np.reshape(saddles, (-1, n))])
+        monkeypatch.setattr(softspin, "CERTIFY_MARGIN", margin)
+        gated = []
+        gate = softspin._certified_minima
+        monkeypatch.setattr(softspin, "_certified_minima",
+                            lambda *args: gated.append(gate(*args)) or gated[-1])
+        x, converged = _descend_batch(J, p, 1.0, x0)
+        want_x, want_converged = _descend_batch_all_rows(J, p, 1.0, x0)
+        assert np.array_equal(x, want_x) and np.array_equal(converged, want_converged)
+        assert converged.sum() > 0.9 * len(x0)
+        certified = np.concatenate(gated)
+        if (name, p) in self.SPLIT:
+            assert 0 < certified.sum() < len(certified)
+
+    def test_every_p2_basin_endpoint_is_certified(self):
+        x0 = np.random.default_rng(1).uniform(-1.0, 1.0, size=(500, 8))
+        x, converged = _descend_batch(J8, 2.0, 1.0, x0)
+        assert converged.all() and softspin._certified_minima(J8, 2.0, 1.0, x).all()
+        evals = np.linalg.eigvalsh(soft_hessian(x, 2.0, 1.0, J8))
+        assert evals[:, 0].min() > 0.1
+
+    def test_certifies_only_what_the_eigenvalues_allow(self):
+        # the gate never passes a row whose exact smallest eigenvalue is
+        # below -DEGENERATE_TOL, at any pump and point
+        rng = np.random.default_rng(6)
+        for name, J in self.COUPLINGS.items():
+            # spin patterns at amplitudes from 0 to 2.5, each component jittered
+            n = J.shape[0]
+            x = rng.choice([-1.0, 1.0], size=(2000, n)) * rng.uniform(0.0, 2.5, size=(2000, 1))
+            x += rng.uniform(-0.3, 0.3, size=x.shape)
+            for p in (-0.5, 0.5, 2.5):
+                certified = softspin._certified_minima(J, p, 1.0, x)
+                evals = np.linalg.eigvalsh(soft_hessian(x, p, 1.0, J))[:, 0]
+                assert np.all(evals[certified] >= -softspin.DEGENERATE_TOL), name
+                assert certified.any() and not certified.all(), (name, p)
+
+    def test_no_rows(self):
+        assert softspin._certified_minima(J8, 2.0, 1.0, np.empty((0, 8))).shape == (0,)
+
+
+class TestRowMaxAbs:
+    @pytest.mark.parametrize("rows", [0, 1, 2, 10000])
+    def test_equals_numpy_max_of_abs_bitwise(self, rows):
+        a = np.random.default_rng(rows).standard_normal((rows, 8))
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+        if rows:
+            a.flat[np.random.default_rng(7).integers(0, a.size, size=min(a.size, 40))] = \
+                np.resize(specials, min(a.size, 40))
+        if rows >= 3:
+            a[-3:] = [[-0.0] * 8, [-np.inf, 1.0, *[0.0] * 6], [np.nan, *[-np.inf] * 7]]
+        got = softspin._row_max_abs(a)
+        want = np.max(np.abs(a), axis=1)
+        assert got.shape == want.shape == (rows,) and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_keeps_nan_and_infinities(self):
+        a = np.array([[1.0, np.nan, -2.0], [-np.inf, 1.0, 0.0], [-0.0, -0.0, -0.0]])
+        got = softspin._row_max_abs(a)
+        assert np.isnan(got[0]) and got[1] == np.inf
+        assert got[2] == 0.0 and not np.signbit(got[2])
 
 
 class TestClassify:

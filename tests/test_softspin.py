@@ -1,6 +1,6 @@
 import json
 from dataclasses import replace
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -1063,6 +1063,12 @@ class TestSpinFamily:
         assert spin_family(np.array([-1, -1, 1, -1, 1, -1, -1, 1])) == "2-defect(sep=3)"
         assert spin_family(np.array([1, -1, -1, 1, 1, -1, 1, -1])) == "2-defect(sep=2)"
         assert spin_family(np.array([1, -1, -1, 1, 1, -1, -1, 1])) == "4-defect"
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_batch_names_every_pattern_as_the_single_pattern_function(self, n):
+        patterns = np.array(list(product([-1, 1], repeat=n)), dtype=np.int8)
+        assert softspin._spin_families(patterns) == [spin_family(row) for row in patterns]
+        assert softspin._spin_families(patterns[:0]) == []
 
     def test_invariant_under_rotation_and_flip(self):
         rng = np.random.default_rng(46)
