@@ -1,11 +1,11 @@
 """Ising-Hamiltonian minimization lab on Mobius-ladder graphs.
 
 Subpackages by theme: `graph` (instances, spectra, analytic ground states),
-`oracle` (exhaustive enumeration), `softspin` (gain-based soft-spin solvers,
-branches, basins), `landscape` (critical points and barriers), `quantum`
-(state-vector annealing), `master` (master-equation annealing),
-`invariants` (the check registry shared by `isinglab verify` and the tests),
-`cli` (experiment runner).
+`oracle` (exhaustive enumeration), `softspin` (gain-based soft-spin solvers
+and ensembles), `landscape` (the fixed-pump landscape: branches, critical
+points, basins and barriers), `quantum` (state-vector annealing), `master`
+(master-equation annealing), `invariants` (the check registry shared by
+`isinglab verify` and the tests), `cli` (experiment runner).
 """
 
 from . import graph, invariants, landscape, master, oracle, quantum, softspin
@@ -22,11 +22,9 @@ from .graph import (
     mobius_spectrum,
 )
 from .oracle import exhaustive_ground_state, ground_state_projector
+from .landscape import basin_sample, branch_e0, branch_e1
 from .softspin import (
     SolverConfig,
-    basin_sample,
-    branch_e0,
-    branch_e1,
     default_solver_config,
     manifold_reduce,
     run_trajectory,

@@ -331,7 +331,7 @@ def cmd_oracle(ns) -> int:
 
 def cmd_basins(ns) -> int:
     J = graph.build_mobius_ladder(ns.n, ns.j)
-    sample = softspin.basin_sample(J, ns.p, ns.c, ns.samples, ns.seed)
+    sample = landscape.basin_sample(J, ns.p, ns.c, ns.samples, ns.seed)
     # one tail per minimum, and the unresolved tail last, where label -1 finds it
     tails = [(m.family, m.energy, int(m.is_ground)) for m in sample.minima]
     tails.append(("unresolved", "", ""))
@@ -364,7 +364,7 @@ def cmd_branches(ns) -> int:
     if ns.what == "region":
         j_grid = _parse_grid(ns.j_grid, "--j-grid")
         p_grid = _parse_grid(ns.p_grid, "--p-grid")
-        rmap = softspin.region_map(j_grid, p_grid, ns.n, ns.c)
+        rmap = landscape.region_map(j_grid, p_grid, ns.n, ns.c)
         rows = []
         names = {0: "neither", 1: "E0", 2: "E1"}
         for i, j in enumerate(rmap.j_grid):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph, master, oracle, quantum, softspin
+from . import graph, landscape, master, oracle, quantum, softspin
 
 __all__ = ["HEADER", "REGISTRY", "Outcome", "check", "names", "run"]
 
@@ -84,7 +84,7 @@ def _crossing():
 
 @check("branch-crossing-pump")
 def _pc():
-    pc = softspin.branch_crossing_pump(0.4, 8, 1.0)
+    pc = landscape.branch_crossing_pump(0.4, 8, 1.0)
     return (np.inf if pc is None else abs(pc - (-0.0872))), 5e-4
 
 

@@ -101,7 +101,7 @@ def test_criterion_04_descent_plateau():
     with _Timer() as t:
         worst_sp0 = 0.0
         for p in np.linspace(-0.2, 2.0, 12):
-            br = softspin.descent_state_probabilities(J, float(p), 1.0, 2000, seed=11)
+            br = landscape.descent_state_probabilities(J, float(p), 1.0, 2000, seed=11)
             worst_sp0 = max(worst_sp0, br.sp["SP_0"])
     ok = worst_sp0 <= 0.25 and t.elapsed < budget
     _report("criterion-4 fixed-pump descent plateau", ok,
@@ -114,7 +114,7 @@ def test_criterion_05_basin_ratio():
     budget = 300.0
     J = graph.build_mobius_ladder(8, 0.4)
     with _Timer() as t:
-        sample = softspin.basin_sample(J, 2.0, 1.0, 20000, seed=13)
+        sample = landscape.basin_sample(J, 2.0, 1.0, 20000, seed=13)
         ground = sum(1 for lab in sample.labels if lab >= 0 and sample.minima[lab].is_ground)
         excited = sum(1 for lab in sample.labels if lab >= 0 and not sample.minima[lab].is_ground)
         ratio = excited / ground

@@ -216,7 +216,7 @@ class TestSweepCommand:
             raise AssertionError("ran before the seed was checked")
 
         for module, name in ((softspin, "run_ensemble"), (softspin, "tune_delta"),
-                             (softspin, "basin_sample"), (softspin, "run_trajectory"),
+                             (landscape, "basin_sample"), (softspin, "run_trajectory"),
                              (landscape, "find_critical_points"), (landscape, "barrier_height")):
             monkeypatch.setattr(module, name, never)
         config = tmp_path / "cfg.json"
@@ -612,16 +612,24 @@ class TestRunCommands:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("value", ["1e308", "1e200"])
-    @pytest.mark.parametrize("option", ["p", "c", "j"])
-    @pytest.mark.parametrize("command", ["basins", "critical", "barrier"])
+    # every huge pump, nonlinearity and coupling, and a tiny nonlinearity,
+    # which puts the critical points far out
+    SCALE_COMMANDS = ("barrier", "basins", "critical", "region")
+    SCALE_CASES = [(command, option, value) for command in SCALE_COMMANDS
+                   for option in ("c", "j", "p") for value in ("1e200", "1e308")]
+    SCALE_CASES += [(command, "c", "1e-300") for command in SCALE_COMMANDS]
+
+    @pytest.mark.parametrize("command, option, value", SCALE_CASES,
+                             ids=["-".join(case) for case in SCALE_CASES])
     def test_overflowing_landscape_scale_rejected(self, tmp_path, capsys, command, option, value):
         # these used to exit 0 after numpy overflow warnings
         scales = {"p": "1", "c": "1", "j": "0.3", option: value}
         argv = {"basins": ["basins", "--p", scales["p"], "--samples", "10"],
                 "critical": ["critical", "--p", scales["p"], "--starts", "10"],
                 "barrier": ["branches", "--what", "barrier", f"--p-grid={scales['p']}",
-                            "--starts", "10"]}[command]
+                            "--starts", "10"],
+                "region": ["branches", "--what", "region", f"--j-grid={scales['j']}",
+                           f"--p-grid={scales['p']}"]}[command]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main([*argv, "--n", "4", "--j", scales["j"], "--c", scales["c"],

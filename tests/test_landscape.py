@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isinglab import graph, landscape, softspin
-from isinglab.softspin import (
+from isinglab.landscape import (
     GRADIENT_TOL,
     NEWTON_ITER,
     NEWTON_TOL,
@@ -13,12 +13,8 @@ from isinglab.softspin import (
     _cluster_rows,
     _descend_batch,
     _newton_roots,
-    spin_family,
-    spin_readout,
-    soft_energy,
-    soft_gradient,
-    soft_hessian,
 )
+from isinglab.softspin import spin_family, spin_readout, soft_energy, soft_gradient, soft_hessian
 
 J8 = graph.build_mobius_ladder(8, 0.4)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "landscape_golden.json").read_text())
@@ -115,7 +111,8 @@ class TestFindCriticalPoints:
 
     def test_scale_bounds_every_term_over_the_start_box(self):
         # the validator's claim: |E|, |dE/dx_i| and |H_ij| are at most 3 S for
-        # |x_i| <= B = 1 + sqrt(max(p, 0))
+        # |x_i| <= B = 1 + sqrt(max(p, 0)), and every critical point lies in
+        # the box x_i^2 <= max(B^2, |p| + n max|J| / c)
         rng = np.random.default_rng(8)
         for _ in range(200):
             n = int(rng.integers(2, 13))
@@ -127,13 +124,16 @@ class TestFindCriticalPoints:
             assert np.abs(soft_energy(x, p, c, J)).max() <= 3.0 * scale
             assert np.abs(soft_gradient(x, p, c, J)).max() <= 3.0 * scale
             assert np.abs(soft_hessian(x, p, c, J)).max() <= 3.0 * scale
+            bound2 = max(box**2, abs(p) + n * np.abs(J).max() / c)
+            points = landscape.find_critical_points(J, p, c, starts=20, seed=0)
+            assert max(np.max(cp.x**2) for cp in points) <= bound2
 
     @pytest.mark.parametrize("p, c, j", [(1e75, 1.0, 0.4), (1.0, 1e148, 0.4), (1.0, 1.0, 1e149)])
     def test_scale_above_the_limit_rejected(self, p, c, j):
         with pytest.raises(ValueError, match="landscape scale"):
             landscape.find_critical_points(graph.build_mobius_ladder(8, j), p, c, starts=10)
         with pytest.raises(ValueError, match="landscape scale"):
-            softspin.basin_sample(graph.build_mobius_ladder(8, j), p, c, 10)
+            landscape.basin_sample(graph.build_mobius_ladder(8, j), p, c, 10)
 
 
 class TestDescent:
@@ -154,15 +154,15 @@ class TestDescent:
         # saddle, and a kick off it lands in the S1 basin.  A flow run on to
         # gradient 1e-10 ends at the 2-defect(sep=5) minimum.
         J12 = graph.build_mobius_ladder(12, 0.4)
-        result = softspin.basin_sample(J12, 0.5, 1.0, 1500, seed=0)
+        result = landscape.basin_sample(J12, 0.5, 1.0, 1500, seed=0)
         for i in (62, 447, 541, 945):
             assert result.minima[result.labels[i]].family == "2-defect(sep=5)"
 
     def test_kick_is_capped_on_a_flat_saddle(self):
         vals = np.array([[-1e-9, 1.0], [-4.0, 1.0]])
         vecs = np.array([np.eye(2), np.eye(2)])
-        step = softspin._saddle_kick(vals, vecs, softspin.FLOW_TOL)
-        assert np.allclose(step, [[softspin.KICK_MAX, 0.0], [2.5e-3, 0.0]])
+        step = landscape._saddle_kick(vals, vecs, landscape.FLOW_TOL)
+        assert np.allclose(step, [[landscape.KICK_MAX, 0.0], [2.5e-3, 0.0]])
 
 
 class TestCriticalPointCounts:
@@ -224,8 +224,8 @@ class TestRecordedCatalogue:
 
     def test_basin_labels_and_minima(self):
         want = GOLDEN["basins"]
-        sample = softspin.basin_sample(self.J, GOLDEN["p"], GOLDEN["c"], want["samples"],
-                                       seed=GOLDEN["seed"])
+        sample = landscape.basin_sample(self.J, GOLDEN["p"], GOLDEN["c"], want["samples"],
+                                        seed=GOLDEN["seed"])
         assert sample.labels.tolist() == want["labels"]
         assert sample.unresolved == want["unresolved"]
         assert [(m.family, m.energy, m.is_ground) for m in sample.minima] == \
@@ -279,7 +279,7 @@ class TestClusterRows:
         return labels
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("tol", [softspin.DEDUP_TOL, softspin.MATCH_TOL])
+    @pytest.mark.parametrize("tol", [landscape.DEDUP_TOL, landscape.MATCH_TOL])
     def test_newton_roots_match_the_reference(self, seed, tol):
         rng = np.random.default_rng(seed)
         x, ok = _newton_roots(J8, 1.0, 1.0, rng.uniform(-2.0, 2.0, size=(600, 8)))
@@ -293,10 +293,10 @@ class TestClusterRows:
     def test_descent_endpoints_match_the_reference(self, seed):
         rng = np.random.default_rng(seed)
         x, converged = _descend_batch(J8, 2.0, 1.0, rng.uniform(-1.0, 1.0, size=(400, 8)))
-        self._assert_matches_reference(x[converged], softspin.MATCH_TOL)
+        self._assert_matches_reference(x[converged], landscape.MATCH_TOL)
 
     def test_rows_within_tol_across_a_cell_boundary_share_a_label(self):
-        tol = softspin.MATCH_TOL
+        tol = landscape.MATCH_TOL
         edge = 5.0 * tol  # the rounding keys at 10 tol change here
         points = np.array([[edge - 0.2 * tol, 1.0], [edge + 0.2 * tol, 1.0],
                            [3.0, 1.0], [edge + 0.2 * tol, 1.0]])
@@ -306,7 +306,7 @@ class TestClusterRows:
         assert labels.tolist() == [0, 0, 1, 0]
 
     def test_rows_sharing_a_key_share_a_label_even_beyond_tol(self):
-        tol = softspin.MATCH_TOL
+        tol = landscape.MATCH_TOL
         points = np.array([[0.0, 1.0], [3.0, 1.0], [3.0 * tol, 1.0], [0.5, 1.0]])
         assert np.array_equal(np.round(points[0] / (10.0 * tol)), np.round(points[2] / (10.0 * tol)))
         assert np.max(np.abs(points[0] - points[2])) > tol
@@ -314,7 +314,7 @@ class TestClusterRows:
         assert labels.tolist() == [0, 1, 0, 2]
 
     def test_row_near_two_representatives_joins_the_earlier(self):
-        tol = softspin.MATCH_TOL
+        tol = landscape.MATCH_TOL
         # a and b lie 1.1 tol apart in different cells; c, in a third cell, is
         # within 0.8 tol of both
         points = np.array([[4.5, 4.6], [5.6, 4.6], [5.05, 5.4]]) * tol
@@ -323,9 +323,9 @@ class TestClusterRows:
         assert labels.tolist() == [0, 1, 0]
 
     def test_empty_input(self):
-        reps, labels = _cluster_rows(np.empty((0, 8)), softspin.MATCH_TOL)
+        reps, labels = _cluster_rows(np.empty((0, 8)), landscape.MATCH_TOL)
         assert reps.shape == (0, 8) and labels.shape == (0,)
-        self._assert_matches_reference(np.empty((0, 8)), softspin.MATCH_TOL)
+        self._assert_matches_reference(np.empty((0, 8)), landscape.MATCH_TOL)
 
 
 def _newton_roots_all_rows(J, p, c, x0):
@@ -407,24 +407,24 @@ def _descend_batch_all_rows(J, p, c, x0):
     x = np.asarray(x0, dtype=float).copy()
     converged = np.zeros(len(x), dtype=bool)
     rows = np.arange(len(x))
-    tol = softspin.FLOW_TOL
-    for attempt in range(softspin.KICK_ROUNDS + 1):
+    tol = landscape.FLOW_TOL
+    for attempt in range(landscape.KICK_ROUNDS + 1):
         xs = x[rows]
-        softspin._flow_into_basin(J, p, c, xs, tol)
+        landscape._flow_into_basin(J, p, c, xs, tol)
         roots, ok = _newton_roots(J, p, c, xs)
         ok &= soft_energy(roots, p, c, J) <= soft_energy(xs, p, c, J) + 1e-12
         solved = np.flatnonzero(ok)
         vals, vecs = np.linalg.eigh(soft_hessian(roots[solved], p, c, J))
-        at_min = vals[:, 0] >= -softspin.DEGENERATE_TOL
+        at_min = vals[:, 0] >= -landscape.DEGENERATE_TOL
         done = np.zeros(len(rows), dtype=bool)
         done[solved[at_min]] = True
         x[rows[done]] = roots[done]
         converged[rows[done]] = True
-        if attempt == softspin.KICK_ROUNDS or done.all():
+        if attempt == landscape.KICK_ROUNDS or done.all():
             break
         tol *= 1e-3
         saddle = solved[~at_min]
-        step = softspin._saddle_kick(vals[~at_min], vecs[~at_min], tol)
+        step = landscape._saddle_kick(vals[~at_min], vecs[~at_min], tol)
         back = np.einsum("bi,bi->b", xs[saddle] - roots[saddle], step) < 0.0
         xs[saddle] = roots[saddle] + np.where(back[:, None], -step, step)
         x[rows[~done]] = xs[~done]
@@ -449,7 +449,7 @@ class TestGershgorinGate:
     # cases whose solved rows fall on both sides of the gate at either margin
     SPLIT = {("mobius-8", -0.5), ("mobius-8", 1.0), ("random-10", 1.0), ("random-10", 2.5)}
 
-    @pytest.mark.parametrize("margin", [softspin.CERTIFY_MARGIN, 0.12], ids=["default", "wide"])
+    @pytest.mark.parametrize("margin", [landscape.CERTIFY_MARGIN, 0.12], ids=["default", "wide"])
     @pytest.mark.parametrize("p", [-0.5, 0.5, 1.0, 2.5])
     @pytest.mark.parametrize("name", sorted(COUPLINGS))
     def test_matches_the_all_rows_descent(self, monkeypatch, name, p, margin):
@@ -460,15 +460,16 @@ class TestGershgorinGate:
                    if cp.index == 1]
         x0 = np.vstack([np.random.default_rng(4).uniform(-1.0, 1.0, size=(150, n)),
                         np.reshape(saddles, (-1, n))])
-        monkeypatch.setattr(softspin, "CERTIFY_MARGIN", margin)
+        monkeypatch.setattr(landscape, "CERTIFY_MARGIN", margin)
         gated = []
-        gate = softspin._certified_minima
-        monkeypatch.setattr(softspin, "_certified_minima",
+        gate = landscape._certified_minima
+        monkeypatch.setattr(landscape, "_certified_minima",
                             lambda *args: gated.append(gate(*args)) or gated[-1])
         x, converged = _descend_batch(J, p, 1.0, x0)
         want_x, want_converged = _descend_batch_all_rows(J, p, 1.0, x0)
         assert np.array_equal(x, want_x) and np.array_equal(converged, want_converged)
         assert converged.sum() > 0.9 * len(x0)
+        assert gated  # the patched gate is the one that the descent calls
         certified = np.concatenate(gated)
         if (name, p) in self.SPLIT:
             assert 0 < certified.sum() < len(certified)
@@ -476,7 +477,7 @@ class TestGershgorinGate:
     def test_every_p2_basin_endpoint_is_certified(self):
         x0 = np.random.default_rng(1).uniform(-1.0, 1.0, size=(500, 8))
         x, converged = _descend_batch(J8, 2.0, 1.0, x0)
-        assert converged.all() and softspin._certified_minima(J8, 2.0, 1.0, x).all()
+        assert converged.all() and landscape._certified_minima(J8, 2.0, 1.0, x).all()
         evals = np.linalg.eigvalsh(soft_hessian(x, 2.0, 1.0, J8))
         assert evals[:, 0].min() > 0.1
 
@@ -490,13 +491,13 @@ class TestGershgorinGate:
             x = rng.choice([-1.0, 1.0], size=(2000, n)) * rng.uniform(0.0, 2.5, size=(2000, 1))
             x += rng.uniform(-0.3, 0.3, size=x.shape)
             for p in (-0.5, 0.5, 2.5):
-                certified = softspin._certified_minima(J, p, 1.0, x)
+                certified = landscape._certified_minima(J, p, 1.0, x)
                 evals = np.linalg.eigvalsh(soft_hessian(x, p, 1.0, J))[:, 0]
-                assert np.all(evals[certified] >= -softspin.DEGENERATE_TOL), name
+                assert np.all(evals[certified] >= -landscape.DEGENERATE_TOL), name
                 assert certified.any() and not certified.all(), (name, p)
 
     def test_no_rows(self):
-        assert softspin._certified_minima(J8, 2.0, 1.0, np.empty((0, 8))).shape == (0,)
+        assert landscape._certified_minima(J8, 2.0, 1.0, np.empty((0, 8))).shape == (0,)
 
 
 class TestRowMaxAbs:
@@ -509,14 +510,14 @@ class TestRowMaxAbs:
                 np.resize(specials, min(a.size, 40))
         if rows >= 3:
             a[-3:] = [[-0.0] * 8, [-np.inf, 1.0, *[0.0] * 6], [np.nan, *[-np.inf] * 7]]
-        got = softspin._row_max_abs(a)
+        got = landscape._row_max_abs(a)
         want = np.max(np.abs(a), axis=1)
         assert got.shape == want.shape == (rows,) and got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_keeps_nan_and_infinities(self):
         a = np.array([[1.0, np.nan, -2.0], [-np.inf, 1.0, 0.0], [-0.0, -0.0, -0.0]])
-        got = softspin._row_max_abs(a)
+        got = landscape._row_max_abs(a)
         assert np.isnan(got[0]) and got[1] == np.inf
         assert got[2] == 0.0 and not np.signbit(got[2])
 
@@ -531,11 +532,25 @@ class TestClassify:
             evals = np.linalg.eigvalsh(soft_hessian(x, 0.5, 1.0, J8))
             energy = float(soft_energy(x, 0.5, 1.0, J8))
             assert (cp.energy, cp.index, cp.degenerate, cp.distance_from_origin, cp.family) == \
-                (energy, int(np.sum(evals < -softspin.DEGENERATE_TOL)),
-                 bool(np.any(np.abs(evals) < softspin.DEGENERATE_TOL)),
+                (energy, int(np.sum(evals < -landscape.DEGENERATE_TOL)),
+                 bool(np.any(np.abs(evals) < landscape.DEGENERATE_TOL)),
                  float(np.linalg.norm(x)), spin_family(spin_readout(x)))
-            assert cp.is_ground == (cp.index == 0 and abs(energy - e_min) < softspin.ENERGY_TOL)
+            assert cp.is_ground == (cp.index == 0 and abs(energy - e_min) < landscape.ENERGY_TOL)
         assert {cp.index for cp in got} >= {0, 1, 2}
 
     def test_no_points(self):
         assert _classify(J8, 0.5, 1.0, np.empty((0, 8))) == []
+
+
+class TestModuleLayout:
+    def test_public_names_resolve_and_live_in_one_module(self):
+        for module in (softspin, landscape):
+            for name in module.__all__:
+                getattr(module, name)
+        assert not set(softspin.__all__) & set(landscape.__all__)
+
+    def test_softspin_reaches_the_basin_sampler(self):
+        # the benchmark harness traces the sampler under softspin's name
+        assert softspin.basin_sample is landscape.basin_sample
+        with pytest.raises(AttributeError):
+            softspin.find_critical_points

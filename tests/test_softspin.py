@@ -6,22 +6,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isinglab import graph, oracle, quantum, softspin
+from isinglab import graph, landscape, oracle, quantum, softspin
 from isinglab.cli import main
-from isinglab.softspin import (
-    SolverConfig,
+from isinglab.landscape import (
     basin_descriptors,
     branch_crossing_pump,
     branch_e0,
     branch_e1,
+    descent_state_probabilities,
+    region_map,
+)
+from isinglab.softspin import (
+    SolverConfig,
     cim2_pump_step,
     default_solver_config,
-    descent_state_probabilities,
     homogenize_intensities,
     ht_rhs,
     manifold_reduce,
     pump_tanh,
-    region_map,
     run_ensemble,
     run_trajectory,
     soft_energy,
@@ -1033,10 +1035,10 @@ class TestBasins:
     @pytest.mark.parametrize("p, c", [(np.nan, 1.0), (-np.inf, 1.0), (0.0, -1.0), (0.0, np.nan)])
     def test_basin_sample_validates_pump_and_nonlinearity(self, p, c):
         with pytest.raises(ValueError):
-            softspin.basin_sample(J8, p, c, 10)
+            landscape.basin_sample(J8, p, c, 10)
 
     def test_basin_sample_small(self):
-        sample = softspin.basin_sample(J8, 0.0, 1.0, 500, seed=2)
+        sample = landscape.basin_sample(J8, 0.0, 1.0, 500, seed=2)
         assert sample.unresolved <= 2  # < 0.5% of 500
         families = {m.family for m in sample.minima}
         assert "S0" in families and "S1" in families
@@ -1053,7 +1055,7 @@ class TestBasins:
 
     def test_basin_sample_validates(self):
         with pytest.raises(ValueError):
-            softspin.basin_sample(J8, 0.0, 1.0, 0)
+            landscape.basin_sample(J8, 0.0, 1.0, 0)
 
 
 class TestSpinFamily:
