@@ -159,14 +159,13 @@ def _resolve_j_grid(instance: dict) -> np.ndarray:
 def _family_shares(spins: np.ndarray) -> tuple[float, float, float]:
     """Shares of the readouts in the S0, S1 and other two-defect families.
 
-    An ensemble's readouts take few distinct values, so each distinct row is
-    classified once and counted as often as it occurs.
+    An ensemble's readouts take few distinct values, so the distinct rows are
+    named in one pass and each is counted as often as it occurs.
     """
     runs = len(spins)
     sp0 = sp1 = sp2 = 0
     rows, counts = np.unique(spins, axis=0, return_counts=True)
-    for row, count in zip(rows, counts.tolist()):
-        fam = softspin.spin_family(row)
+    for fam, count in zip(softspin._spin_families(rows), counts.tolist()):
         if fam == "S0":
             sp0 += count
         elif fam == "S1":
@@ -305,8 +304,8 @@ def cmd_graph(ns) -> int:
     j_grid = _parse_grid(ns.j_grid, "--j-grid")
     rows = []
     for j in j_grid:
-        for k in range(ns.n):
-            rows.append([float(j), k, graph.mobius_eigenvalue(ns.n, j, k)])
+        for k, eigenvalue in enumerate(graph.mobius_spectrum(ns.n, j)):
+            rows.append([float(j), k, eigenvalue])
     params = {"n": ns.n, "j_e": graph.j_e(ns.n), "j_crit": graph.j_crit(ns.n)}
     _write_rows(ns.out, "mobius-spectrum-vs-coupling", params,
                 ["j", "k", "eigenvalue"], rows, ns.format)

@@ -106,7 +106,7 @@ def mobius_eigenvalue(n: int, j: float, k: int) -> float:
     _check_even_n(n)
     if not 0 <= k < n:
         raise ValueError(f"mode index k must lie in [0, {n}), got {k}")
-    return -2.0 * np.cos(2.0 * np.pi * k / n) - j * (-1.0) ** k
+    return mobius_spectrum(n, j)[k]
 
 
 def mobius_spectrum(n: int, j: float) -> np.ndarray:

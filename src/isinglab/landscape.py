@@ -238,18 +238,20 @@ def branch_e1(p: float, j: float, n: int, c: float = 1.0) -> BranchSolution:
     )
 
 
+def _branch_gap(p: float, j: float, n: int, c: float) -> float:
+    """E0 - E1 branch energy at pump p: -inf with only E0, +inf with only E1, NaN with neither."""
+    e0 = branch_e0(p, j, n, c)
+    e1 = branch_e1(p, j, n, c)
+    if not e1.exists:
+        return -np.inf if e0.exists else np.nan
+    return e0.energy - e1.energy if e0.exists else np.inf
+
+
 def branch_crossing_pump(j: float, n: int, c: float = 1.0,
                          p_lo: float = -1.5, p_hi: float = 1.0) -> float | None:
     """Pump value where the E0 and E1 branch energies cross, or None."""
-    def gap(p):
-        e0 = branch_e0(p, j, n, c)
-        e1 = branch_e1(p, j, n, c)
-        if not (e0.exists and e1.exists):
-            return np.nan
-        return e0.energy - e1.energy
-
     grid = np.linspace(p_lo, p_hi, 61)
-    vals = np.array([gap(p) for p in grid])
+    vals = np.array([_branch_gap(p, j, n, c) for p in grid])
     ok = np.isfinite(vals)
     for a, b, fa, fb in zip(grid[ok][:-1], grid[ok][1:], vals[ok][:-1], vals[ok][1:]):
         if fa == 0.0:
@@ -257,7 +259,7 @@ def branch_crossing_pump(j: float, n: int, c: float = 1.0,
         if fa * fb < 0.0:
             from scipy.optimize import brentq  # loaded on first use, not at package import
 
-            return float(brentq(gap, a, b, xtol=1e-12))
+            return float(brentq(_branch_gap, a, b, args=(j, n, c), xtol=1e-12))
     return None
 
 
@@ -286,12 +288,9 @@ def region_map(j_grid, p_grid, n: int, c: float = 1.0) -> RegionMap:
     crossings = []
     for i, j in enumerate(j_grid):
         for k, p in enumerate(p_grid):
-            e0 = branch_e0(p, j, n, c)
-            e1 = branch_e1(p, j, n, c)
-            if e0.exists and (not e1.exists or e0.energy <= e1.energy):
-                labels[i, k] = 1
-            elif e1.exists:  # where neither branch exists, the label stays 0
-                labels[i, k] = 2
+            gap = _branch_gap(p, j, n, c)
+            if not np.isnan(gap):  # where neither branch exists, the label stays 0
+                labels[i, k] = 1 if gap <= 0.0 else 2
         pc = branch_crossing_pump(j, n, c, p_grid.min(), p_grid.max())
         if pc is not None:
             crossings.append((float(j), pc))

@@ -25,6 +25,7 @@ The sampled single-spin observables are read from one 2^m x 2^m Gram
 matrix G = X X^H per group of m spins: prob_up from its diagonal, each
 spin's cross term from a fixed sum of off-diagonal entries.  Populations
 and |cross| are the same in both frames, so samples read phi directly.
+A single spin's reduced density matrix is the same Gram matrix at m = 1.
 
 Every fixed-step evolution (QA, imaginary time, the master equation, the
 soft-spin ensembles) walks one step iterator, `_fixed_steps`, which builds the
@@ -398,34 +399,18 @@ def ground_state_probability(state: QuantumState | np.ndarray,
     return float(per_state.sum()), per_state
 
 
-def _spin_moments(psi: np.ndarray, conj: np.ndarray, n: int, k: int):
-    """<up|up>, <down|down> and sum up * conj(down) over the bit-k partners of psi.
-
-    psi is C-contiguous complex and conj = np.conj(psi), made once by the
-    caller; the sums run over strided views, so nothing state-sized is made
-    per spin.
-    """
-    rows = 1 << (n - 1 - k)
-    parts = psi.view(np.float64).reshape(rows, 2, 2 << k)  # real and imaginary parts interleaved
-    down, up = np.einsum("rsj,rsj->s", parts, parts)
-    cross = np.einsum("rc,rc->", psi.reshape(rows, 2, 1 << k)[:, 1],
-                      conj.reshape(rows, 2, 1 << k)[:, 0])
-    return up, down, cross
-
-
 def reduced_density_matrix(state: QuantumState | np.ndarray, k: int) -> np.ndarray:
     """Single-spin reduced density matrix of spin k in the (up, down) basis.
 
-    Computed from pairwise amplitude sums over the bit-k partners; the full
-    2^n x 2^n density matrix is never formed.
+    The one-spin Gram matrix of `_group_gram`, whose rows run (down, up),
+    reversed; the full 2^n x 2^n density matrix is never formed.
     """
     psi = state.amplitudes if isinstance(state, QuantumState) else state
     psi = np.ascontiguousarray(psi, dtype=complex)
     n = int(round(np.log2(psi.size)))
     if not 0 <= k < n:
         raise ValueError(f"spin index {k} out of range for {n} spins")
-    up, down, cross = _spin_moments(psi, np.conj(psi), n, k)
-    return np.array([[up, cross], [np.conj(cross), down]])
+    return _group_gram(psi, np.conj(psi), n, k, 1)[::-1, ::-1]
 
 
 def bloch_vector(rho: np.ndarray) -> BlochVector:
@@ -585,11 +570,12 @@ def instantaneous_ground_overlap(state: QuantumState | np.ndarray, J: np.ndarray
     """Squared overlap with the instantaneous ground space of H(t).
 
     Projects onto every eigenvector within 1e-10 of the lowest eigenvalue.
-    At gamma = 0, H is diagonal and those are the basis states of the lowest
-    energies, so no eigensolve runs.  Above 16 states eigsh finds the lowest
-    pair; when that pair lies within 1e-10, a dense eigh resolves the whole
-    ground space, because Lanczos misses copies of a degenerate eigenvalue
-    (ARPACK returned 7 of 8 ground states at n = 8, j = 0.6).
+    At gamma = 0, H is diagonal and its ground space is spanned by the basis
+    states that `ground_set`, the Ising tie rule, picks, so no eigensolve
+    runs.  Above 16 states eigsh finds the lowest pair; when that pair lies
+    within 1e-10, a dense eigh resolves the whole ground space, because
+    Lanczos misses copies of a degenerate eigenvalue (ARPACK returned 7 of 8
+    ground states at n = 8, j = 0.6).
     """
     psi = state.amplitudes if isinstance(state, QuantumState) else np.asarray(state)
     J = validate_coupling_matrix(J)
@@ -599,8 +585,7 @@ def instantaneous_ground_overlap(state: QuantumState | np.ndarray, J: np.ndarray
     dim = 1 << n
     energies = build_diagonal(J, h)
     if gamma_now == 0.0:
-        lowest = energies - energies.min() < 1e-10
-        return float(np.sum(np.abs(psi[lowest]) ** 2))
+        return float(np.sum(np.abs(psi[ground_set(energies)]) ** 2))
     H = _hamiltonian_operator(energies, gamma_now, n)
     vals = None
     if dim > 16:

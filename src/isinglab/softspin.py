@@ -302,30 +302,16 @@ def spin_readout(x):
     return np.where(np.asarray(x) >= 0.0, 1, -1).astype(np.int8)
 
 
-def _ring_defects(spins: np.ndarray) -> np.ndarray:
-    """Positions b of aligned ring bonds (s_b s_{b+1} = +1)."""
-    s = np.asarray(spins)
-    return np.flatnonzero(s * np.roll(s, -1) > 0)
-
-
 def spin_family(spins: np.ndarray) -> str:
     """Name the symmetry family of a hard-spin pattern by its ring defects."""
-    n = len(spins)
-    defects = _ring_defects(spins)
-    if len(defects) == 0:
-        return "S0"
-    if len(defects) == 2:
-        gap = int(min((defects[1] - defects[0]) % n, (defects[0] - defects[1]) % n))
-        if gap == n // 2:
-            return "S1"
-        return f"2-defect(sep={gap})"
-    return f"{len(defects)}-defect"
+    return _spin_families(np.asarray(spins)[None, :])[0]
 
 
 def _spin_families(spins: np.ndarray) -> list[str]:
     """:func:`spin_family` of each row of spins (rows, n), from one pass over all ring defects.
 
-    A row with two defects at b0 < b1 has gap min(b1 - b0, n - (b1 - b0)).
+    A ring defect is an aligned ring bond (s_b s_{b+1} = +1).  A row with
+    two defects at b0 < b1 has gap min(b1 - b0, n - (b1 - b0)).
     """
     n = spins.shape[1]
     aligned = spins * np.roll(spins, -1, axis=1) > 0

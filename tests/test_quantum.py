@@ -742,6 +742,14 @@ class TestInstantaneousOverlap:
         assert instantaneous_ground_overlap(psi, J, None, 0.0) == pytest.approx(
             float(np.sum(np.abs(psi[ground]) ** 2)), rel=0, abs=1e-14)
 
+    def test_zero_drive_ties_by_the_ising_rule(self):
+        # the antiparallel states differ by 3e-10: one ground set, as the oracle and QA read it
+        J = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        h = np.array([1.5e-10, 0.0])
+        assert len(ground_set(build_diagonal(J, h))) == 2
+        assert instantaneous_ground_overlap(initial_state(2), J, h, 0.0) == pytest.approx(
+            0.5, rel=0, abs=1e-15)
+
     @pytest.mark.parametrize("case", ["gapped", "cluster"])
     def test_eigsh_branch_matches_dense_eigh(self, case):
         # above 16 states eigsh runs; at j = 0.6 and a weak drive the eight

@@ -980,6 +980,28 @@ class TestBranches:
         crossings = dict(rmap.crossings)
         assert crossings[0.4] == pytest.approx(-0.0872, abs=5e-4)
 
+    @pytest.mark.parametrize("n", [8, 6])
+    def test_region_labels_compare_the_branches_cell_by_cell(self, n):
+        # n = 8 holds all three labels; at n = 6 (n/2 odd) E1 never exists
+        j_grid, p_grid = np.array([0.3, 0.4, 1.5]), np.array([-3.0, -1.7, -1.0, 0.0, 1.0])
+        rmap = region_map(j_grid, p_grid, n)
+        for i, j in enumerate(j_grid):
+            for k, p in enumerate(p_grid):
+                e0, e1 = branch_e0(p, j, n), branch_e1(p, j, n)
+                if e0.exists and e1.exists:
+                    expected = 1 if e0.energy <= e1.energy else 2
+                else:
+                    expected = 1 if e0.exists else 2 if e1.exists else 0
+                assert rmap.labels[i, k] == expected
+        if n == 8:
+            assert rmap.labels.tolist() == [[0, 2, 1, 1, 1], [0, 2, 2, 1, 1], [0, 2, 2, 2, 2]]
+        else:
+            assert set(rmap.labels.ravel()) <= {0, 1}
+        expected = [(float(j), pc) for j in j_grid
+                    if (pc := branch_crossing_pump(j, n, 1.0, -3.0, 1.0)) is not None]
+        assert rmap.crossings == expected
+        assert len(expected) == (2 if n == 8 else 0)
+
     def test_region_map_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             region_map(np.array([]), np.array([0.0]), 8)
@@ -1058,6 +1080,21 @@ class TestBasins:
             landscape.basin_sample(J8, 0.0, 1.0, 0)
 
 
+def _spin_family_reference(spins):
+    """The family of one pattern from the positions of its ring defects: the per-row rule."""
+    n = len(spins)
+    s = np.asarray(spins)
+    defects = np.flatnonzero(s * np.roll(s, -1) > 0)
+    if len(defects) == 0:
+        return "S0"
+    if len(defects) == 2:
+        gap = int(min((defects[1] - defects[0]) % n, (defects[0] - defects[1]) % n))
+        if gap == n // 2:
+            return "S1"
+        return f"2-defect(sep={gap})"
+    return f"{len(defects)}-defect"
+
+
 class TestSpinFamily:
     def test_families(self):
         assert spin_family(graph.build_s0(8).astype(int)) == "S0"
@@ -1069,7 +1106,9 @@ class TestSpinFamily:
     @pytest.mark.parametrize("n", [8, 10])
     def test_batch_names_every_pattern_as_the_single_pattern_function(self, n):
         patterns = np.array(list(product([-1, 1], repeat=n)), dtype=np.int8)
-        assert softspin._spin_families(patterns) == [spin_family(row) for row in patterns]
+        expected = [_spin_family_reference(row) for row in patterns]
+        assert softspin._spin_families(patterns) == expected
+        assert [spin_family(row) for row in patterns] == expected
         assert softspin._spin_families(patterns[:0]) == []
 
     def test_invariant_under_rotation_and_flip(self):
