@@ -33,6 +33,7 @@ import numpy as np
 from .graph import validate_coupling_matrix
 from .quantum import (
     QAConfig,
+    _check_half_phase,
     _fixed_steps,
     _split_evolution,
     _time_grid,
@@ -308,6 +309,7 @@ def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig)
     J = validate_coupling_matrix(J)
     n = J.shape[0]
     half = build_diagonal(J, h)
+    _check_half_phase(J, h, config.dt)
     ground = ground_set(half)
     np.subtract(half, half.min(), out=half)  # shift for overflow safety only
     np.multiply(-0.5 * config.dt, half, out=half)
@@ -316,8 +318,7 @@ def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig)
 
     times, pgs = [0.0], [float(np.sum(psi[ground] ** 2))]
     steps = 0
-    for steps, (t, sampled) in enumerate(_split_evolution(psi, np.empty_like(psi), half, grid,
-                                                          config, False), 1):
+    for steps, (t, sampled) in enumerate(_split_evolution(psi, half, grid, config, False), 1):
         norm = math.sqrt(psi.dot(psi))  # what np.linalg.norm computes for a real vector
         if norm == 0.0 or not math.isfinite(norm):
             raise RuntimeError(f"state norm {norm:.3e} at t = {t:.2f}")

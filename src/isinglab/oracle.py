@@ -24,12 +24,16 @@ import numpy as np
 
 from .graph import validate_coupling_matrix
 
-__all__ = ["SpectrumSummary", "all_energies", "basis_index", "exhaustive_ground_state",
-           "ground_set", "ground_state_projector", "index_spins", "spins_table"]
+__all__ = ["SpectrumSummary", "all_energies", "basis_index", "energy_scale",
+           "exhaustive_ground_state", "ground_set", "ground_state_projector", "index_spins",
+           "spins_table"]
 
 MAX_SPINS = 24  # 2^24 energies; cost guard
 ENERGY_DECIMALS = 9  # couplings are small rationals, ties are exact after rounding
 BLOCK_ENTRIES = 1 << 17  # energies per row block of the table (1 MiB); bounds the oracle's memory
+# The tie rule rounds energy differences, at most twice the scale, at 9 decimals: it scales
+# them by 1e9, which stays finite below this
+MAX_ENERGY_SCALE = 1e298
 
 
 @dataclass
@@ -64,13 +68,25 @@ def spins_table(n: int) -> np.ndarray:
     return 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1) - 1.0
 
 
+def energy_scale(J: np.ndarray, h: np.ndarray | None = None) -> float:
+    """(1/2) sum |J_ij| + sum |h_i|, which bounds every |E|; inf when the sum overflows."""
+    with np.errstate(over="ignore"):
+        return float(0.5 * np.abs(J).sum() + (0.0 if h is None else np.abs(h).sum()))
+
+
 def _energy_rows(J: np.ndarray, h: np.ndarray | None = None):
     """The energy table as a (2^(n-m), 2^m) array, m = n // 2, written in row blocks.
 
     Index a | (b << m) is row b, column a of the C-ordered table.  Returns the
     table's shape, the rows of one block, and fill(r0, out), which writes
-    rows r0 : r0 + len(out) into `out` and returns it.
+    rows r0 : r0 + len(out) into `out` and returns it.  Raises ValueError
+    before any work when the energy scale (1/2) sum |J_ij| + sum |h_i|, which
+    bounds every |E|, exceeds MAX_ENERGY_SCALE.
     """
+    scale = energy_scale(J, h)
+    if not scale <= MAX_ENERGY_SCALE:
+        raise ValueError(f"energy scale (1/2) sum |J_ij| + sum |h_i| = {scale:.3g} "
+                         f"exceeds {MAX_ENERGY_SCALE:.0e}")
     n = J.shape[0]
     m = n // 2
     lo = spins_table(m)                      # bits 0..m-1

@@ -17,7 +17,7 @@ m spins it is one real 2^m x 2^m matrix whose entry (a, b) is
 cos^(m-d) sin^d (-1)^popcount(~a & b), d the Hamming distance of a and b.
 Every group above the lowest multiplies the complex state's float64 view,
 real and imaginary parts side by side, so it is a real matrix product with
-half the work of a complex one; n/4 passes through the state in all.
+half the work of a complex one; n/4 products in all.
 Imaginary time mixes with exp(theta Sx)^(x)m, entries cosh^(m-d) sinh^d,
 through the same step and one table builder, `_mixer_tables`.
 
@@ -30,9 +30,15 @@ A single spin's reduced density matrix is the same Gram matrix at m = 1.
 Every fixed-step evolution (QA, imaginary time, the master equation, the
 soft-spin ensembles) walks one step iterator, `_fixed_steps`, which builds the
 per-step coefficients for chunks of steps that fit in TABLE_BYTES.  QA and
-imaginary time share one split evolution, `_split_evolution`, which moves
-the state between two buffers allocated once, so no step allocates a
-state-sized array.
+imaginary time share one split evolution, `_split_evolution`, whose step is
+blocked for the cache: one pass over the state applies the leading half
+phase and every group of spins that lies inside a CHUNK_BYTES chunk, chunk
+by chunk, and each group above the chunk takes one more pass, the last with
+the trailing half phase.  At n = 20 that is two passes where an unblocked
+step makes seven (QA: spins 0-15 inside 1 MiB chunks, 16-19 above).  The
+evolution holds psi, the half phase and one chunk of scratch (the whole
+state when it fits in one chunk), and no step allocates a state-sized
+array; a QA sample adds a conjugate copy of psi while it is read.
 
 The basis convention (bit k of index xi set when spin k is up), the
 all-state energy table behind the diagonal and the ground-set tie rule are
@@ -43,13 +49,14 @@ owned by :mod:`isinglab.oracle`; this module re-exports `basis_index`,
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .graph import validate_coupling_matrix
-from .oracle import all_energies, basis_index, ground_set, index_spins, spins_table
+from .oracle import all_energies, basis_index, energy_scale, ground_set, index_spins, spins_table
 
 __all__ = [
     "BlochVector",
@@ -79,6 +86,7 @@ MAX_QUBITS = 20  # 2^20 complex amplitudes; memory guard for run_qa
 MAX_DENSE_QUBITS = 12  # guard for instantaneous eigensolves
 _BLOCK_SPINS = 4  # spins mixed by one matrix product in the transverse rotation
 TABLE_BYTES = 1 << 18  # coefficients per chunk of steps: 256 KB; SA and CA run slower below it
+CHUNK_BYTES = 1 << 20  # state bytes the split step mixes while they are in cache: 1 MiB
 
 
 @dataclass
@@ -101,6 +109,9 @@ class QAConfig:
     """Annealing-schedule and integration parameters.
 
     gamma(t) = b / sqrt(t + t0); h is an optional longitudinal field vector.
+    Raises ValueError for a bad grid or schedule, and when the largest
+    transverse angle 2b(sqrt(t_end + t0) - sqrt(t0)) or the largest field
+    gamma(0) = b / sqrt(t0) overflows.
     """
 
     b: float = 5.0
@@ -116,6 +127,14 @@ class QAConfig:
             raise ValueError(f"b must be finite and >= 0 and t0 finite and positive, "
                              f"got b = {self.b}, t0 = {self.t0}")
         _time_grid(self.dt, self.t_end, self.sample_every)  # a bad grid fails here, not mid-sweep
+        # Python floats overflow to inf without a warning; the steps' angles and the sampled
+        # gammas are no larger than these, computed in the same order
+        b, t0 = float(self.b), float(self.t0)
+        angle = 2.0 * b * (math.sqrt(self.t_end + t0) - math.sqrt(t0))
+        if not (angle < math.inf and b / math.sqrt(t0) < math.inf):
+            raise ValueError(f"the transverse angle 2b(sqrt(t_end + t0) - sqrt(t0)) or the field "
+                             f"b / sqrt(t0) overflows: b = {self.b}, t0 = {self.t0}, "
+                             f"t_end = {self.t_end}")
 
 
 @dataclass
@@ -147,6 +166,19 @@ def build_diagonal(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
         if not np.isfinite(h).all():
             raise ValueError(f"field must be finite, got {h}")
     return all_energies(J, h)
+
+
+def _check_half_phase(J: np.ndarray, h: np.ndarray | None, dt: float) -> None:
+    """Raise ValueError when dt times the energy scale overflows.
+
+    That product bounds 0.5 dt |E| in QA's half phase and 0.5 dt (E - min E)
+    in imaginary time's, which would otherwise overflow into a NaN state or
+    warnings.  Call it after `build_diagonal`, which bounds the scale itself.
+    """
+    scale = energy_scale(J, h)
+    if not float(dt) * scale < math.inf:  # Python floats overflow to inf without a warning
+        raise ValueError(f"the half phase overflows: dt = {dt} times the energy scale "
+                         f"{scale:.3g} is not finite")
 
 
 def initial_state(n: int) -> QuantumState:
@@ -291,59 +323,100 @@ def _frame(psi: np.ndarray, n: int, inverse: bool = False) -> None:
     np.multiply(view, turns[_popcounts(n - low) & 3, None], view)
 
 
-def _split_stepper(psi: np.ndarray, other: np.ndarray, n: int):
-    """Strang steps in place on psi: step(half, blocks) sets psi <- half * M * half * psi.
+def _split_stepper(psi: np.ndarray, half: np.ndarray, n: int):
+    """Strang steps in place on psi: step(blocks) sets psi <- half * M * half * psi.
 
     M is the product over spins of one real 2 x 2 mixer, applied as one real
     2^m x 2^m block per group of m = 4 consecutive spins (a smaller last
     group takes n mod 4); `blocks` holds the step's blocks, one per entry of
-    `_block_sizes(n)`.  The group of the lowest spins is one
-    (2^(n-m), 2^m) x (2^m, 2^m) product on the state; the others are batched
-    over the spins below them on psi's float64 view, where a complex
-    amplitude is two adjacent numbers, so a complex state is mixed by real
-    products.  Each product writes into the other of the two buffers psi
-    and `other`, through views made once here, and the last half phase
-    lands in psi.
-    """
-    products = []  # (full-size block?, lowest spins?, source view, destination view) per group
-    buffers = (psi, other)
-    parts = psi.itemsize // 8  # float64 numbers per amplitude
-    for g, k in enumerate(range(0, n, _BLOCK_SPINS)):
-        m = min(_BLOCK_SPINS, n - k)
-        src, dst = buffers[g % 2], buffers[1 - g % 2]
-        if k == 0:
-            src, dst = src.reshape(-1, 1 << m), dst.reshape(-1, 1 << m)
-        else:
-            shape = (1 << (n - k - m), 1 << m, parts << k)
-            src, dst = src.view(np.float64).reshape(shape), dst.view(np.float64).reshape(shape)
-        products.append((m == _BLOCK_SPINS, k == 0, src, dst))
-    last = buffers[len(products) % 2]
+    `_block_sizes(n)`.  The group of the lowest spins is a
+    (rows, 2^m) x (2^m, 2^m) product; the others are batched over the spins
+    above them on psi's float64 view, where a complex amplitude is two
+    adjacent numbers, so a complex state is mixed by real products.
 
-    def step(half: np.ndarray, blocks) -> None:
-        np.multiply(psi, half, psi)  # ufuncs take out positionally, which numpy parses faster
-        for full, lowest, src, dst in products:
-            block = blocks[0] if full else blocks[-1]
-            if lowest:  # the lowest spins index contiguous rows: one matrix product for all
-                np.matmul(src, block.T, dst)
+    The step is blocked for the cache.  Each contiguous chunk of 2^c
+    amplitudes (CHUNK_BYTES, but at least 2^7 amplitudes, so that the lowest
+    group's chunk product keeps >= 2 rows and a slab >= 8 columns: a one-row
+    product goes to gemv and a narrower slab through another BLAS kernel,
+    and both round otherwise) takes the leading half phase and every group
+    whose spins lie below c while it is in cache, alternating between the
+    chunk and one chunk-sized scratch so that it ends in the chunk.  Each
+    remaining group then runs as slabs of 2^m rows by a chunk's worth of
+    columns through the scratch, copied back, and the last group's slabs
+    take the trailing half phase on the way; a state of one chunk has no
+    such group and takes the trailing half phase in a pass of its own.
+    Every output entry is the same sum as in one product over the whole
+    state, so the result does not depend on the chunk.  All views are made
+    once here.
+    """
+    parts = psi.itemsize // 8  # float64 numbers per amplitude
+    c = min(n, max(_BLOCK_SPINS + 3, (CHUNK_BYTES // psi.itemsize).bit_length() - 1))
+    scratch = np.empty(1 << c, psi.dtype)
+    groups = [(k, min(_BLOCK_SPINS, n - k)) for k in range(0, n, _BLOCK_SPINS)]
+    inner = [(k, m) for k, m in groups if k + m <= c]
+    outer = groups[len(inner):]
+
+    chunks = []  # (chunk of psi, its half phase, first buffer, products) per chunk
+    for r in range(0, psi.size, 1 << c):
+        chunk = psi[r:r + (1 << c)]
+        buffers = (scratch, chunk) if len(inner) % 2 else (chunk, scratch)
+        products = []  # (full-size block?, lowest spins?, source view, destination view) per group
+        for g, (k, m) in enumerate(inner):
+            src, dst = buffers[g % 2], buffers[1 - g % 2]
+            if k == 0:
+                src, dst = src.reshape(-1, 1 << m), dst.reshape(-1, 1 << m)
             else:
-                np.matmul(block, src, dst)
-        np.multiply(last, half, psi)
+                shape = (1 << (c - k - m), 1 << m, parts << k)
+                src, dst = src.view(np.float64).reshape(shape), dst.view(np.float64).reshape(shape)
+            products.append((m == _BLOCK_SPINS, k == 0, src, dst))
+        chunks.append((chunk, half[r:r + (1 << c)], buffers[0], products))
+    slabs = []  # (full-size block?, slab of psi's float64 view, its scratch, half phase or None)
+    for k, m in outer:
+        width = 1 << (c - m)  # amplitudes per slab row
+        shape = (1 << (n - k - m), 1 << m, 1 << k)
+        real = psi.view(np.float64).reshape(*shape[:2], parts << k)
+        out = scratch.view(np.float64).reshape(1 << m, parts * width)
+        fused = (k, m) == outer[-1]
+        for b in range(shape[0]):
+            for j in range(0, 1 << k, width):
+                cols = slice(j, j + width)
+                phase = (scratch.reshape(1 << m, width), half.reshape(shape)[b, :, cols],
+                         psi.reshape(shape)[b, :, cols]) if fused else None
+                slabs.append((m == _BLOCK_SPINS, real[b, :, parts * j:parts * (j + width)], out,
+                              phase))
+    trailing = not outer
+
+    def step(blocks) -> None:
+        for chunk, chunk_half, first, products in chunks:
+            np.multiply(chunk, chunk_half, first)  # ufuncs take out positionally, parsed faster
+            for full, lowest, src, dst in products:
+                block = blocks[0] if full else blocks[-1]
+                if lowest:  # the lowest spins index contiguous rows: one matrix product
+                    np.matmul(src, block.T, dst)
+                else:
+                    np.matmul(block, src, dst)
+        for full, slab, out, phase in slabs:
+            np.matmul(blocks[0] if full else blocks[-1], slab, out)
+            if phase is None:
+                np.copyto(slab, out)
+            else:
+                np.multiply(*phase)
+        if trailing:
+            np.multiply(psi, half, psi)
 
     return step
 
 
-def _split_evolution(psi: np.ndarray, other: np.ndarray, half: np.ndarray, grid,
-                     config: QAConfig, rotation: bool):
+def _split_evolution(psi: np.ndarray, half: np.ndarray, grid, config: QAConfig, rotation: bool):
     """Strang steps in place on psi along `grid`, yielding (t, sampled) after each.
 
     A step is half * M * half with theta the exact integral of gamma over the
     step: QA (rotation) mixes a state in its real-rotation frame with
-    R(theta), imaginary time with exp(theta Sx).  `other` is the split step's
-    second buffer.
+    R(theta), imaginary time with exp(theta Sx).
     """
     n = psi.size.bit_length() - 1
     sizes = _block_sizes(n)
-    step = _split_stepper(psi, other, n)
+    step = _split_stepper(psi, half, n)
 
     def mixer_tables(ts):
         angles = transverse_angle(ts[:-1], ts[1:], config.b, config.t0)
@@ -351,7 +424,7 @@ def _split_evolution(psi: np.ndarray, other: np.ndarray, half: np.ndarray, grid,
 
     step_bytes = 8 * sum(4 ** m for m in sizes)  # float64 blocks
     for t, sampled, *blocks in _fixed_steps(grid, config.dt, step_bytes, mixer_tables):
-        step(half, blocks)
+        step(blocks)
         yield t, sampled
 
 
@@ -368,7 +441,7 @@ def strang_step(state: QuantumState, energies: np.ndarray, schedule: QAConfig) -
     psi = np.array(state.amplitudes, dtype=complex)
     blocks = [table[0] for table in _mixer_tables(np.array([theta]), _block_sizes(n), True)]
     _frame(psi, n, inverse=True)
-    _split_stepper(psi, np.empty_like(psi), n)(np.exp(-0.5j * dt * energies), blocks)
+    _split_stepper(psi, np.exp(-0.5j * dt * energies), n)(blocks)
     _frame(psi, n)
     return QuantumState(psi, state.t + dt)
 
@@ -480,17 +553,15 @@ def _group_gram(psi: np.ndarray, conj: np.ndarray, n: int, k: int, m: int) -> np
     return gram
 
 
-def _single_spin_observables(psi: np.ndarray, n: int,
-                             conj: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _single_spin_observables(psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """prob_up and Bloch-vector magnitude of every spin, with one conjugate copy of psi.
 
     Each group of m = 4 consecutive spins (the last takes n mod 4) is read
     off one Gram matrix G of `_group_gram`: the population of spin s up is
     the sum of diag G over the indices with bit s set, and its cross term
     sum up * conj(down) the sum of G[a, a ^ 2^s] over the same indices.
-    The copy is written into `conj` when given, else into a new array.
     """
-    conj = np.conj(psi, out=conj)
+    conj = np.conj(psi)
     prob_up, polarization = np.empty(n), np.empty(n)
     cross = np.empty(n, dtype=complex)
     for k in range(0, n, _BLOCK_SPINS):
@@ -514,6 +585,7 @@ def run_qa(J: np.ndarray, config: QAConfig) -> QARun:
     J = validate_coupling_matrix(J)
     n = J.shape[0]
     energies = build_diagonal(J, config.h)  # guards n <= MAX_QUBITS
+    _check_half_phase(J, config.h, config.dt)
     ground = ground_set(energies)
 
     psi = initial_state(n).amplitudes
@@ -521,21 +593,20 @@ def run_qa(J: np.ndarray, config: QAConfig) -> QARun:
     half_phase = np.multiply(-0.5j * config.dt, energies)
     del energies  # the steps need only the half phase
     np.exp(half_phase, out=half_phase)
-    other = np.empty_like(psi)  # the split step's second buffer, and the sampled conjugate
 
     samples = []  # one (t, gamma, p_gs, p_gs_per_state, prob_up, bloch_mag) row per sample
 
     def record(t: float):
         samples.append((t, gamma(t, config.b, config.t0),
                         *ground_state_probability(psi, ground),
-                        *_single_spin_observables(psi, n, other)))
+                        *_single_spin_observables(psi, n)))
 
     record(0.0)
     t = 0.0
     steps = 0
     max_drift = 0.0
-    for steps, (t, sampled) in enumerate(_split_evolution(psi, other, half_phase, grid,
-                                                          config, True), 1):
+    evolution = _split_evolution(psi, half_phase, grid, config, True)
+    for steps, (t, sampled) in enumerate(evolution, 1):
         drift = abs(float(np.vdot(psi, psi).real) - 1.0)
         if not drift <= 1e-8:  # a NaN state fails too
             raise RuntimeError(f"norm drift {drift:.3e} at t = {t:.2f}")

@@ -640,6 +640,35 @@ class TestRunCommands:
         assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    # an energy scale, transverse angle or half phase dt * E that overflows:
+    # unbounded, each runs into numpy overflow warnings, and some into a NaN
+    # state; the last two have a scale below the ceiling and a huge step
+    T1 = ["--t-end", "1"]
+    BIG_STEP = ["--j", "1e296", "--dt", "1e12", "--t-end", "1e12"]
+    ENERGY_CASES = {
+        "qa-run-j": ["qa-run", "--n", "8", "--j", "1e308", *T1],
+        "qa-run-h0": ["qa-run", "--n", "8", "--j", "0.3", "--h0", "1e308", *T1],
+        "qa-run-b": ["qa-run", "--n", "8", "--j", "0.3", "--b", "1e308", *T1],
+        "imag-j": ["master-run", "--mode", "imag", "--n", "4", "--j", "1e308", *T1],
+        "ca-j": ["master-run", "--mode", "ca", "--n", "4", "--j", "1e308", *T1],
+        "oracle-j": ["oracle", "--n", "8", "--j", "1e308"],
+        "sa-j": ["master-run", "--mode", "sa", "--n", "4", "--j", "1e308", *T1],
+        "qa-run-dt": ["qa-run", "--n", "8", *BIG_STEP],
+        "imag-dt": ["master-run", "--mode", "imag", "--n", "4", *BIG_STEP],
+    }
+
+    @pytest.mark.parametrize("argv", ENERGY_CASES.values(), ids=ENERGY_CASES.keys())
+    def test_overflowing_energy_scale_or_angle_rejected(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert any(what in err for what in ("energy scale", "transverse angle", "half phase"))
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_basins_csv_cells_equal_the_json_values(self, tmp_path):
         # the CSV joins each minimum's tail once; JSON keeps the values
         argv = ["basins", "--n", "8", "--j", "0.4", "--p", "2.0", "--samples", "300",

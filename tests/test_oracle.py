@@ -31,6 +31,20 @@ class TestAllEnergies:
                                        rtol=0, atol=1e-13 * scale)
 
 
+    def test_energy_scale_bounded_up_front(self):
+        # (1/2) sum |J_ij| + sum |h_i| bounds every |E| and must stay at or
+        # below MAX_ENERGY_SCALE, where the tie rule's rounding stays finite
+        J = graph.build_mobius_ladder(4, 1.0)  # (1/2) sum |J_ij| = 6
+        big = oracle.MAX_ENERGY_SCALE / 10
+        E = oracle.all_energies(J * big, np.full(4, big / 4))  # scale 7e297: no warning
+        assert np.isfinite(E).all() and oracle.ground_set(E).size > 0
+        for args in ((J * big, np.full(4, oracle.MAX_ENERGY_SCALE)), (J * 1e308, None)):
+            with pytest.raises(ValueError, match="energy scale"):
+                oracle.all_energies(*args)
+        with pytest.raises(ValueError, match="energy scale"):
+            oracle.exhaustive_ground_state(J * oracle.MAX_ENERGY_SCALE)
+
+
 class TestOneGroundRule:
     def test_oracle_projector_and_quantum_agree(self):
         rng = np.random.default_rng(12)

@@ -61,6 +61,28 @@ def _per_step_split_step(psi, half, z, n):
     psi *= half
 
 
+def _two_buffer_split_step(psi, half, blocks, n):
+    """The split step before cache blocking: each group one product over the whole state.
+
+    The products alternate between psi and a second state-sized buffer.
+    """
+    buffers = (psi, np.empty_like(psi))
+    parts = psi.itemsize // 8
+    np.multiply(psi, half, psi)
+    groups = range(0, n, 4)
+    for g, k in enumerate(groups):
+        m = min(4, n - k)
+        src, dst = buffers[g % 2], buffers[1 - g % 2]
+        block = blocks[0] if m == 4 else blocks[-1]
+        if k == 0:
+            np.matmul(src.reshape(-1, 1 << m), block.T, dst.reshape(-1, 1 << m))
+        else:
+            shape = (1 << (n - k - m), 1 << m, parts << k)
+            np.matmul(block, src.view(np.float64).reshape(shape),
+                      dst.view(np.float64).reshape(shape))
+    np.multiply(buffers[len(groups) % 2], half, psi)
+
+
 def _per_step_rotation_step(psi, half, theta, n):
     """QA's real-frame split step as a per-step loop: blocks and a temporary per step."""
     psi *= half
@@ -207,6 +229,19 @@ class TestSchedule:
             numeric, _ = quad(lambda t: gamma(t, 5.0, 0.5), a, b)
             assert exact == pytest.approx(numeric, rel=1e-10)
 
+    @pytest.mark.parametrize("schedule", [
+        {"b": 1e308}, {"b": 1e300, "t0": 1e-300}, {"b": np.float64(1e308), "t_end": 0.0},
+        {"b": 0.0, "t0": 1e308, "t_end": 1e308, "dt": 1e307},
+    ], ids=["angle", "gamma0", "numpy-b", "t-overflow"])
+    def test_overflowing_angle_rejected(self, schedule):
+        # these ran to a NaN state or to overflow warnings
+        with pytest.raises(ValueError, match="transverse angle"):
+            QAConfig(**schedule)
+
+    def test_largest_finite_angle_allowed(self):
+        config = QAConfig(b=1e300)
+        assert np.isfinite(transverse_angle(0.0, config.t_end, config.b, config.t0))
+
 
 class TestStrangStep:
     def test_zero_drive_preserves_probabilities(self):
@@ -270,7 +305,7 @@ class TestSplitStep:
                                                                 quantum._block_sizes(n), rotation)]
         if rotation:
             quantum._frame(psi, n, inverse=True)
-        quantum._split_stepper(psi, np.empty_like(psi), n)(half, blocks)
+        quantum._split_stepper(psi, half, n)(blocks)
         if rotation:
             quantum._frame(psi, n)
         assert psi.dtype == expected.dtype
@@ -278,6 +313,114 @@ class TestSplitStep:
         # renormalized state it goes on with (the unitary case has norm 1)
         scale = np.linalg.norm(expected)
         np.testing.assert_allclose(psi / scale, expected / scale, rtol=0, atol=1e-13)
+
+
+def _step_case(n, kind, seed):
+    """(psi, half, blocks) of one random split step."""
+    rng = np.random.default_rng(seed)
+    rotation = kind == "complex"
+    if rotation:
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        half = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, size=1 << n))
+    else:
+        psi = rng.normal(size=1 << n)
+        half = np.exp(-rng.uniform(0.0, 1.0, size=1 << n))
+    psi /= np.linalg.norm(psi)
+    blocks = [table[0] for table in quantum._mixer_tables(np.array([rng.uniform(0.05, 0.7)]),
+                                                            quantum._block_sizes(n), rotation)]
+    return psi, half, blocks
+
+
+class TestBlockedStep:
+    """The cache-blocked split step equals the two-buffer step bitwise, whatever the chunk."""
+
+    def _check(self, n, kind, seed):
+        psi, half, blocks = _step_case(n, kind, seed)
+        expected = psi.copy()
+        _two_buffer_split_step(expected, half, blocks, n)
+        quantum._split_stepper(psi, half, n)(blocks)
+        assert np.array_equal(psi, expected)
+
+    @pytest.mark.parametrize("chunk_bytes", [1 << 10, 1 << 11, 1 << 12])
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_matches_two_buffer_step(self, n, kind, chunk_bytes, monkeypatch):
+        # 1-4 KiB chunks hold 2^6 to 2^9 amplitudes (clamped to 2^7): one or two
+        # groups in the chunk, slab groups above, last groups of 1-3 spins
+        monkeypatch.setattr(quantum, "CHUNK_BYTES", chunk_bytes)
+        self._check(n, kind, 900 + n)
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_matches_two_buffer_step_at_the_default_chunk(self, kind):
+        self._check(18, kind, 918)
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_tiny_chunk_is_clamped(self, kind, monkeypatch):
+        # a one-row product would go to gemv and a 4-column slab through
+        # another kernel, and both round otherwise: every product keeps >= 2
+        # rows and >= 8 columns
+        monkeypatch.setattr(quantum, "CHUNK_BYTES", 64)
+        cases = []
+        for n in range(8, 14):
+            psi, half, blocks = _step_case(n, kind, 950 + n)
+            expected = psi.copy()
+            _two_buffer_split_step(expected, half, blocks, n)
+            cases.append((psi, expected, quantum._split_stepper(psi, half, n), blocks))
+        shapes = []
+        matmul = np.matmul
+
+        def recorded(a, b, out):
+            shapes.append(out.shape[-2:])
+            return matmul(a, b, out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        for psi, expected, step, blocks in cases:
+            step(blocks)
+            assert np.array_equal(psi, expected)
+        assert shapes and min(rows for rows, _ in shapes) >= 2
+        assert min(cols for _, cols in shapes) >= 8
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1 << 16], ids=["default", "64KiB"])
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_steps_hold_one_chunk(self, kind, chunk_bytes, monkeypatch):
+        # the stepper holds one chunk of scratch (the whole state when it fits
+        # in one), and three steps at n = 16 allocate no state-sized array
+        import tracemalloc
+
+        if chunk_bytes is not None:
+            monkeypatch.setattr(quantum, "CHUNK_BYTES", chunk_bytes)
+        n = 16
+        psi, half, blocks = _step_case(n, kind, 916)
+        tracemalloc.start()
+        try:
+            step = quantum._split_stepper(psi, half, n)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(3):
+                step(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < min(psi.nbytes, quantum.CHUNK_BYTES) + (1 << 16)
+        assert peak - held < psi.nbytes // 2
+
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_evolutions_do_not_depend_on_the_chunk(self, n, monkeypatch):
+        # run_qa and imaginary time through _split_evolution
+        rng = np.random.default_rng(960 + n)
+        A = rng.normal(scale=0.5, size=(n, n))
+        J, h = np.triu(A, 1) + np.triu(A, 1).T, rng.normal(scale=0.2, size=n)
+        config = QAConfig(dt=0.1, t_end=1.0, h=h, sample_every=3)
+        runs = []
+        for chunk_bytes in (quantum.CHUNK_BYTES, 1 << 10):
+            monkeypatch.setattr(quantum, "CHUNK_BYTES", chunk_bytes)
+            runs.append((run_qa(J, config), master.imaginary_time_evolve(J, h, config)))
+        (qa, imag), (qa_blocked, imag_blocked) = runs
+        assert np.array_equal(qa.state.amplitudes, qa_blocked.state.amplitudes)
+        for name in ("p_gs", "prob_up", "bloch_mag"):
+            assert np.array_equal(getattr(qa, name), getattr(qa_blocked, name))
+        assert np.array_equal(imag.amplitudes, imag_blocked.amplitudes)
+        assert np.array_equal(imag.p_gs, imag_blocked.p_gs)
 
 
 class TestFrame:
@@ -408,7 +551,7 @@ class TestFixedSteps:
 
 class TestChunkedEvolutions:
     """run_qa and imaginary time build their mixer blocks per chunk of steps and
-    move the state between two buffers; both must equal the per-step loop bitwise."""
+    step through the cache-blocked split step; both must equal the per-step loop bitwise."""
 
     @pytest.mark.parametrize("n", range(2, 14))  # every remainder of n mod 4
     @pytest.mark.parametrize("chunk", [1, 3, None], ids=["K=1", "K=3", "K=default"])
@@ -575,10 +718,6 @@ class TestSingleSpinObservables:
             psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             psi /= np.linalg.norm(psi)
             prob_up, mags = quantum._single_spin_observables(psi, n)
-            conj = np.empty_like(psi)  # run_qa passes its second state buffer
-            for got, want in zip(quantum._single_spin_observables(psi, n, conj), (prob_up, mags)):
-                assert np.array_equal(got, want)
-            assert np.array_equal(conj, np.conj(psi))
             for k in range(n):
                 rho = _partner_copies_rho(psi, k)
                 np.testing.assert_allclose(reduced_density_matrix(psi, k), rho, rtol=0, atol=1e-14)
@@ -671,11 +810,11 @@ class TestRunQA:
     def test_nan_state_aborts(self, monkeypatch, tmp_path, capsys):
         split_stepper = quantum._split_stepper
 
-        def poisoned(psi, other, n):
-            step = split_stepper(psi, other, n)
+        def poisoned(psi, half, n):
+            step = split_stepper(psi, half, n)
 
-            def poisoned_step(half, blocks):
-                step(half, blocks)
+            def poisoned_step(blocks):
+                step(blocks)
                 psi[3] = np.nan
             return poisoned_step
 
