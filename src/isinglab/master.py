@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import validate_coupling_matrix
+from .oracle import energy_scale
 from .quantum import (
     QAConfig,
-    _check_half_phase,
+    _diagonal_factors,
     _fixed_steps,
     _split_evolution,
     _time_grid,
@@ -55,6 +56,7 @@ __all__ = [
 
 MAX_CA_LEVELS = 1 << 12  # the all-pairs rates between L levels are an L x L matrix
 NEGATIVITY_TOL = -1e-10
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 RK4_STABLE_LIMIT = 2.785  # RK4 is stable on the negative real axis for dt |lambda| up to this
 
 
@@ -192,7 +194,9 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
     generators obey detailed balance with pair rates pi_b / (pi_a + pi_b),
     so their Dirichlet forms bound every eigenvalue by |lambda| <= n for SA
     and 2^n - 1 for CA, and dt times that bound must not exceed
-    RK4_STABLE_LIMIT.
+    RK4_STABLE_LIMIT.  A schedule whose largest |dE| / T, at most
+    2 * energy_scale * sqrt(t_end + dt + t0) / d, is not finite raises
+    ValueError too: its rates and Boltzmann weights would overflow.
     """
     if mode not in ("sa", "ca"):
         raise ValueError(f"mode must be 'sa' or 'ca', got {mode!r}")
@@ -205,6 +209,11 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
                          f"dt * {bound} > {RK4_STABLE_LIMIT}, so dt must be "
                          f"<= {RK4_STABLE_LIMIT / bound:.3g}")
     E = build_diagonal(J, h)
+    # every time the anneal reads T at, midpoints included, is below t_end + dt
+    ratio = 2.0 * energy_scale(J, h) * math.sqrt(t_end + dt + schedule.t0) / schedule.d
+    if not ratio < math.inf:  # Python floats overflow to inf without a warning
+        raise ValueError(f"the largest |dE| / T, 2 * energy scale * sqrt(t_end + dt + t0) / d, "
+                         f"is not finite: d = {schedule.d} is too small")
     ground = ground_set(E)
     p = np.full(E.size, 1.0 / E.size)
     k1, k2, k3, k4, stage, acc = (np.empty_like(p) for _ in range(6))
@@ -301,19 +310,25 @@ def imaginary_time_evolve(J: np.ndarray, h: np.ndarray | None, config: QAConfig)
     Runs QA's split evolution with real decay factors exp(-dt E/2) and cosh/sinh
     mixing; renormalizing after every step (a zero or non-finite norm aborts)
     keeps the wavefunction normalized, as the energy-shift term would.  The
-    field is h; a config.h that differs from it raises ValueError.
+    field is h; a config.h that differs from it raises ValueError.  So does a
+    first step theta = 2b(sqrt(dt + t0) - sqrt(t0)) whose mixer, which can
+    grow the norm by e^(n theta), would overflow the squared norm:
+    2 n theta >= ln(float max).
     """
     if config.h is not None and not np.array_equal(config.h, h):
         raise ValueError("config.h differs from h; imaginary time anneals under h")
     grid = _time_grid(config.dt, config.t_end, config.sample_every)
     J = validate_coupling_matrix(J)
     n = J.shape[0]
-    half = build_diagonal(J, h)
-    _check_half_phase(J, h, config.dt)
-    ground = ground_set(half)
-    np.subtract(half, half.min(), out=half)  # shift for overflow safety only
-    np.multiply(-0.5 * config.dt, half, out=half)
-    np.exp(half, out=half)
+    # the first step's angle is the largest; Python floats overflow to inf without a warning
+    b, t0 = float(config.b), float(config.t0)
+    theta = 2.0 * b * (math.sqrt(config.dt + t0) - math.sqrt(t0))
+    if not 2.0 * n * theta < LOG_FLOAT_MAX:
+        raise ValueError(f"the squared norm overflows in the first step: 2 n theta = "
+                         f"{2.0 * n * theta:.4g} >= ln(float max) = {LOG_FLOAT_MAX:.4f} for its "
+                         f"transverse angle theta = 2b(sqrt(dt + t0) - sqrt(t0)), b = {config.b}, "
+                         f"dt = {config.dt}, t0 = {config.t0}")
+    half, ground = _diagonal_factors(J, h, config.dt, False)
     psi = np.full(1 << n, 2.0 ** (-n / 2))
 
     times, pgs = [0.0], [float(np.sum(psi[ground] ** 2))]

@@ -9,11 +9,13 @@ table splits the spins in two halves (meet in the middle): half-chain
 energies plus one matrix product for the cross term, O(2^(n/2) * 2^(n/2))
 vectorized work instead of a (2^n, n) spin table.  One kernel writes the
 table in row blocks of at most `BLOCK_ENTRIES` energies.  `all_energies`
-fills its output block by block; the oracle streams the blocks through one
-reused buffer, keeping a running minimum, the indices tied with it and the
-level counts of each block, so its memory is one block plus the output (the
-ground set and the histogram), not the 2^n table.  Only the oracle's reported
-energy and histogram keys are rounded to 9 decimals.
+fills its output block by block, into a caller's array when given one (QA
+writes it into the memory of its half phase); `ground_set` applies the tie
+rule in blocks through one block-sized buffer.  The oracle streams the
+blocks through one reused buffer, keeping a running minimum, the indices
+tied with it and the level counts of each block, so its memory is one block
+plus the output (the ground set and the histogram), not the 2^n table.  Only
+the oracle's reported energy and histogram keys are rounded to 9 decimals.
 """
 
 from __future__ import annotations
@@ -112,27 +114,40 @@ def _energy_rows(J: np.ndarray, h: np.ndarray | None = None):
     return (len(hi), len(lo)), max(2, BLOCK_ENTRIES >> m), fill
 
 
-def all_energies(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+def all_energies(J: np.ndarray, h: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Energies E(xi) = -(1/2) s.J.s - h.s of all 2^n configurations, by basis index.
 
     J and h are taken as given (square, shape (n,)); callers validate them.
+    The table is written into `out`, a C-contiguous float64 array of 2^n
+    entries, when one is given, and returned.
     """
     shape, step, fill = _energy_rows(J, h)
-    E = np.empty(shape)
+    E = np.empty(shape) if out is None else out.reshape(shape)
     for r0 in range(0, shape[0], step):
         fill(r0, E[r0:r0 + step])
     return E.reshape(-1)
 
 
-def _ties(E: np.ndarray, minimum: float) -> np.ndarray:
+def _ties(E: np.ndarray, minimum: float, out: np.ndarray | None = None) -> np.ndarray:
     """The tie rule: entries of E whose excess over `minimum` rounds to 0 at 9 decimals."""
-    d = E - minimum
+    d = np.subtract(E, minimum, out)
     return np.round(d, ENERGY_DECIMALS, out=d) == 0.0
 
 
 def ground_set(E: np.ndarray) -> np.ndarray:
-    """Indices of the minimizers of E, ties taken to 9 decimals above the minimum."""
-    return np.flatnonzero(_ties(E, E.min()))
+    """Indices of the minimizers of E, ties taken to 9 decimals above the minimum.
+
+    The rule runs in blocks of at most `BLOCK_ENTRIES` against the global
+    minimum, through one block-sized buffer, so no table-sized temporary is
+    made; it is elementwise, so the indices are those of the whole table.
+    """
+    E = np.ravel(E)
+    minimum = E.min()
+    buf = np.empty(min(E.size, BLOCK_ENTRIES))
+    return np.concatenate([
+        np.flatnonzero(_ties(E[i:i + BLOCK_ENTRIES], minimum, buf[:E.size - i])) + i
+        for i in range(0, E.size, BLOCK_ENTRIES)])
 
 
 def exhaustive_ground_state(J: np.ndarray) -> SpectrumSummary:

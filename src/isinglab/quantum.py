@@ -26,6 +26,9 @@ matrix G = X X^H per group of m spins: prob_up from its diagonal, each
 spin's cross term from a fixed sum of off-diagonal entries.  Populations
 and |cross| are the same in both frames, so samples read phi directly.
 A single spin's reduced density matrix is the same Gram matrix at m = 1.
+G is summed over slabs of psi of at most CHUNK_BYTES, each conjugated into
+one slab-sized buffer: bitwise the whole-conjugate G when psi is one slab
+(n <= 16), within 1e-14 above.
 
 Every fixed-step evolution (QA, imaginary time, the master equation, the
 soft-spin ensembles) walks one step iterator, `_fixed_steps`, which builds the
@@ -35,10 +38,15 @@ blocked for the cache: one pass over the state applies the leading half
 phase and every group of spins that lies inside a CHUNK_BYTES chunk, chunk
 by chunk, and each group above the chunk takes one more pass, the last with
 the trailing half phase.  At n = 20 that is two passes where an unblocked
-step makes seven (QA: spins 0-15 inside 1 MiB chunks, 16-19 above).  The
-evolution holds psi, the half phase and one chunk of scratch (the whole
-state when it fits in one chunk), and no step allocates a state-sized
-array; a QA sample adds a conjugate copy of psi while it is read.
+step makes seven (QA: spins 0-15 inside 1 MiB chunks, 16-19 above).
+
+QA and imaginary time hold two state-sized arrays, psi and the half-step
+factors, plus O(CHUNK_BYTES) of work space, from set-up through every
+sample.  `_diagonal_factors` writes the energy table into the factors' own
+memory (the first half of QA's complex array) and turns it into the
+factors in place, psi is made after them, and one chunk of scratch serves
+the steps and, in QA, the samples' conjugate slabs: 33 MiB at n = 20 for
+QA, 17 MiB for imaginary time.
 
 The basis convention (bit k of index xi set when spin k is up), the
 all-state energy table behind the diagonal and the ground-set tie rule are
@@ -148,24 +156,31 @@ class BlochVector:
         return float(np.sqrt(self.u**2 + self.v**2 + self.w**2))
 
 
-def build_diagonal(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+def build_diagonal(J: np.ndarray, h: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Classical energies E(xi) = H_I(xi) - sum_i h_i s_i for every basis state.
 
-    Raises ValueError for a field of the wrong shape or with a non-finite entry.
+    The table is written into `out`, a C-contiguous float64 array of 2^n
+    entries, when one is given.  Raises ValueError for a field of the wrong
+    shape or with a non-finite entry.
     """
     J = np.asarray(J, dtype=float)
     if J.shape != (1, 1):  # a single spin has no coupling to validate
         J = validate_coupling_matrix(J)
     n = J.shape[0]
-    if n > MAX_QUBITS:
-        raise ValueError(f"diagonal for n = {n} exceeds the {MAX_QUBITS}-spin guard")
+    _check_qubits(n)
     if h is not None:
         h = np.asarray(h, dtype=float)
         if h.shape != (n,):
             raise ValueError(f"field must have shape ({n},), got {h.shape}")
         if not np.isfinite(h).all():
             raise ValueError(f"field must be finite, got {h}")
-    return all_energies(J, h)
+    return all_energies(J, h, out)
+
+
+def _check_qubits(n: int) -> None:
+    if n > MAX_QUBITS:
+        raise ValueError(f"diagonal for n = {n} exceeds the {MAX_QUBITS}-spin guard")
 
 
 def _check_half_phase(J: np.ndarray, h: np.ndarray | None, dt: float) -> None:
@@ -179,6 +194,41 @@ def _check_half_phase(J: np.ndarray, h: np.ndarray | None, dt: float) -> None:
     if not float(dt) * scale < math.inf:  # Python floats overflow to inf without a warning
         raise ValueError(f"the half phase overflows: dt = {dt} times the energy scale "
                          f"{scale:.3g} is not finite")
+
+
+def _diagonal_factors(J: np.ndarray, h: np.ndarray | None, dt: float,
+                      rotation: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(factors, ground): the half-step diagonal factors of a split evolution and the ground set.
+
+    rotation gives QA's complex phases exp(-0.5i dt E), otherwise imaginary
+    time's decay factors exp(-0.5 dt (E - min E)).  The factors' array is
+    the only state-sized one: `build_diagonal` writes the energy table into
+    its first 8 * 2^n bytes (all of a real array's), the ground set is read
+    off the table, and the table then becomes the factors in place.  QA's
+    complex factors take twice the table's bytes, so they are made one
+    block at a time from the last block to the first: block b's destination
+    covers table blocks 2b and 2b + 1, already read for b >= 1, and block 0
+    goes through its own temporary.  Each block is the product and exp of
+    the whole-array expression, elementwise, so the factors are bitwise the
+    same.
+    """
+    n = len(J)
+    _check_qubits(n)  # before the 2^n allocation
+    factors = np.empty(1 << n, complex if rotation else float)
+    E = build_diagonal(J, h, factors.view(np.float64)[:factors.size])
+    _check_half_phase(J, h, dt)
+    ground = ground_set(E)
+    if rotation:
+        block = CHUNK_BYTES // factors.itemsize
+        scale = -0.5j * dt
+        for r in reversed(range(0, E.size, block)):
+            dest = factors[r:r + block]
+            np.exp(np.multiply(scale, E[r:r + block], dest if r else None), dest)
+    else:
+        np.subtract(E, E.min(), out=E)  # shift for overflow safety only
+        np.multiply(-0.5 * dt, E, out=E)
+        np.exp(E, out=E)
+    return factors, ground
 
 
 def initial_state(n: int) -> QuantumState:
@@ -323,7 +373,18 @@ def _frame(psi: np.ndarray, n: int, inverse: bool = False) -> None:
     np.multiply(view, turns[_popcounts(n - low) & 3, None], view)
 
 
-def _split_stepper(psi: np.ndarray, half: np.ndarray, n: int):
+def _chunk_scratch(psi: np.ndarray) -> np.ndarray:
+    """One chunk of scratch for psi: 2^c amplitudes, CHUNK_BYTES but at least 2^7, at most psi.
+
+    The split step mixes psi chunk by chunk through it, and the samples'
+    Gram matrices read psi slab by slab through it (see `_split_stepper` for
+    the lower clamp).
+    """
+    c = max(_BLOCK_SPINS + 3, (CHUNK_BYTES // psi.itemsize).bit_length() - 1)
+    return np.empty(min(psi.size, 1 << c), psi.dtype)
+
+
+def _split_stepper(psi: np.ndarray, half: np.ndarray, n: int, scratch: np.ndarray | None = None):
     """Strang steps in place on psi: step(blocks) sets psi <- half * M * half * psi.
 
     M is the product over spins of one real 2 x 2 mixer, applied as one real
@@ -347,11 +408,13 @@ def _split_stepper(psi: np.ndarray, half: np.ndarray, n: int):
     such group and takes the trailing half phase in a pass of its own.
     Every output entry is the same sum as in one product over the whole
     state, so the result does not depend on the chunk.  All views are made
-    once here.
+    once here; `scratch`, a `_chunk_scratch(psi)` that the caller may share
+    between steps, is made here when not given.
     """
     parts = psi.itemsize // 8  # float64 numbers per amplitude
-    c = min(n, max(_BLOCK_SPINS + 3, (CHUNK_BYTES // psi.itemsize).bit_length() - 1))
-    scratch = np.empty(1 << c, psi.dtype)
+    if scratch is None:
+        scratch = _chunk_scratch(psi)
+    c = scratch.size.bit_length() - 1
     groups = [(k, min(_BLOCK_SPINS, n - k)) for k in range(0, n, _BLOCK_SPINS)]
     inner = [(k, m) for k, m in groups if k + m <= c]
     outer = groups[len(inner):]
@@ -407,16 +470,18 @@ def _split_stepper(psi: np.ndarray, half: np.ndarray, n: int):
     return step
 
 
-def _split_evolution(psi: np.ndarray, half: np.ndarray, grid, config: QAConfig, rotation: bool):
+def _split_evolution(psi: np.ndarray, half: np.ndarray, grid, config: QAConfig, rotation: bool,
+                     scratch: np.ndarray | None = None):
     """Strang steps in place on psi along `grid`, yielding (t, sampled) after each.
 
     A step is half * M * half with theta the exact integral of gamma over the
     step: QA (rotation) mixes a state in its real-rotation frame with
-    R(theta), imaginary time with exp(theta Sx).
+    R(theta), imaginary time with exp(theta Sx).  The steps mix through
+    `scratch` (see `_split_stepper`), which is free between them.
     """
     n = psi.size.bit_length() - 1
     sizes = _block_sizes(n)
-    step = _split_stepper(psi, half, n)
+    step = _split_stepper(psi, half, n, scratch)
 
     def mixer_tables(ts):
         angles = transverse_angle(ts[:-1], ts[1:], config.b, config.t0)
@@ -475,7 +540,7 @@ def ground_state_probability(state: QuantumState | np.ndarray,
 def reduced_density_matrix(state: QuantumState | np.ndarray, k: int) -> np.ndarray:
     """Single-spin reduced density matrix of spin k in the (up, down) basis.
 
-    The one-spin Gram matrix of `_group_gram`, whose rows run (down, up),
+    The one-spin Gram matrix of `_group_grams`, whose rows run (down, up),
     reversed; the full 2^n x 2^n density matrix is never formed.
     """
     psi = state.amplitudes if isinstance(state, QuantumState) else state
@@ -483,7 +548,7 @@ def reduced_density_matrix(state: QuantumState | np.ndarray, k: int) -> np.ndarr
     n = int(round(np.log2(psi.size)))
     if not 0 <= k < n:
         raise ValueError(f"spin index {k} out of range for {n} spins")
-    return _group_gram(psi, np.conj(psi), n, k, 1)[::-1, ::-1]
+    return _group_grams(psi, n, [(k, 1)])[0][::-1, ::-1]
 
 
 def bloch_vector(rho: np.ndarray) -> BlochVector:
@@ -530,44 +595,71 @@ def _gram_readout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return up, polarity, pairs
 
 
-def _group_gram(psi: np.ndarray, conj: np.ndarray, n: int, k: int, m: int) -> np.ndarray:
-    """G = X X^H of spins k..k+m-1, X the (2^m, 2^(n-m)) matrix of psi with those spins as rows.
+def _group_grams(psi: np.ndarray, n: int, groups: list[tuple[int, int]],
+                 scratch: np.ndarray | None = None) -> list[np.ndarray]:
+    """G = X X^H per group (k, m), X the (2^m, 2^(n-m)) matrix of psi with spins k..k+m-1 as rows.
 
     G[a, b] sums psi[x] conj(psi[y]) over the index pairs x, y whose spins
-    k..k+m-1 read a and b and whose other spins agree; conj = np.conj(psi).
-    The lowest group is one product.  The others are batched over the spins
+    k..k+m-1 read a and b and whose other spins agree.  psi is read in slabs
+    of 2^c amplitudes, the size of a `_chunk_scratch(psi)`, each conjugated
+    once into `scratch` (made here when not given), and each G sums its
+    slabs' products.  A group whose spins lie below c reads every contiguous
+    slab: the lowest group as one product, the others batched over the spins
     above the group, a chunk of rows at a time, so the batched products take
-    at most a sixty-fourth of the state's bytes.
+    at most a sixty-fourth of the state's bytes.  A higher group reads slabs
+    of 2^m rows by 2^(c-m) columns.  Each operand is a row-strided or
+    transposed view, which matmul hands to BLAS without a copy.  A state of
+    one slab, at most CHUNK_BYTES, is conjugated once and gives the G of a
+    whole conjugate copy bit for bit.
     """
-    if k == 0:
-        return psi.reshape(-1, 1 << m).T @ conj.reshape(-1, 1 << m)
-    rows = 1 << (n - k - m)
-    shape = (rows, 1 << m, 1 << k)
-    X, C = psi.reshape(shape), conj.reshape(shape).transpose(0, 2, 1)
-    chunk = max(1, min(rows, psi.size >> (2 * m + 6)))  # a power of two: it divides rows
-    products = np.empty((chunk, 1 << m, 1 << m), dtype=psi.dtype)
-    gram = np.zeros((1 << m, 1 << m), dtype=psi.dtype)
-    for r in range(0, rows, chunk):
-        np.matmul(X[r:r + chunk], C[r:r + chunk], products)
-        gram += np.add.reduce(products, axis=0)
-    return gram
+    conj = _chunk_scratch(psi) if scratch is None else scratch
+    slab = conj.size
+    c = slab.bit_length() - 1
+    # one buffer holds each group's batched products in turn: chunk * 4^m <= max(2^n / 64, 4^m)
+    products = np.empty(max(psi.size >> 6, 1 << 2 * _BLOCK_SPINS), psi.dtype)
+    grams = [np.zeros((1 << m, 1 << m), dtype=psi.dtype) for _, m in groups]
+    inner = [(gram, k, m) for gram, (k, m) in zip(grams, groups) if k + m <= c]
+    for r in range(0, psi.size if inner else 0, slab):
+        X = psi[r:r + slab]
+        np.conjugate(X, conj)
+        for gram, k, m in inner:
+            if k == 0:
+                gram += X.reshape(-1, 1 << m).T @ conj.reshape(-1, 1 << m)
+                continue
+            shape = (slab >> (k + m), 1 << m, 1 << k)
+            Xg, Cg = X.reshape(shape), conj.reshape(shape).transpose(0, 2, 1)
+            chunk = max(1, min(shape[0], psi.size >> (2 * m + 6)))  # a power of two: divides rows
+            out = products[:chunk << 2 * m].reshape(chunk, 1 << m, 1 << m)
+            for q in range(0, shape[0], chunk):
+                np.matmul(Xg[q:q + chunk], Cg[q:q + chunk], out)
+                gram += np.add.reduce(out, axis=0)
+    for gram, (k, m) in zip(grams, groups):
+        if k + m > c:
+            width = slab >> m
+            C = conj.reshape(1 << m, width)
+            for rows in psi.reshape(-1, 1 << m, 1 << k):
+                for j in range(0, 1 << k, width):
+                    X = rows[:, j:j + width]
+                    gram += X @ np.conjugate(X, C).T
+    return grams
 
 
-def _single_spin_observables(psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """prob_up and Bloch-vector magnitude of every spin, with one conjugate copy of psi.
+def _single_spin_observables(psi: np.ndarray, n: int,
+                             scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """prob_up and Bloch-vector magnitude of every spin, read through one conjugate slab of psi.
 
     Each group of m = 4 consecutive spins (the last takes n mod 4) is read
-    off one Gram matrix G of `_group_gram`: the population of spin s up is
+    off one Gram matrix G of `_group_grams`: the population of spin s up is
     the sum of diag G over the indices with bit s set, and its cross term
     sum up * conj(down) the sum of G[a, a ^ 2^s] over the same indices.
+    All groups read psi through `scratch` (one `_chunk_scratch(psi)`).
     """
-    conj = np.conj(psi)
+    groups = [(k, min(_BLOCK_SPINS, n - k)) for k in range(0, n, _BLOCK_SPINS)]
     prob_up, polarization = np.empty(n), np.empty(n)
     cross = np.empty(n, dtype=complex)
-    for k in range(0, n, _BLOCK_SPINS):
-        m = min(_BLOCK_SPINS, n - k)
+    for (k, m), gram in zip(groups, _group_grams(psi, n, groups, scratch)):
         up, polarity, pairs = _gram_readout(m)
-        gram = _group_gram(psi, conj, n, k, m).reshape(-1)
+        gram = gram.reshape(-1)
         populations = gram[::(1 << m) + 1].real
         prob_up[k:k + m] = up @ populations
         polarization[k:k + m] = polarity @ populations
@@ -584,28 +676,23 @@ def run_qa(J: np.ndarray, config: QAConfig) -> QARun:
     grid = _time_grid(config.dt, config.t_end, config.sample_every)
     J = validate_coupling_matrix(J)
     n = J.shape[0]
-    energies = build_diagonal(J, config.h)  # guards n <= MAX_QUBITS
-    _check_half_phase(J, config.h, config.dt)
-    ground = ground_set(energies)
-
+    half_phase, ground = _diagonal_factors(J, config.h, config.dt, True)  # guards n
     psi = initial_state(n).amplitudes
     _frame(psi, n, inverse=True)  # the steps evolve phi = D^dagger psi, the samples read it
-    half_phase = np.multiply(-0.5j * config.dt, energies)
-    del energies  # the steps need only the half phase
-    np.exp(half_phase, out=half_phase)
+    scratch = _chunk_scratch(psi)  # the steps mix through it, the samples read psi through it
 
     samples = []  # one (t, gamma, p_gs, p_gs_per_state, prob_up, bloch_mag) row per sample
 
     def record(t: float):
         samples.append((t, gamma(t, config.b, config.t0),
                         *ground_state_probability(psi, ground),
-                        *_single_spin_observables(psi, n)))
+                        *_single_spin_observables(psi, n, scratch)))
 
     record(0.0)
     t = 0.0
     steps = 0
     max_drift = 0.0
-    evolution = _split_evolution(psi, half_phase, grid, config, True)
+    evolution = _split_evolution(psi, half_phase, grid, config, True, scratch)
     for steps, (t, sampled) in enumerate(evolution, 1):
         drift = abs(float(np.vdot(psi, psi).real) - 1.0)
         if not drift <= 1e-8:  # a NaN state fails too

@@ -640,7 +640,7 @@ class TestRunCommands:
         assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "x.csv").exists()
 
-    # an energy scale, transverse angle or half phase dt * E that overflows:
+    # an energy scale, transverse angle, half phase dt * E or |dE| / T that overflows:
     # unbounded, each runs into numpy overflow warnings, and some into a NaN
     # state; the last two have a scale below the ceiling and a huge step
     T1 = ["--t-end", "1"]
@@ -655,6 +655,13 @@ class TestRunCommands:
         "sa-j": ["master-run", "--mode", "sa", "--n", "4", "--j", "1e308", *T1],
         "qa-run-dt": ["qa-run", "--n", "8", *BIG_STEP],
         "imag-dt": ["master-run", "--mode", "imag", "--n", "4", *BIG_STEP],
+        # a first imaginary-time step whose mixer overflows the squared norm, and a
+        # temperature so small that |dE| / T overflows
+        "imag-d": ["master-run", "--mode", "imag", "--n", "8", "--j", "0.35", "--d", "1e4"],
+        "imag-d-norm": ["master-run", "--mode", "imag", "--n", "8", "--j", "0.35", "--d", "3500",
+                        *T1],
+        "sa-d": ["master-run", "--mode", "sa", "--n", "4", "--j", "0.5", "--d", "1e-308", *T1],
+        "ca-d": ["master-run", "--mode", "ca", "--n", "4", "--j", "0.5", "--d", "1e-308", *T1],
     }
 
     @pytest.mark.parametrize("argv", ENERGY_CASES.values(), ids=ENERGY_CASES.keys())

@@ -331,6 +331,18 @@ class TestAnnealMaster:
         run = anneal_master(J, None, AnnealSchedule(), mode=mode, dt=dt_ok, t_end=5 * dt_ok)
         assert len(run.times) == 2
 
+    @pytest.mark.parametrize("mode", ["sa", "ca"])
+    def test_overflowing_energy_over_temperature_rejected(self, mode):
+        # 2 * energy scale * sqrt(t_end + dt + t0) / d must stay finite: at d = 1e-308
+        # the rate tables and Boltzmann weights would divide into overflow
+        J = graph.build_mobius_ladder(4, 0.5)
+        with pytest.raises(ValueError, match="energy scale"):
+            anneal_master(J, None, AnnealSchedule(d=1e-308), mode=mode, dt=0.01, t_end=1.0)
+        run = anneal_master(J, None, AnnealSchedule(d=1e-300), mode=mode, dt=0.01, t_end=1.0)
+        for T in run.temps:  # frozen from the start: no warning, no NaN
+            assert 0.0 <= boltzmann_reference(run.energies, T, run.ground_indices) <= 1.0
+        assert abs(run.probabilities.sum() - 1.0) < 1e-12
+
     def test_temperature_schedule(self):
         schedule = AnnealSchedule(d=5.0, t0=0.5)
         assert temperature(0.0, schedule) == pytest.approx(5.0 / np.sqrt(0.5))
@@ -428,6 +440,18 @@ class TestImaginaryTime:
         imag = imaginary_time_evolve(J, h, config)
         qa = quantum.run_qa(J, config)
         assert imag.p_gs[-1] >= qa.p_gs[-1] - 0.01
+
+    def test_overflowing_first_step_rejected(self):
+        # the first step's mixer grows the norm by up to e^(n theta) and the renormalization
+        # squares it: 2 n theta >= ln(float max) is rejected up front.  At n = 8, dt = 0.01,
+        # 2 n theta is 0.2252 b: b = 3500 (788) once overflowed the squared norm into an
+        # inf norm, b = 3100 (698) runs
+        J = graph.build_mobius_ladder(8, 0.35)
+        for b in (1e4, 3500.0):
+            with pytest.raises(ValueError, match="squared norm"):
+                imaginary_time_evolve(J, None, QAConfig(b=b, dt=0.01, t_end=1.0))
+        run = imaginary_time_evolve(J, None, QAConfig(b=3100.0, dt=0.01, t_end=1.0))
+        assert np.isfinite(run.amplitudes).all() and 0.0 < run.p_gs[-1] <= 1.0
 
     def test_field_only_in_config_is_rejected(self):
         # imaginary time anneals under its h argument, so a differing config.h is an error

@@ -162,10 +162,15 @@ def _whole_table_formula(J, h=None):
     return E.reshape(-1)
 
 
+def _whole_table_ground_set(E):
+    """The tie rule over the whole table at once: the formula the blocked rule replaced."""
+    return np.flatnonzero(np.round(E - E.min(), oracle.ENERGY_DECIMALS) == 0)
+
+
 def _whole_table_summary(J):
     """Ground energy, ground indices and histogram from the whole table at once."""
     E = oracle.all_energies(J)
-    ground = oracle.ground_set(E)
+    ground = _whole_table_ground_set(E)
     values, counts = np.unique(np.round(E, oracle.ENERGY_DECIMALS), return_counts=True)
     return float(values[0]), ground, dict(zip(values.tolist(), counts.tolist()))
 
@@ -197,6 +202,45 @@ class TestBlockedEnergies:
             J = _random_couplings(rng, n)
             h = rng.normal(size=n)
             assert np.array_equal(oracle.all_energies(J, h), _whole_table_formula(J, h)), n
+
+
+class TestBlockedGroundSet:
+    @pytest.mark.parametrize("entries", [1, 8, 64, oracle.BLOCK_ENTRIES])
+    def test_equals_the_whole_table_rule(self, monkeypatch, entries):
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(500 + entries)
+        for n in range(2, 13):
+            for integer in (False, True):  # integer couplings tie many states
+                E = oracle.all_energies(_random_couplings(rng, n, integer=integer))
+                expected = _whole_table_ground_set(E)
+                got = oracle.ground_set(E)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), n
+
+    def test_ties_straddle_block_boundaries(self, monkeypatch):
+        # blocks of 8: the minimum sits in the last block, so every block is
+        # ruled against the global minimum, not its own
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 8)
+        E = np.ones(37)
+        E[36] = -2.0 - 2e-10  # the minimum
+        E[[7, 8, 31, 32]] = -2.0  # 2e-10 above it: ties
+        E[[15, 16]] = -2.0 + 2e-10  # 4e-10 above: ties
+        E[23] = -2.0 + 4e-10  # 6e-10 above: rounds to 1e-9, no tie
+        expected = [7, 8, 15, 16, 31, 32, 36]
+        assert _whole_table_ground_set(E).tolist() == expected
+        assert oracle.ground_set(E).tolist() == expected
+
+    def test_memory_is_one_block_not_the_table(self):
+        import tracemalloc
+
+        E = oracle.all_energies(graph.build_mobius_ladder(20, 0.15))
+        tracemalloc.start()
+        try:
+            ground = oracle.ground_set(E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ground, _whole_table_ground_set(E))
+        assert peak < E.nbytes / 4
 
 
 class TestStreamedOracle:

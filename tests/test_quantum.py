@@ -205,6 +205,56 @@ class TestBuildDiagonal:
         assert E[dn] == pytest.approx(-6.4 + 0.05 * 8)
 
 
+def _random_instance(rng, n):
+    """Random couplings (a 1 x 1 zero for one spin) and field of n spins."""
+    A = rng.normal(scale=0.5, size=(n, n))
+    return np.triu(A, 1) + np.triu(A, 1).T, rng.normal(scale=0.2, size=n)
+
+
+class TestDiagonalFactors:
+    """QA's half phase is built in its own memory from the energy table written there;
+    it and imaginary time's decay factors equal the whole-array expressions bitwise."""
+
+    def _check(self, n, seed):
+        J, h = _random_instance(np.random.default_rng(seed), n)
+        dt = 0.37
+        E = build_diagonal(J, h)
+        half, ground = quantum._diagonal_factors(J, h, dt, True)
+        assert half.dtype == complex and np.array_equal(half, np.exp(-0.5j * dt * E))
+        assert np.array_equal(ground, ground_set(E))
+        decay, ground = quantum._diagonal_factors(J, h, dt, False)
+        assert decay.dtype == float and np.array_equal(decay, np.exp(-0.5 * dt * (E - E.min())))
+        assert np.array_equal(ground, ground_set(E))
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_bitwise_whole_array_expressions(self, n):
+        self._check(n, 1000 + n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bitwise_in_many_blocks(self, n, monkeypatch):
+        # 1 KiB blocks of 64 phases: every block b >= 1 lands on blocks 2b and 2b + 1
+        monkeypatch.setattr(quantum, "CHUNK_BYTES", 1 << 10)
+        self._check(n, 1100 + n)
+
+    def test_checks_come_before_the_state_sized_array(self):
+        import tracemalloc
+
+        J = graph.build_mobius_ladder(8, 0.4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="guard"):
+                quantum._diagonal_factors(np.zeros((30, 30)), None, 0.1, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        for h, what in ((np.ones(7), "shape"), (np.full(8, np.nan), "finite")):
+            with pytest.raises(ValueError, match=what):
+                quantum._diagonal_factors(J, h, 0.1, True)
+        with pytest.raises(ValueError, match="half phase"):
+            quantum._diagonal_factors(J, None, 1e308, True)
+
+
 class TestInitialState:
     def test_uniform_amplitudes(self):
         state = initial_state(8)
@@ -417,8 +467,11 @@ class TestBlockedStep:
             runs.append((run_qa(J, config), master.imaginary_time_evolve(J, h, config)))
         (qa, imag), (qa_blocked, imag_blocked) = runs
         assert np.array_equal(qa.state.amplitudes, qa_blocked.state.amplitudes)
-        for name in ("p_gs", "prob_up", "bloch_mag"):
-            assert np.array_equal(getattr(qa, name), getattr(qa_blocked, name))
+        assert np.array_equal(qa.p_gs, qa_blocked.p_gs)
+        # a 1 KiB chunk also reads the Gram in slabs of 128 amplitudes
+        for name in ("prob_up", "bloch_mag"):
+            np.testing.assert_allclose(getattr(qa, name), getattr(qa_blocked, name),
+                                       rtol=0, atol=1e-14)
         assert np.array_equal(imag.amplitudes, imag_blocked.amplitudes)
         assert np.array_equal(imag.p_gs, imag_blocked.p_gs)
 
@@ -724,20 +777,122 @@ class TestSingleSpinObservables:
                 assert prob_up[k] == pytest.approx(rho[0, 0].real, rel=0, abs=1e-14)
                 assert mags[k] == pytest.approx(bloch_vector(rho).magnitude, rel=0, abs=1e-14)
 
-    def test_one_state_sized_temporary(self):
+    def test_one_slab_of_conjugates(self):
+        # a state of two slabs: the samples conjugate one slab at a time, and
+        # the batched products add at most a sixty-fourth of the state
         import tracemalloc
 
-        n = 14
-        rng = np.random.default_rng(7)
-        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        psi /= np.linalg.norm(psi)
+        n = 17
+        psi = _random_state(np.random.default_rng(7), n)
+        assert psi.nbytes == 2 * quantum.CHUNK_BYTES
         tracemalloc.start()
         try:
             quantum._single_spin_observables(psi, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * psi.nbytes
+        assert peak <= quantum.CHUNK_BYTES + (1 << 16)
+
+
+def _random_state(rng, n):
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return psi / np.linalg.norm(psi)
+
+
+def _whole_conjugate_gram(psi, n, k, m):
+    """A Gram matrix of `_group_grams` from one conjugate copy of the whole state: the formula
+    the slabs replaced."""
+    conj = np.conj(psi)
+    if k == 0:
+        return psi.reshape(-1, 1 << m).T @ conj.reshape(-1, 1 << m)
+    rows = 1 << (n - k - m)
+    shape = (rows, 1 << m, 1 << k)
+    X, C = psi.reshape(shape), conj.reshape(shape).transpose(0, 2, 1)
+    chunk = max(1, min(rows, psi.size >> (2 * m + 6)))
+    products = np.empty((chunk, 1 << m, 1 << m), dtype=psi.dtype)
+    gram = np.zeros((1 << m, 1 << m), dtype=psi.dtype)
+    for r in range(0, rows, chunk):
+        np.matmul(X[r:r + chunk], C[r:r + chunk], products)
+        gram += np.add.reduce(products, axis=0)
+    return gram
+
+
+class TestGramSlabs:
+    """The Gram matrices read psi slab by slab: bitwise the whole-conjugate ones for a
+    state of one slab (n <= 16), within 1e-14 above it."""
+
+    @staticmethod
+    def _groups(n):
+        # the observables' groups of four and the reduced density matrices' single spins
+        return [(k, min(4, n - k)) for k in range(0, n, 4)] + [(k, 1) for k in range(n)]
+
+    def _compare(self, n, seed, monkeypatch, atol=None):
+        psi = _random_state(np.random.default_rng(seed), n)
+        observables = quantum._single_spin_observables(psi, n)
+        groups = self._groups(n)
+        for (k, m), gram in zip(groups, quantum._group_grams(psi, n, groups)):
+            expected = _whole_conjugate_gram(psi, n, k, m)
+            if atol is None:
+                assert np.array_equal(gram, expected), (k, m)
+            else:
+                np.testing.assert_allclose(gram, expected, rtol=0, atol=atol)
+        monkeypatch.setattr(quantum, "_group_grams", lambda psi, n, groups, scratch=None: [
+            _whole_conjugate_gram(psi, n, k, m) for k, m in groups])
+        for got, expected in zip(observables, quantum._single_spin_observables(psi, n)):
+            if atol is None:
+                assert np.array_equal(got, expected)
+            else:
+                np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_bitwise_for_one_slab(self, n, monkeypatch):
+        self._compare(n, 1200 + n, monkeypatch)
+
+    def test_within_1e14_above_one_slab(self, monkeypatch):
+        self._compare(18, 1218, monkeypatch, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [9, 12, 13])
+    def test_column_split_slabs(self, n, monkeypatch):
+        # 2 KiB slabs of 128 amplitudes: the groups above spin 3 split their rows
+        # along the columns, and the reduced density matrices go through the same path
+        monkeypatch.setattr(quantum, "CHUNK_BYTES", 1 << 11)
+        psi = _random_state(np.random.default_rng(1300 + n), n)
+        groups = self._groups(n)
+        for (k, m), gram in zip(groups, quantum._group_grams(psi, n, groups)):
+            np.testing.assert_allclose(gram, _whole_conjugate_gram(psi, n, k, m),
+                                       rtol=0, atol=1e-14)
+        for k in range(n):
+            np.testing.assert_allclose(reduced_density_matrix(psi, k),
+                                       _partner_copies_rho(psi, k), rtol=0, atol=1e-14)
+
+
+class TestStateSizedArrays:
+    """QA holds psi and its half phase, imaginary time psi and its decay factors, and
+    both at most 2 MiB more, from set-up through every sample (tracemalloc at n = 18)."""
+
+    n = 18
+    J = graph.build_mobius_ladder(18, 0.15)
+    h = symmetry_breaking_field(18, 0.05, 0.0)
+    config = QAConfig(h=h, dt=0.1, t_end=0.3, sample_every=1)
+
+    @staticmethod
+    def _peak(run):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_run_qa(self):
+        peak = self._peak(lambda: run_qa(self.J, self.config))
+        assert peak <= 2 * 16 * (1 << self.n) + (2 << 20)
+
+    def test_imaginary_time(self):
+        peak = self._peak(lambda: master.imaginary_time_evolve(self.J, self.h, self.config))
+        assert peak <= 2 * 8 * (1 << self.n) + (2 << 20)
 
 
 class TestRunQA:
@@ -810,8 +965,8 @@ class TestRunQA:
     def test_nan_state_aborts(self, monkeypatch, tmp_path, capsys):
         split_stepper = quantum._split_stepper
 
-        def poisoned(psi, half, n):
-            step = split_stepper(psi, half, n)
+        def poisoned(psi, half, n, scratch=None):
+            step = split_stepper(psi, half, n, scratch)
 
             def poisoned_step(blocks):
                 step(blocks)
