@@ -16,10 +16,16 @@ import json
 import sys
 import time
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import graph, invariants, landscape, master, oracle, quantum, softspin
+# Only graph is imported here; each command imports the solver modules it runs,
+# so that start-up, and a command like `graph`, load no more than they use.
+from . import graph
+
+if TYPE_CHECKING:
+    from .quantum import QAConfig
 
 __all__ = ["main"]
 
@@ -162,6 +168,8 @@ def _family_shares(spins: np.ndarray) -> tuple[float, float, float]:
     An ensemble's readouts take few distinct values, so the distinct rows are
     named in one pass and each is counted as often as it occurs.
     """
+    from . import softspin
+
     runs = len(spins)
     sp0 = sp1 = sp2 = 0
     rows, counts = np.unique(spins, axis=0, return_counts=True)
@@ -175,8 +183,10 @@ def _family_shares(spins: np.ndarray) -> tuple[float, float, float]:
     return sp0 / runs, sp1 / runs, sp2 / runs
 
 
-def _sweep_configs(cfg: dict, j: float) -> tuple[list, quantum.QAConfig | None, dict]:
+def _sweep_configs(cfg: dict, j: float) -> tuple[list, QAConfig | None, dict]:
     """Every solver config of one sweep point, built before any work is done."""
+    from . import quantum, softspin
+
     soft, cim3 = cfg["softspin"], cfg["cim3"]
     try:
         solvers = [(v, softspin.default_solver_config(j, variant=v, **soft))
@@ -203,6 +213,8 @@ def _sweep_configs(cfg: dict, j: float) -> tuple[list, quantum.QAConfig | None, 
 
 
 def _sweep_one_j(args) -> list:
+    from . import quantum, softspin
+
     cfg, j, solvers, qa_cfg, tuning = args
     n, runs, seed = cfg["instance"]["n"], cfg["runs"], cfg["seed"]
     J = graph.build_mobius_ladder(n, j)
@@ -239,6 +251,8 @@ def _sweep_one_j(args) -> list:
 
 
 def cmd_sweep(ns) -> int:
+    from . import softspin
+
     if ns.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {ns.threads}")
     cfg = _load_config(ns.config)
@@ -313,6 +327,8 @@ def cmd_graph(ns) -> int:
 
 
 def cmd_oracle(ns) -> int:
+    from . import oracle
+
     t_start = time.monotonic()
     J = graph.build_mobius_ladder(ns.n, ns.j)
     summary = oracle.exhaustive_ground_state(J)
@@ -329,6 +345,8 @@ def cmd_oracle(ns) -> int:
 
 
 def cmd_basins(ns) -> int:
+    from . import landscape
+
     J = graph.build_mobius_ladder(ns.n, ns.j)
     sample = landscape.basin_sample(J, ns.p, ns.c, ns.samples, ns.seed)
     # one tail per minimum, and the unresolved tail last, where label -1 finds it
@@ -347,6 +365,8 @@ def cmd_basins(ns) -> int:
 
 
 def cmd_critical(ns) -> int:
+    from . import landscape
+
     J = graph.build_mobius_ladder(ns.n, ns.j)
     points = landscape.find_critical_points(J, ns.p, ns.c, starts=ns.starts, seed=ns.seed)
     rows = [[cp.energy, cp.distance_from_origin, cp.index, cp.family, int(cp.degenerate)]
@@ -360,6 +380,8 @@ def cmd_critical(ns) -> int:
 
 
 def cmd_branches(ns) -> int:
+    from . import landscape
+
     if ns.what == "region":
         j_grid = _parse_grid(ns.j_grid, "--j-grid")
         p_grid = _parse_grid(ns.p_grid, "--p-grid")
@@ -388,6 +410,8 @@ def cmd_branches(ns) -> int:
 
 
 def cmd_trajectory(ns) -> int:
+    from . import softspin
+
     if ns.sample_every < 1:  # a trajectory dump without samples writes no rows
         raise ValueError(f"--sample-every must be >= 1, got {ns.sample_every}")
     J = graph.build_mobius_ladder(ns.n, ns.j)
@@ -414,10 +438,14 @@ def cmd_trajectory(ns) -> int:
 def _field_from_flags(n: int, h0: float, h1: float) -> np.ndarray | None:
     if h0 == 0.0 and h1 == 0.0:
         return None
+    from . import quantum
+
     return quantum.symmetry_breaking_field(n, h0, h1)
 
 
 def cmd_qa_run(ns) -> int:
+    from . import quantum
+
     J = graph.build_mobius_ladder(ns.n, ns.j)
     config = quantum.QAConfig(b=ns.b, t0=ns.t0, dt=ns.dt, t_end=ns.t_end,
                               h=_field_from_flags(ns.n, ns.h0, ns.h1),
@@ -443,6 +471,8 @@ def cmd_qa_run(ns) -> int:
 
 
 def cmd_master_run(ns) -> int:
+    from . import master, quantum
+
     J = graph.build_mobius_ladder(ns.n, ns.j)
     h = _field_from_flags(ns.n, ns.h0, ns.h1)
     params = {"n": ns.n, "j": ns.j, "d": ns.d, "t0": ns.t0, "dt": ns.dt,
@@ -477,6 +507,8 @@ def cmd_master_run(ns) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(ns) -> int:
+    from . import invariants
+
     known = invariants.names()
     only = ns.only.split(",") if ns.only else known
     unknown = [name for name in only if name not in known]
@@ -593,7 +625,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("trajectory", help="single soft-spin trajectory dump")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--j", type=float, required=True)
-    p.add_argument("--variant", choices=softspin.VARIANTS, default="cim1")
+    # SolverConfig checks the name against softspin.VARIANTS: naming them here
+    # would import the solvers to build the parser
+    p.add_argument("--variant", default="cim1", help="soft-spin solver variant")
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--dt", type=float, default=0.1)
     p.add_argument("--t-end", type=float, default=3000.0)

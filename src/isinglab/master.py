@@ -285,13 +285,17 @@ def anneal_master(J: np.ndarray, h: np.ndarray | None, schedule: AnnealSchedule,
 
 def boltzmann_reference(energies: np.ndarray, T: float,
                         ground_indices: np.ndarray | None = None) -> float:
-    """Equilibrium ground-space occupancy sum_g e^(-E_g/T) / sum_all e^(-E/T)."""
+    """Equilibrium ground-space occupancy sum_g e^(-E_g/T) / sum_all e^(-E/T).
+
+    A gap (E - min E) / T that overflows is an exact zero weight, its T -> 0 limit.
+    """
     if T <= 0:
         raise ValueError("temperature must be positive")
     E = np.asarray(energies, dtype=float)
     if ground_indices is None:
         ground_indices = ground_set(E)
-    w = np.exp(-(E - E.min()) / T)
+    with np.errstate(over="ignore"):  # -inf, and exp(-inf) = 0
+        w = np.exp(-(E - E.min()) / T)
     return float(w[ground_indices].sum() / w.sum())
 
 

@@ -369,6 +369,9 @@ class SolverConfig:
         _check_c(self.c)
         if not 0.0 < self.init_amplitude < np.inf:  # NaN fails too
             raise ValueError("init_amplitude must be positive and finite")
+        if self.init_amplitude > DIVERGENCE_LIMIT:  # every run would start diverged
+            raise ValueError(f"init_amplitude must be at most the divergence limit "
+                             f"{DIVERGENCE_LIMIT:g}, got {self.init_amplitude}")
         if not self.sample_every >= 0:
             raise ValueError(f"sample_every must be >= 0, got {self.sample_every}")
 
@@ -453,6 +456,40 @@ def _locked_step(config: SolverConfig) -> int:
     return config.steps
 
 
+def _check_scale(J: np.ndarray, config: SolverConfig) -> None:
+    """Raise ValueError unless a step's terms stay finite over the divergence box.
+
+    Every run starts a step inside the box |x_i| <= L = DIVERGENCE_LIMIT, or
+    is clipped back into it.  There the pumps stay within P = max(|p0|, 1)
+    (pump_tanh runs from p0 towards 1; a cim2 pump moves by eps |1 - x^2| dt
+    <= eps L^2 dt a step, so P grows by eps (t_end + dt) L^2), each gradient
+    term is at most G = max(c, 1) (P L + L^3) + n max_ij |J_ij| L and an
+    amplitude after the Euler step at most X = L + dt G.  The bound is the
+    larger of X^2, which cim3 takes of the unclipped step, and the energy
+    terms n max(c, 1) (P + A^2)^2 + n^2 max_ij |J_ij| A^2 of a sample or the
+    end of a trajectory, at amplitudes up to A = L (A = X for ht, whose runs
+    the box does not clip: a trajectory stops at the step that leaves
+    |x_i| < 1).  The pump schedule's argument eps (t_end + dt) counts too.
+    J is a validated coupling matrix.
+    """
+    n, limit = J.shape[0], DIVERGENCE_LIMIT
+    j_max = float(np.abs(J).max())
+    c_bound, dt = max(float(config.c), 1.0), float(config.dt)  # Python floats overflow without a warning
+    pump = max(abs(float(config.p0)), 1.0)
+    if config.variant == "cim2":
+        pump += float(config.eps) * (float(config.t_end) + dt) * limit * limit
+    gradient = c_bound * (pump * limit + limit * limit * limit) + n * j_max * limit
+    reach = limit + dt * gradient
+    amplitude = reach if config.variant == "ht" else limit
+    quartic = pump + amplitude * amplitude
+    bound = max(reach * reach, n * c_bound * quartic * quartic + n * n * j_max * amplitude * amplitude,
+                float(config.eps) * (float(config.t_end) + dt))
+    if not bound < np.inf:
+        raise ValueError(f"variant {config.variant} with p0 = {config.p0}, c = {config.c}, "
+                         f"dt = {config.dt} and couplings up to {j_max:g} overflows over "
+                         f"the divergence box |x_i| <= {limit:g}")
+
+
 def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                      delta_per_run: np.ndarray | None = None,
                      collect_samples: bool = False):
@@ -501,6 +538,7 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     """
     if config.p0 is None:
         raise ValueError("SolverConfig.p0 is unset; use default_solver_config(j, ...)")
+    _check_scale(J, config)
     runs, n = x0.shape
     c, eps, dt = config.c, config.eps, config.dt
     variant = config.variant
@@ -555,8 +593,6 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                     ht_done[hit] = True
                 all_read = ht_done.all()
         else:
-            if variant == "cim2":
-                np.add(pump_i, _pump_increment(x, eps, dt, work), pump_i)
             magnitudes = variant == "cim3" and mix()  # True: g holds |x|
             if any_diverged:
                 x[:, diverged] = frozen_x[:, diverged]  # diverged runs stay flagged, not evolved
@@ -568,6 +604,8 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                 frozen_x[:, bad] = x[:, bad]
                 diverged |= bad
                 any_diverged = True
+            if variant == "cim2":  # from amplitudes in the box, so a diverged run's pumps stay bounded
+                np.add(pump_i, _pump_increment(x, eps, dt, work), pump_i)
 
         if sampled:
             pv = pump_i[:, 0].copy() if variant == "cim2" else pump_end

@@ -283,11 +283,13 @@ class TestSweepCommand:
         ("init_amplitude", "NaN", "init_amplitude must be positive and finite"),
         ("init_amplitude", "-1", "init_amplitude must be positive and finite"),
         ("init_amplitude", "0", "init_amplitude must be positive and finite"),
+        ("init_amplitude", "1e7", "init_amplitude must be at most the divergence limit 1e+06"),
         ("sample_every", "-1", "sample_every must be >= 0, got -1"),
         ("sample_every", "10", "softspin fields ['sample_every'] are not used by a sweep"),
         ("seed", "9", "softspin fields ['seed'] are not used by a sweep"),
         ("delta", "0.2", "softspin fields ['delta'] are not used by a sweep"),
     ], ids=["amplitude-inf", "amplitude-nan", "amplitude-negative", "amplitude-zero",
+            "amplitude-above-divergence-limit",
             "sample-every-negative", "sample-every-ignored", "seed-ignored", "delta-ignored"])
     def test_bad_softspin_start_rejected(self, tmp_path, capsys, field, value, message):
         # an infinite or NaN amplitude died with an OverflowError traceback, a negative one
@@ -602,6 +604,54 @@ class TestRunCommands:
         assert main(["trajectory", "--n", "4", "--j", "0.5", *argv]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_trajectory_variant_names_the_variants(self, tmp_path, capsys):
+        # the parser takes any name; the solver config checks it against VARIANTS
+        rc = main(["trajectory", "--j", "0.4", "--variant", "bogus",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'bogus'" in err
+        assert all(repr(v) in err for v in softspin.VARIANTS)
+        assert not (tmp_path / "x.csv").exists()
+
+    # a soft-spin step whose gradient, step or energy overflows over the divergence box
+    SOFT_SCALE_CASES = {
+        **{f"trajectory-{v}-j": ["trajectory", "--n", "8", "--j", "1e308", "--variant", v,
+                                 "--t-end", "5"] for v in softspin.VARIANTS},
+        "trajectory-dt": ["trajectory", "--n", "8", "--j", "0.35", "--dt", "1e300",
+                          "--t-end", "1e300"],
+        "ht-energy-j": ["trajectory", "--n", "8", "--j", "1e100", "--variant", "ht",
+                        "--t-end", "5"],
+        "sweep-dt": ["sweep"],  # with a config whose soft-spin step is 1e300
+    }
+
+    @pytest.mark.parametrize("argv", SOFT_SCALE_CASES.values(), ids=SOFT_SCALE_CASES.keys())
+    def test_overflowing_soft_spin_scale_rejected(self, tmp_path, capsys, argv):
+        if argv == ["sweep"]:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"instance": {"n": 8, "j": 0.35}, "variants": ["cim1"],
+                                          "runs": 3, "softspin": {"dt": 1e300, "t_end": 1e300}}))
+            argv = ["sweep", "--config", str(config)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "divergence box" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_large_finite_soft_spin_scale_still_runs(self, tmp_path):
+        # below the bound the run goes ahead, and every run diverges without a warning
+        for variant in ("cim1", "cim2", "cim3"):
+            out = tmp_path / f"{variant}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["trajectory", "--n", "8", "--j", "1e100", "--variant", variant,
+                           "--t-end", "5", "--out", str(out)])
+            assert rc == 0
+            assert " diverged=1 " in out.read_text().splitlines()[1]
+
     @pytest.mark.parametrize("argv", [
         ["critical", "--p", "nan", "--starts", "10"],
         ["branches", "--what", "barrier", "--p-grid=nan", "--starts", "10"],
@@ -733,12 +783,12 @@ class TestRunCommands:
         assert main(["qa-run", "--n", "8"]) == 1
 
     def test_invariant_breach_exits_two(self, tmp_path, capsys, monkeypatch):
-        from isinglab import cli as cli_module
+        from isinglab import master
 
         def boom(*args, **kwargs):
             raise RuntimeError("probability conservation breach 1.0e-06 at t = 1.00")
 
-        monkeypatch.setattr(cli_module.master, "anneal_master", boom)
+        monkeypatch.setattr(master, "anneal_master", boom)
         rc = main(["master-run", "--n", "6", "--j", "0.5",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -746,18 +796,32 @@ class TestRunCommands:
 
 
 class TestStartup:
-    def test_cli_start_loads_no_scipy(self):
-        # a fresh interpreter: this test session has imported scipy already
-        code = ("import os, sys\n"
-                "import isinglab\n"
-                "from isinglab import cli\n"
-                "assert cli.main(['graph', '--n', '4', '--j-grid', '0.5', '--out', os.devnull]) == 0\n"
-                "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-                " or m == 'concurrent.futures.process'))\n")
+    # each check runs a fresh interpreter: this test session has imported everything already
+    GRAPH = ("from isinglab import cli\n"
+             "assert cli.main(['graph', '--n', '4', '--j-grid', '0.5', '--out', os.devnull]) == 0\n")
+
+    @staticmethod
+    def _loaded(code, prefix):
+        """The modules named prefix or prefix.* that a fresh interpreter holds after code."""
+        code = (f"import os, sys\n{code}"
+                f"print(' '.join(m for m in sys.modules if m.split('.')[0] == {prefix!r}))\n")
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=120, check=False)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+        return set(proc.stdout.split())
+
+    def test_cli_start_loads_no_scipy(self):
+        code = ("import isinglab\n" + self.GRAPH
+                + "assert 'concurrent.futures.process' not in sys.modules\n")
+        assert self._loaded(code, "scipy") == set()
+
+    def test_package_import_loads_no_submodule(self):
+        assert self._loaded("import isinglab\n", "isinglab") == {"isinglab"}
+
+    def test_graph_command_loads_only_its_modules(self):
+        # the solver modules load in the commands that run them, not at start-up
+        assert self._loaded(self.GRAPH, "isinglab") == {"isinglab", "isinglab.cli",
+                                                        "isinglab.graph"}
 
 
 class TestVerifyCommand:

@@ -399,6 +399,12 @@ class TestBoltzmannReference:
         E = build_diagonal(graph.build_mobius_ladder(8, 0.4))
         assert boltzmann_reference(E, 1e-3) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("T", [1e-300, 1e-320])
+    def test_overflowing_gap_is_the_zero_temperature_limit(self, T):
+        # (E - min E) / T overflows: each excited weight is exactly 0, without a warning
+        E = build_diagonal(graph.build_mobius_ladder(4, 0.5))
+        assert boltzmann_reference(E, T) == 1.0
+
     def test_against_direct_summation(self):
         E = build_diagonal(graph.build_mobius_ladder(8, 0.4))
         direct = np.exp(-E / 1.0)
