@@ -192,6 +192,10 @@ def _sweep_configs(cfg: dict, j: float) -> tuple[list, QAConfig | None, dict]:
         solvers = [(v, softspin.default_solver_config(j, variant=v, **soft))
                    for v in cfg["variants"] if v != "qa"]
         qa_cfg = quantum.QAConfig(**cfg["qa"]) if "qa" in cfg["variants"] else None
+        n = cfg["instance"]["n"]
+        if qa_cfg is not None and n <= quantum.MAX_QUBITS:
+            # the half phase's bound needs the instance, so it is checked here, before any run
+            quantum._check_half_phase(graph.build_mobius_ladder(n, j), qa_cfg.h, qa_cfg.dt)
         # ensembles draw from the top-level seed and take no samples, and cim3 tunes its delta
         ignored = sorted(set(soft) & {"seed", "delta"})
         if soft.get("sample_every", 0):

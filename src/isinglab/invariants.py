@@ -176,14 +176,17 @@ def _bloch_run():
 
 @check("flip-symmetry")
 def _flip():
-    """Zero-field QA and SA distributions are invariant under the global spin flip."""
+    """Zero-field QA and SA distributions are invariant under the global spin flip, and
+    so is the field-free energy table whose lower half the oracle streams."""
     J = graph.build_mobius_ladder(6, 0.5)
     qa = quantum.run_qa(J, quantum.QAConfig(t_end=50.0, sample_every=10**9))
     sa = master.anneal_master(J, None, master.AnnealSchedule(), mode="sa",
                               dt=0.01, t_end=50.0)
+    A = np.triu(np.random.default_rng(12).normal(size=(12, 12)), 1)  # inexact sums
+    E = oracle.all_energies(A + A.T)
     worst = 0.0
-    for probs in (np.abs(qa.state.amplitudes) ** 2, sa.probabilities):
-        worst = max(worst, float(np.max(np.abs(probs - probs[::-1]))))  # complement = reversal
+    for values in (np.abs(qa.state.amplitudes) ** 2, sa.probabilities, E):
+        worst = max(worst, float(np.max(np.abs(values - values[::-1]))))  # complement = reversal
     return worst, 1e-10
 
 

@@ -11,11 +11,16 @@ vectorized work instead of a (2^n, n) spin table.  One kernel writes the
 table in row blocks of at most `BLOCK_ENTRIES` energies.  `all_energies`
 fills its output block by block, into a caller's array when given one (QA
 writes it into the memory of its half phase); `ground_set` applies the tie
-rule in blocks through one block-sized buffer.  The oracle streams the
-blocks through one reused buffer, keeping a running minimum, the indices
-tied with it and the level counts of each block, so its memory is one block
-plus the output (the ground set and the histogram), not the 2^n table.  Only
-the oracle's reported energy and histogram keys are rounded to 9 decimals.
+rule in blocks through one block-sized buffer.  The oracle has no field, so
+the global spin flip leaves every energy unchanged: the complement of index
+a | (b << m) is (2^m - 1 - a) | ((2^(n-m) - 1 - b) << m), so row 2^(n-m) - 1 - b
+of the table is row b reversed.  The oracle therefore streams only the rows
+below the middle, through one reused buffer, keeping a running minimum, the
+indices tied with it and the level counts of each block; each count stands
+for two states and each tied index i for i and its mirror 2^n - 1 - i.  Its
+memory is one block plus the output (the ground set and the histogram), not
+the 2^n table.  Only the oracle's reported energy and histogram keys are
+rounded to 9 decimals.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class SpectrumSummary:
     ground_states: list[np.ndarray]
     histogram: dict[float, int]
     ground_indices: np.ndarray  # sorted basis indices of ground_states
-    blocks: int  # row blocks the energy table was streamed in
+    blocks: int  # row blocks of the streamed half of the energy table
 
 
 def basis_index(s: np.ndarray) -> int:
@@ -153,39 +158,45 @@ def ground_set(E: np.ndarray) -> np.ndarray:
 def exhaustive_ground_state(J: np.ndarray) -> SpectrumSummary:
     """Enumerate all 2^n configurations and return the exact ground set.
 
-    The table is streamed in row blocks: each block keeps the indices within
-    twice the tie width of the running minimum, a superset of the final
-    ties because the minimum only falls, and adds its level counts to the
-    histogram.  One pass of the tie rule with the global minimum then picks
-    the ground set.
+    E(-s) = E(s), so only the rows below the middle of the table are
+    streamed, in row blocks: each block keeps the indices within twice the
+    tie width of the running minimum, a superset of the final ties because
+    the minimum only falls, and adds its level counts, doubled for the
+    mirrored half, to the histogram.  A block's levels are keyed by sorting
+    its raw energies and rounding only the distinct ones, whose counts are
+    then summed by key: rounding is elementwise, so these are the counts of
+    the rounded block.  One pass of the tie rule with the global minimum then
+    picks the ground states of the half, and their mirrors complete the set.
     """
     J = validate_coupling_matrix(J)
     n = J.shape[0]
     if n > MAX_SPINS:
         raise ValueError(f"exhaustive enumeration guarded to n <= {MAX_SPINS}, got {n}")
     (rows, cols), step, fill = _energy_rows(J)
-    buf = np.empty((min(step, rows), cols))
+    half = rows // 2
+    buf = np.empty((min(step, half), cols))
     slack = 10.0 ** -ENERGY_DECIMALS  # twice the widest tie: round(d, 9) == 0 needs d <= 5e-10
     minimum = np.inf
     near_idx, near_E, histogram = [], [], {}
-    blocks = range(0, rows, step)
+    blocks = range(0, half, step)
     for r0 in blocks:
-        block = fill(r0, buf[:rows - r0]).reshape(-1)
+        block = fill(r0, buf[:half - r0]).reshape(-1)
         low = block.min()
         minimum = min(minimum, low)
         if low <= minimum + slack:
             near = np.flatnonzero(block <= minimum + slack)
             near_idx.append(near + r0 * cols)
             near_E.append(block[near])
-        np.round(block, ENERGY_DECIMALS, out=block)
-        block += 0.0  # -0.0 + 0.0 is 0.0: the zero level keeps one key whatever the block order
         block.sort()
         starts = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
         counts = np.diff(starts, append=block.size)
-        for level, count in zip(block[starts].tolist(), counts.tolist()):
-            histogram[level] = histogram.get(level, 0) + count
+        levels = np.round(block[starts], ENERGY_DECIMALS)
+        levels += 0.0  # -0.0 + 0.0 is 0.0: the zero level keeps one key whatever the block order
+        for level, count in zip(levels.tolist(), counts.tolist()):  # levels may share a key
+            histogram[level] = histogram.get(level, 0) + 2 * count
     near_E = np.concatenate(near_E)
     ground = np.concatenate(near_idx)[_ties(near_E, minimum)]
+    ground = np.concatenate((ground, ((1 << n) - 1 - ground)[::-1]))  # the mirrors lie above
     histogram = dict(sorted(histogram.items()))
     states = [index_spins(int(i), n) for i in ground]
     return SpectrumSummary(next(iter(histogram)), states, histogram, ground, len(blocks))

@@ -64,7 +64,7 @@ class TestOracleCommand:
         assert (stats["states"], stats["blocks"]) == ("256", "1")
         monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 32)
         assert main(["oracle", "--n", "8", "--j", "0.15", "--out", str(outs[1])]) == 0
-        assert _stats(capsys.readouterr().err)["blocks"] == "8"
+        assert _stats(capsys.readouterr().err)["blocks"] == "4"  # blocks of the streamed half
         assert b"stats" not in outs[0].read_bytes()
         rows = _read_csv(outs[0])[2]
         assert ["count@0.0", "64"] in rows  # the zero level, whichever block meets it first
@@ -166,6 +166,39 @@ class TestSweepCommand:
         assert err.startswith("error: invalid solver config: b must be finite and >= 0")
         assert ran == [] and "# stats:" not in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    # every numeric field a sweep config passes on, each set to a hostile value
+    HOSTILE_VALUES = [float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 1e308, 1e-308]
+    HOSTILE_FIELDS = [("softspin", name) for name in
+                      ("dt", "t_end", "eps", "c", "p0", "init_amplitude")]
+    HOSTILE_FIELDS += [("qa", name) for name in ("b", "t0", "dt", "t_end")]
+    HOSTILE_FIELDS += [("instance", "j"), ("cim3", "delta_grid")]
+
+    @pytest.mark.parametrize("value", HOSTILE_VALUES, ids=repr)
+    @pytest.mark.parametrize("section,name", HOSTILE_FIELDS,
+                             ids=[".".join(field) for field in HOSTILE_FIELDS])
+    def test_hostile_config_value_fails_cleanly(self, tmp_path, capsys, section, name, value):
+        # exit 1 with an error line before any run, or exit 0 with no warning; never a
+        # traceback
+        cfg = {"instance": {"n": 4, "j": 0.4}, "variants": ["ht", "cim1", "cim2", "cim3", "qa"],
+               "runs": 2, "seed": 1, "softspin": {"t_end": 5.0},
+               "cim3": {"prelim_runs": 2, "delta_grid": [0.1, 0.2]}, "qa": {"t_end": 5.0}}
+        if name == "delta_grid":
+            cfg["cim3"]["delta_grid"][1] = value
+        else:
+            cfg[section][name] = value
+        path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        path.write_text(json.dumps(cfg))  # nan and inf as JSON's NaN and Infinity
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sweep", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (0, 1) and "Traceback" not in err
+        if rc == 1:
+            assert err.startswith("error: ") and not out.exists()
+        else:
+            assert [str(w.message) for w in caught] == [] and "Warning" not in err
+            assert len(_read_csv(out)[2]) == 5
 
     def test_analytic_ground_set_above_oracle_limit(self, tmp_path):
         # n = 64: the ground set comes from the closed form, and readouts no

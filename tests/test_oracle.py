@@ -204,6 +204,23 @@ class TestBlockedEnergies:
             assert np.array_equal(oracle.all_energies(J, h), _whole_table_formula(J, h)), n
 
 
+class TestFlipSymmetry:
+    """The oracle streams half the table: field-free, the complement is the reversal."""
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_random_couplings_bitwise(self, n):
+        rng = np.random.default_rng(800 + n)
+        for integer in (False, True):
+            E = oracle.all_energies(_random_couplings(rng, n, integer=integer))
+            assert np.array_equal(E, E[::-1])
+
+    @pytest.mark.parametrize("n", range(4, 21, 2))
+    def test_mobius_ladders_bitwise(self, n):
+        for j in (0.15, 0.5, 4.0 / n, 1.0):
+            E = oracle.all_energies(graph.build_mobius_ladder(n, j))
+            assert np.array_equal(E, E[::-1]), j
+
+
 class TestBlockedGroundSet:
     @pytest.mark.parametrize("entries", [1, 8, 64, oracle.BLOCK_ENTRIES])
     def test_equals_the_whole_table_rule(self, monkeypatch, entries):
@@ -263,29 +280,78 @@ class TestStreamedOracle:
         cases += [_random_couplings(rng, n, integer=k % 2 == 0) for k, n in enumerate(range(3, 12))]
         for J in cases:
             summary = _assert_streamed_equals_whole_table(J)
-            if 1 << len(J) > 2 * entries:
-                assert summary.blocks > 1
+            n = len(J)
+            block = max(entries, 2 << n // 2)  # a block holds at least two rows
+            assert summary.blocks == max(1, (1 << n - 1) // block)  # blocks of the half
 
     def test_tie_split_across_blocks(self, monkeypatch):
-        # S0 and -S0 of the n = 8 ladder are rows 5 and 10 of the 16 x 16 table,
-        # in the third and sixth of eight blocks of two rows
+        # the S1 states of the n = 8 ladder above the crossing lie in rows 2, 4, 5
+        # and 6 of the streamed half of the 16 x 16 table, in the second, third and
+        # fourth of its four blocks of two rows; their mirrors fill rows 9 to 13
         monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 32)
+        summary = _assert_streamed_equals_whole_table(graph.build_mobius_ladder(8, 0.6))
+        assert summary.blocks == 4
+        assert [int(i) >> 4 for i in summary.ground_indices] == [2, 4, 5, 6, 9, 10, 11, 13]
+        # below the crossing S0 (row 5) finds -S0 (row 10) only as its mirror
         summary = _assert_streamed_equals_whole_table(graph.build_mobius_ladder(8, 0.4))
-        assert summary.blocks == 8
         assert [int(i) >> 4 for i in summary.ground_indices] == [5, 10]
 
     def test_minimum_found_late_drops_earlier_candidates(self, monkeypatch):
         # E = s3 s4 in blocks of two rows, that is of fixed (s3, s4): every state of
         # the first block (s3 = s4 = -1) ties with its running minimum 1, the second
-        # block lowers it to -1, and only the states with s3 != s4 remain
+        # and last block of the half lowers it to -1, and only the states with
+        # s3 != s4 remain
         monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 8)
         J = np.zeros((5, 5))
         J[3, 4] = J[4, 3] = -1.0
         summary = _assert_streamed_equals_whole_table(J)
-        assert summary.blocks == 4
+        assert summary.blocks == 2
         assert summary.ground_energy == -1.0
         assert len(summary.ground_indices) == 16
         assert all((int(i) >> 3 & 1) != (int(i) >> 4 & 1) for i in summary.ground_indices)
+
+    def test_raw_levels_sharing_a_key(self):
+        # at n = 8, j = 0.15 the distinct raw energies outnumber their rounded keys,
+        # and 58 of the 64 states at the zero key are exact zeros: each key sums the
+        # counts of every raw level that rounds to it, and the zero key is +0.0
+        J = graph.build_mobius_ladder(8, 0.15)
+        E = oracle.all_energies(J)
+        assert np.unique(E).size > np.unique(np.round(E, oracle.ENERGY_DECIMALS)).size
+        summary = _assert_streamed_equals_whole_table(J)
+        assert summary.histogram[0.0] == 64 and np.count_nonzero(E == 0.0) < 64
+        assert [repr(k) for k in summary.histogram if k == 0.0] == ["0.0"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_row_pair(self, n):
+        # the table has two (n = 2) or four rows: the half is one row or one block
+        rng = np.random.default_rng(600 + n)
+        for J in (np.zeros((n, n)), -_random_couplings(rng, n) ** 2,
+                  _random_couplings(rng, n), _random_couplings(rng, n, integer=True)):
+            summary = _assert_streamed_equals_whole_table(J)
+            assert summary.blocks == 1
+
+    @pytest.mark.parametrize("entries", [8, 64, oracle.BLOCK_ENTRIES])
+    def test_fills_only_the_lower_half(self, monkeypatch, entries):
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", entries)
+        energy_rows = oracle._energy_rows
+        filled = []
+
+        def spy(J, h=None):
+            shape, step, fill = energy_rows(J, h)
+
+            def spied_fill(r0, out):
+                filled.append((r0, len(out)))
+                return fill(r0, out)
+            return shape, step, spied_fill
+
+        monkeypatch.setattr(oracle, "_energy_rows", spy)
+        rng = np.random.default_rng(700)
+        for n in range(2, 13):
+            filled.clear()
+            oracle.exhaustive_ground_state(_random_couplings(rng, n))
+            half = 1 << n - n // 2 - 1  # rows of the table below its middle
+            assert filled and all(r0 + k <= half for r0, k in filled), n
+            assert [r0 for r0, _ in filled] == list(range(0, half, filled[0][1])), n
 
     def test_memory_is_one_block_not_the_table(self):
         import tracemalloc
