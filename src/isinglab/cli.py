@@ -218,6 +218,7 @@ def _sweep_configs(cfg: dict, j: float) -> tuple[list, QAConfig | None, dict]:
 
 def _sweep_one_j(args) -> list:
     from . import quantum, softspin
+    from .steps import _step_count
 
     cfg, j, solvers, qa_cfg, tuning = args
     n, runs, seed = cfg["instance"]["n"], cfg["runs"], cfg["seed"]
@@ -246,7 +247,7 @@ def _sweep_one_j(args) -> list:
         else:
             t_start = time.monotonic()
             # the row reads p_gs at the end only, and the grid always samples the last step
-            steps = int(round(qa_cfg.t_end / qa_cfg.dt))
+            steps = _step_count(qa_cfg.t_end, qa_cfg.dt)
             run = quantum.run_qa(J, replace(qa_cfg, sample_every=max(1, steps)))
             print(f"# stats: variant=qa j={j!r} steps={run.steps} "
                   f"wall_s={time.monotonic() - t_start:.3f}", file=sys.stderr)
@@ -257,8 +258,7 @@ def _sweep_one_j(args) -> list:
 def cmd_sweep(ns) -> int:
     from . import softspin
 
-    if ns.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {ns.threads}")
+    graph._check_count("--threads", ns.threads, 1)
     cfg = _load_config(ns.config)
     if ns.runs is not None:
         cfg["runs"] = ns.runs
@@ -267,8 +267,7 @@ def cmd_sweep(ns) -> int:
     _check_config_shape(cfg)
     for name, value, least in (("runs", cfg["runs"], 1), ("seed", cfg["seed"], 0),
                                ("cim3.prelim_runs", cfg["cim3"]["prelim_runs"], 1)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+        graph._check_count(name, value, least)
     unknown = [v for v in cfg["variants"] if v not in (*softspin.VARIANTS, "qa")]
     if unknown:
         raise ValueError(f"unknown variants in config: {unknown}")
@@ -416,8 +415,7 @@ def cmd_branches(ns) -> int:
 def cmd_trajectory(ns) -> int:
     from . import softspin
 
-    if ns.sample_every < 1:  # a trajectory dump without samples writes no rows
-        raise ValueError(f"--sample-every must be >= 1, got {ns.sample_every}")
+    graph._check_count("--sample-every", ns.sample_every, 1)  # else a dump writes no rows
     J = graph.build_mobius_ladder(ns.n, ns.j)
     config = softspin.default_solver_config(
         ns.j, variant=ns.variant, delta=ns.delta, seed=ns.seed,
@@ -482,9 +480,8 @@ def cmd_master_run(ns) -> int:
     params = {"n": ns.n, "j": ns.j, "d": ns.d, "t0": ns.t0, "dt": ns.dt,
               "t_end": ns.t_end, "h0": ns.h0, "h1": ns.h1, "mode": ns.mode}
     if ns.mode == "imag":
-        if not (0.0 <= ns.d < np.inf and 0.0 < ns.t0 < np.inf):  # QAConfig would name b
-            raise ValueError(f"d must be >= 0 and t0 must be positive, both finite, "
-                             f"got d = {ns.d}, t0 = {ns.t0}")
+        graph._check_nonnegative("d", ns.d)  # QAConfig would name b
+        graph._check_positive("t0", ns.t0)
         config = quantum.QAConfig(b=ns.d, t0=ns.t0, dt=ns.dt, t_end=ns.t_end,
                                   sample_every=ns.sample_every)
         run = master.imaginary_time_evolve(J, h, config)

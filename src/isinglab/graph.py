@@ -74,6 +74,29 @@ def validate_coupling_matrix(J: np.ndarray) -> np.ndarray:
     return J
 
 
+# One validator per kind of numeric input; NaN fails every check.
+
+def _check_positive(name: str, value) -> None:
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+
+
+def _check_finite(name: str, value) -> None:
+    """A number or an array of them; a list fails, since abs() takes none."""
+    if not np.all(abs(value) < np.inf):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if not value >= least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def validate_spins(s: np.ndarray) -> np.ndarray:
     """Check that every component is exactly +-1; return a float array."""
     s = np.asarray(s, dtype=float)

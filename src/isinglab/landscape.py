@@ -29,9 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import build_mobius_ladder, build_s0, build_s1, validate_coupling_matrix
+from .graph import (
+    _check_count,
+    _check_finite,
+    _check_positive,
+    build_mobius_ladder,
+    build_s0,
+    build_s1,
+    validate_coupling_matrix,
+)
 from .softspin import (
-    _check_c,
     _gradient_kernel,
     _spin_families,
     soft_energy,
@@ -102,9 +109,8 @@ def _check_fixed_pump(p: float, c: float, J: np.ndarray) -> None:
     step moves a row by at most 2, so its 80 steps raise a term by less than
     161^4 < 1e9.  J is a validated coupling matrix.
     """
-    if not np.isfinite(p):
-        raise ValueError(f"p must be finite, got {p}")
-    _check_c(c)
+    _check_finite("p", p)
+    _check_positive("c", c)
     n, p, c = J.shape[0], float(p), float(c)  # Python floats overflow to inf without a warning
     j_max = float(np.abs(J).max())
     box = _start_box(p)
@@ -501,8 +507,7 @@ def basin_sample(J: np.ndarray, p: float, c: float, samples: int, seed: int = 0)
     """
     J = validate_coupling_matrix(J)
     _check_fixed_pump(p, c, J)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("samples", samples, 1)
     x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, J.shape[0]))
     m, xcorr = basin_descriptors(x0)
     xf, converged = _descend_batch(J, p, c, x0)
@@ -563,8 +568,7 @@ def find_critical_points(J: np.ndarray, p: float, c: float,
     """
     J = validate_coupling_matrix(J)
     _check_fixed_pump(p, c, J)
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    _check_count("starts", starts, 1)
     n, half = J.shape[0], _start_box(p)
     x0 = np.random.default_rng(seed).uniform(-half, half, size=(starts, n))
     x0 = np.vstack([np.zeros((1, n)), x0])  # rebound, so the draws are freed before Newton

@@ -15,11 +15,11 @@ O(2^n + L^2) cost per application.  CA has no spin-count limit of its own:
 only the diagonal's 20-spin guard and the bound on L apply.  Both kernels
 read their rates from one table helper: a rate depends only on dE / T, so
 `expit` runs once per distinct energy difference for a whole chunk of
-temperatures.  The anneal walks QA's step iterator, which fits the two new
-tables of each step (its midpoint and its end) for a chunk of steps in
-`quantum.TABLE_BYTES`.  RK4 keeps its four slopes, one stage buffer and one
-accumulator for the whole anneal, and each rhs writes into the slope it
-fills, so no step allocates a 2^n array.  Imaginary time is QA's split
+temperatures.  The anneal walks the fixed-step clock of :mod:`isinglab.steps`,
+which fits the two new tables of each step (its midpoint and its end) for a
+chunk of steps in `steps.TABLE_BYTES`.  RK4 keeps its four slopes, one stage
+buffer and one accumulator for the whole anneal, and each rhs writes into the
+slope it fills, so no step allocates a 2^n array.  Imaginary time is QA's split
 evolution with real factors.
 """
 
@@ -30,17 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import validate_coupling_matrix
+from .graph import _check_positive, validate_coupling_matrix
 from .oracle import energy_scale
-from .quantum import (
-    QAConfig,
-    _diagonal_factors,
-    _fixed_steps,
-    _split_evolution,
-    _time_grid,
-    build_diagonal,
-    ground_set,
-)
+from .quantum import QAConfig, _diagonal_factors, _split_evolution, build_diagonal, ground_set
+from .steps import _fixed_steps, _time_grid
 
 __all__ = [
     "AnnealSchedule",
@@ -68,8 +61,8 @@ class AnnealSchedule:
     t0: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.d < np.inf and 0.0 < self.t0 < np.inf):  # NaN fails too
-            raise ValueError("d and t0 must be positive and finite")
+        _check_positive("d", self.d)
+        _check_positive("t0", self.t0)
 
 
 def temperature(t: float, schedule: AnnealSchedule) -> float:
@@ -149,7 +142,7 @@ def _ca_rates(E: np.ndarray):
 
 
 def _apply_at(rates, p, energies, T: float) -> np.ndarray:
-    if T <= 0:
+    if not T > 0:  # NaN fails too
         raise ValueError("temperature must be positive")
     _, at = rates(np.asarray(energies, dtype=float))
     return at(np.array([T], dtype=float))[0](np.asarray(p, dtype=float))
@@ -289,7 +282,7 @@ def boltzmann_reference(energies: np.ndarray, T: float,
 
     A gap (E - min E) / T that overflows is an exact zero weight, its T -> 0 limit.
     """
-    if T <= 0:
+    if not T > 0:  # NaN fails too
         raise ValueError("temperature must be positive")
     E = np.asarray(energies, dtype=float)
     if ground_indices is None:

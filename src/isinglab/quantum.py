@@ -30,10 +30,8 @@ G is summed over slabs of psi of at most CHUNK_BYTES, each conjugated into
 one slab-sized buffer: bitwise the whole-conjugate G when psi is one slab
 (n <= 16), within 1e-14 above.
 
-Every fixed-step evolution (QA, imaginary time, the master equation, the
-soft-spin ensembles) walks one step iterator, `_fixed_steps`, which builds the
-per-step coefficients for chunks of steps that fit in TABLE_BYTES.  QA and
-imaginary time share one split evolution, `_split_evolution`, whose step is
+QA and imaginary time walk the fixed-step clock of :mod:`isinglab.steps`
+and share one split evolution, `_split_evolution`, whose step is
 blocked for the cache: one pass over the state applies the leading half
 phase and every group of spins that lies inside a CHUNK_BYTES chunk, chunk
 by chunk, and each group above the chunk takes one more pass, the last with
@@ -59,12 +57,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .graph import validate_coupling_matrix
+from .graph import _check_finite, validate_coupling_matrix
 from .oracle import all_energies, basis_index, energy_scale, ground_set, index_spins, spins_table
+from .steps import _fixed_steps, _time_grid
 
 __all__ = [
     "BlochVector",
@@ -93,7 +91,6 @@ __all__ = [
 MAX_QUBITS = 20  # 2^20 complex amplitudes; memory guard for run_qa
 MAX_DENSE_QUBITS = 12  # guard for instantaneous eigensolves
 _BLOCK_SPINS = 4  # spins mixed by one matrix product in the transverse rotation
-TABLE_BYTES = 1 << 18  # coefficients per chunk of steps: 256 KB; SA and CA run slower below it
 CHUNK_BYTES = 1 << 20  # state bytes the split step mixes while they are in cache: 1 MiB
 
 
@@ -173,8 +170,7 @@ def build_diagonal(J: np.ndarray, h: np.ndarray | None = None,
         h = np.asarray(h, dtype=float)
         if h.shape != (n,):
             raise ValueError(f"field must have shape ({n},), got {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError(f"field must be finite, got {h}")
+        _check_finite("field", h)
     return all_energies(J, h, out)
 
 
@@ -241,7 +237,7 @@ def initial_state(n: int) -> QuantumState:
 
 def gamma(t: float, b: float, t0: float) -> float:
     """Transverse-field schedule b / sqrt(t + t0)."""
-    if t + t0 <= 0:
+    if not t + t0 > 0:  # NaN fails too
         raise ValueError("t + t0 must be positive")
     return b / np.sqrt(t + t0)
 
@@ -249,47 +245,6 @@ def gamma(t: float, b: float, t0: float) -> float:
 def transverse_angle(t_start: float, t_end: float, b: float, t0: float) -> float:
     """Exact integral of gamma over [t_start, t_end], elementwise for arrays of times."""
     return 2.0 * b * (np.sqrt(t_end + t0) - np.sqrt(t_start + t0))
-
-
-def _time_grid(dt: float, t_end: float, sample_every: int):
-    """Lazy "sampled" flags of the round(t_end / dt) steps: every sample_every-th and the last.
-
-    Raises ValueError at the call unless finite dt > 0, finite t_end >= 0 and sample_every >= 1.
-    """
-    if not (0.0 < dt < np.inf and 0.0 <= t_end < np.inf and t_end / dt < np.inf):
-        raise ValueError(f"need finite dt > 0 and t_end >= 0, got dt = {dt}, t_end = {t_end}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    steps = int(round(t_end / dt))
-    return ((step + 1) % sample_every == 0 or step == steps - 1 for step in range(steps))
-
-
-def _chunk_times(grid, dt: float, step_bytes: int):
-    """(flags, ts) per chunk of max(1, TABLE_BYTES // step_bytes) steps of a flag iterator.
-
-    flags holds the chunk's flags as bytes, one byte (0 or 1) per step, and
-    ts the chunk's start time and the times after its steps, summed as the
-    scalar t += dt sums them.
-    """
-    chunk = max(1, TABLE_BYTES // step_bytes)
-    t = 0.0
-    while flags := bytes(islice(grid, chunk)):
-        ts = np.full(len(flags) + 1, dt)
-        ts[0] = t
-        t = np.add.accumulate(ts, out=ts)[-1]
-        yield flags, ts
-
-
-def _fixed_steps(grid, dt: float, step_bytes: int, coefficients):
-    """(t, sampled, *coefficients(ts)) for every step of a flag iterator such as `_time_grid`.
-
-    coefficients(ts) gives the per-step tables of each chunk of `_chunk_times`;
-    they take step_bytes bytes per step.  A chunk holds no Python object per
-    step: each t is made as the step comes, a float read through a
-    memoryview of ts, and sampled is 0 or 1 from the flags' bytes.
-    """
-    for flags, ts in _chunk_times(grid, dt, step_bytes):
-        yield from zip(memoryview(ts)[1:], flags, *coefficients(ts))
 
 
 @functools.cache

@@ -11,8 +11,8 @@ amplitude homogenization of configurable strength delta).  Spins are read out
 as s_i = sign(x_i).  The landscape of E at a fixed pump (branches, critical
 points, basins and barriers) is the `landscape` module's.
 
-Trajectories and ensembles walk QA's fixed-step iterator,
-`quantum._fixed_steps`, with each step's pumps and locked flag from `_schedule`.
+Trajectories and ensembles walk the fixed-step clock of :mod:`isinglab.steps`,
+with each step's pumps and locked flag from `_schedule`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from itertools import repeat
 import numpy as np
 
 from .graph import (
+    _check_count,
+    _check_finite,
+    _check_positive,
     analytic_ground_state,
     build_mobius_ladder,
     build_s0,
@@ -31,7 +34,7 @@ from .graph import (
     validate_coupling_matrix,
 )
 from .oracle import MAX_SPINS, exhaustive_ground_state
-from .quantum import _chunk_times, _fixed_steps
+from .steps import _chunk_times, _fixed_steps, _step_count
 
 __all__ = [
     "EnsembleResult",
@@ -329,12 +332,6 @@ def _spin_families(spins: np.ndarray) -> list[str]:
     return names
 
 
-def _check_c(c: float) -> None:
-    """Raise ValueError unless the quartic coefficient c is finite and positive."""
-    if not 0.0 < c < np.inf:  # NaN fails too
-        raise ValueError(f"c must be positive and finite, got {c}")
-
-
 # ---------------------------------------------------------------------------
 # trajectories and ensembles
 # ---------------------------------------------------------------------------
@@ -358,27 +355,24 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        finite = 0.0 < self.dt < np.inf and 0.0 < self.t_end < np.inf
-        if not (finite and self.t_end / self.dt < np.inf):  # a finite step count too
-            raise ValueError("dt and t_end must be positive and finite")
+        _check_positive("dt", self.dt)
+        _check_positive("t_end", self.t_end)
+        _step_count(self.t_end, self.dt)  # a finite step count too
         _mixing_fraction(self.delta)
-        if not 0.0 < self.eps < np.inf:  # NaN fails too; the pump rises, cim2 locks at 2/eps
-            raise ValueError("eps must be positive and finite")
-        if not (self.p0 is None or np.isfinite(self.p0)):
-            raise ValueError("p0 must be finite")
-        _check_c(self.c)
-        if not 0.0 < self.init_amplitude < np.inf:  # NaN fails too
-            raise ValueError("init_amplitude must be positive and finite")
+        _check_positive("eps", self.eps)  # the pump rises, cim2 locks at 2/eps
+        if self.p0 is not None:
+            _check_finite("p0", self.p0)
+        _check_positive("c", self.c)
+        _check_positive("init_amplitude", self.init_amplitude)
         if self.init_amplitude > DIVERGENCE_LIMIT:  # every run would start diverged
             raise ValueError(f"init_amplitude must be at most the divergence limit "
                              f"{DIVERGENCE_LIMIT:g}, got {self.init_amplitude}")
-        if not self.sample_every >= 0:
-            raise ValueError(f"sample_every must be >= 0, got {self.sample_every}")
+        _check_count("sample_every", self.sample_every, 0)
 
     @property
     def steps(self) -> int:
         """Euler steps from t = 0 to t_end."""
-        return int(round(self.t_end / self.dt))
+        return _step_count(self.t_end, self.dt)
 
 
 def default_solver_config(j: float, variant: str = "cim1", **overrides) -> SolverConfig:
@@ -658,8 +652,7 @@ def run_ensemble(J: np.ndarray, config: SolverConfig, runs: int, seed: int,
     """Integrate `runs` independent trajectories; run r draws its start from
     the seed stream (seed, r), so results do not depend on batch composition."""
     J = validate_coupling_matrix(J)
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _check_count("runs", runs, 1)
     n = J.shape[0]
     x0 = _initial_batch(n, runs, config.init_amplitude, seed)
     x, spins, diverged, steps, locked_step, *_ = _integrate_batch(J, config, x0, delta_per_run)

@@ -321,13 +321,17 @@ class TestSweepCommand:
         ("sample_every", "10", "softspin fields ['sample_every'] are not used by a sweep"),
         ("seed", "9", "softspin fields ['seed'] are not used by a sweep"),
         ("delta", "0.2", "softspin fields ['delta'] are not used by a sweep"),
+        ("p0", "[0.5]", ""),
+        ("p0", "[0.5, 0.5]", ""),
     ], ids=["amplitude-inf", "amplitude-nan", "amplitude-negative", "amplitude-zero",
             "amplitude-above-divergence-limit",
-            "sample-every-negative", "sample-every-ignored", "seed-ignored", "delta-ignored"])
+            "sample-every-negative", "sample-every-ignored", "seed-ignored", "delta-ignored",
+            "p0-list", "p0-pair"])
     def test_bad_softspin_start_rejected(self, tmp_path, capsys, field, value, message):
         # an infinite or NaN amplitude died with an OverflowError traceback, a negative one
         # only inside the first ensemble, and 0 left every run at the origin; the fields
-        # a sweep ignores ran and left the CSV byte-identical
+        # a sweep ignores ran and left the CSV byte-identical; a one-entry p0 list died
+        # with a TypeError traceback
         path = tmp_path / "bad.json"
         path.write_text('{"instance": {"n": 8, "j": 0.3}, "variants": ["cim1"], "runs": 3, '
                         f'"softspin": {{"{field}": {value}}}}}')
@@ -828,6 +832,58 @@ class TestRunCommands:
         assert "invariant breach" in capsys.readouterr().err
 
 
+def _hostile_cases():
+    """(command argv, base options, option) for every numeric option of the commands.
+
+    The base options keep each run small: n = 4, t_end = 10, 50 samples or
+    starts and one-point grids.  --threads is left out: a large value starts
+    one worker process per j point.
+    """
+    anneal = {"n": "4", "j": "0.5", "t0": "0.5", "dt": "0.1", "t-end": "10", "h0": "0",
+              "h1": "0", "sample-every": "10"}
+    pump = {"n": "4", "j": "0.5", "p": "1", "c": "1", "seed": "0"}
+    branches = {"n": "4", "c": "1", "j": "0.4", "j-grid": "0.4", "p-grid": "1.0",
+                "starts": "50", "seed": "0"}
+    commands = [
+        (["oracle"], {"n": "4", "j": "0.5"}),
+        (["graph"], {"n": "4", "j-grid": "0.5"}),
+        (["trajectory", "--variant", "cim3"],
+         {"n": "4", "j": "0.5", "delta": "0.1", "dt": "0.1", "t-end": "10",
+          "sample-every": "10", "seed": "0"}),
+        (["qa-run"], {**anneal, "b": "5"}),
+        *((["master-run", "--mode", mode], {**anneal, "d": "5"}) for mode in ("sa", "ca", "imag")),
+        (["basins"], {**pump, "samples": "50"}),
+        (["critical"], {**pump, "starts": "50"}),
+        *((["branches", "--what", what], branches) for what in ("region", "barrier")),
+    ]
+    return [(argv, base, option) for argv, base in commands for option in base]
+
+
+class TestHostileInput:
+    HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-308"]
+    CASES = _hostile_cases()
+
+    @pytest.mark.parametrize("value", HOSTILE)
+    @pytest.mark.parametrize("argv,base,option", CASES,
+                             ids=[f"{'-'.join(argv)}--{option}" for argv, _, option in CASES])
+    def test_hostile_option_fails_cleanly(self, tmp_path, capsys, argv, base, option, value):
+        # exit 1 with an error line and no output file, or exit 0 with no warning; never a
+        # traceback or an invariant breach
+        options = {**base, option: value}
+        out = tmp_path / "out.csv"
+        args = [*argv, *(f"--{name}={text}" for name, text in options.items()), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(args)
+        err = capsys.readouterr().err
+        assert rc in (0, 1) and "Traceback" not in err
+        if rc == 1:
+            assert err.startswith("error: ") and not out.exists()
+        else:
+            assert [str(w.message) for w in caught] == [] and "Warning" not in err
+            assert out.exists()
+
+
 class TestStartup:
     # each check runs a fresh interpreter: this test session has imported everything already
     GRAPH = ("from isinglab import cli\n"
@@ -855,6 +911,21 @@ class TestStartup:
         # the solver modules load in the commands that run them, not at start-up
         assert self._loaded(self.GRAPH, "isinglab") == {"isinglab", "isinglab.cli",
                                                         "isinglab.graph"}
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--n", "4", "--j", "0.5", "--t-end", "10"],
+        ["basins", "--n", "4", "--j", "0.5", "--p", "1", "--samples", "10"],
+    ], ids=["trajectory", "basins"])
+    def test_soft_spin_commands_load_no_state_vector_module(self, argv):
+        # the fixed-step clock lives in steps, so only the commands that run QA load quantum
+        code = f"from isinglab import cli\nassert cli.main({argv + ['--out', os.devnull]!r}) == 0\n"
+        loaded = self._loaded(code, "isinglab")
+        assert "isinglab.steps" in loaded and "isinglab.quantum" not in loaded
+
+    def test_qa_run_loads_the_clock(self):
+        code = ("from isinglab import cli\nassert cli.main(['qa-run', '--n', '4', '--j', '0.5', "
+                "'--t-end', '1', '--out', os.devnull]) == 0\n")
+        assert {"isinglab.quantum", "isinglab.steps"} <= self._loaded(code, "isinglab")
 
 
 class TestVerifyCommand:

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import expit
 
 from isinglab import graph, master, quantum
+from isinglab import steps as clock
 from isinglab.master import (
     AnnealSchedule,
     anneal_master,
@@ -15,7 +16,8 @@ from isinglab.master import (
     sa_generator_apply,
     temperature,
 )
-from isinglab.quantum import QAConfig, _time_grid, build_diagonal
+from isinglab.quantum import QAConfig, build_diagonal
+from isinglab.steps import _time_grid
 
 GOLDEN = Path(__file__).parent / "data" / "master_golden.json"
 
@@ -77,7 +79,7 @@ def _per_step_anneal(E, schedule, mode, dt, steps):
 
 
 def _steps_per_chunk(step_bytes):
-    return max(1, quantum.TABLE_BYTES // step_bytes)
+    return max(1, clock.TABLE_BYTES // step_bytes)
 
 
 def _criterion9():
@@ -120,8 +122,8 @@ class TestRateTables:
         # and a chunk never holds less than one step
         J, h = _criterion9()
         E = build_diagonal(J, h)
-        for table_bytes in (quantum.TABLE_BYTES, 1):
-            monkeypatch.setattr(quantum, "TABLE_BYTES", table_bytes)
+        for table_bytes in (clock.TABLE_BYTES, 1):
+            monkeypatch.setattr(clock, "TABLE_BYTES", table_bytes)
             for mode, entries in (("sa", 9 * 256), ("ca", np.unique(E).size ** 2)):
                 rates = getattr(master, f"_{mode}_rates")
                 temperatures = []  # temperatures per table build of the anneal
@@ -218,8 +220,13 @@ class TestRates:
         assert abs(gap_ca) > abs(gap_sa)
 
     def test_temperature_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sa_generator_apply(np.ones(2), np.zeros(2), 0.0)
+        # NaN used to pass the guard and return NaN rates
+        for T in (0.0, float("nan")):
+            for apply in (sa_generator_apply, ca_generator_apply):
+                with pytest.raises(ValueError, match="temperature must be positive"):
+                    apply(np.ones(2), np.zeros(2), T)
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                boltzmann_reference(np.zeros(2), T)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("integer", [False, True])

@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from isinglab import graph, master, oracle, quantum, softspin
+from isinglab import steps as clock
 from isinglab.cli import main
 from isinglab.quantum import (
     QAConfig,
-    _time_grid,
     basis_index,
     bloch_vector,
     build_diagonal,
@@ -28,6 +28,7 @@ from isinglab.quantum import (
     symmetry_breaking_field,
     transverse_angle,
 )
+from isinglab.steps import _time_grid
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "quantum_golden.json").read_text())
 
@@ -272,6 +273,12 @@ class TestSchedule:
     def test_values(self):
         assert gamma(0.0, 5.0, 0.5) == pytest.approx(5.0 / np.sqrt(0.5))
         assert gamma(99.5, 5.0, 0.5) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("t", [-0.5, float("nan")], ids=["pole", "nan"])
+    def test_time_must_be_past_the_pole(self, t):
+        # t + t0 = NaN used to pass the guard and return NaN
+        with pytest.raises(ValueError, match="t \\+ t0 must be positive"):
+            gamma(t, 5.0, 0.5)
 
     def test_angle_matches_quadrature(self):
         for (a, b) in ((0.0, 0.1), (3.0, 3.1), (10.0, 20.0)):
@@ -525,7 +532,7 @@ def _mixer_step_bytes(n, itemsize):
 
 
 def _steps_per_chunk(step_bytes):
-    return max(1, quantum.TABLE_BYTES // step_bytes)
+    return max(1, clock.TABLE_BYTES // step_bytes)
 
 
 class TestFixedSteps:
@@ -537,7 +544,7 @@ class TestFixedSteps:
         if chunk is None:
             chunk = _steps_per_chunk(step_bytes)
         else:  # TABLE_BYTES is the one knob of the chunk length
-            monkeypatch.setattr(quantum, "TABLE_BYTES", chunk * step_bytes + step_bytes - 1)
+            monkeypatch.setattr(clock, "TABLE_BYTES", chunk * step_bytes + step_bytes - 1)
         dt, every = 0.1, 2
         for steps in sorted({0, 1, chunk - 1, chunk, chunk + 1}):
             t_end = steps * dt
@@ -547,7 +554,7 @@ class TestFixedSteps:
                 starts.append(ts[0])
                 return (ts[:-1],)  # each step's start time as its one coefficient
 
-            got = list(quantum._fixed_steps(_time_grid(dt, t_end, every), dt, step_bytes,
+            got = list(clock._fixed_steps(_time_grid(dt, t_end, every), dt, step_bytes,
                                             coefficients))
             t, times, begins = 0.0, [], []
             for _ in range(steps):
@@ -565,9 +572,9 @@ class TestFixedSteps:
         # every evolution calls its coefficients once per chunk of
         # max(1, TABLE_BYTES // step_bytes) steps, with the bytes per step it declares
         if table_bytes is not None:
-            monkeypatch.setattr(quantum, "TABLE_BYTES", table_bytes)
+            monkeypatch.setattr(clock, "TABLE_BYTES", table_bytes)
         calls = []  # (step_bytes, steps of each coefficients call) per walk of the iterator
-        fixed_steps = quantum._fixed_steps
+        fixed_steps = clock._fixed_steps
 
         def counted(grid, dt, step_bytes, coefficients):
             lengths = []
@@ -623,7 +630,7 @@ class TestChunkedEvolutions:
             config = QAConfig(b=2.0, t0=0.5, dt=0.1, t_end=steps * 0.1, sample_every=2)
             times, samples, psi = _per_step_evolution(J, h, replace(config, h=h), False)
             if table_bytes:
-                monkeypatch.setattr(quantum, "TABLE_BYTES", table_bytes["qa"])
+                monkeypatch.setattr(clock, "TABLE_BYTES", table_bytes["qa"])
             run = run_qa(J, replace(config, h=h))
             assert run.steps == steps and np.array_equal(run.times, times)
             assert np.array_equal(run.state.amplitudes, psi) and run.state.t == times[-1]
@@ -634,7 +641,7 @@ class TestChunkedEvolutions:
 
             times, samples, psi = _per_step_evolution(J, h, config, True)
             if table_bytes:
-                monkeypatch.setattr(quantum, "TABLE_BYTES", table_bytes["imag"])
+                monkeypatch.setattr(clock, "TABLE_BYTES", table_bytes["imag"])
             imag = master.imaginary_time_evolve(J, h, config)
             assert imag.steps == steps and np.array_equal(imag.times, times)
             assert np.array_equal(imag.amplitudes, psi) and np.array_equal(imag.p_gs, samples)

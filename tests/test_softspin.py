@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isinglab import graph, landscape, oracle, quantum, softspin
+from isinglab import graph, landscape, oracle, softspin
+from isinglab import steps as clock
 from isinglab.cli import main
 from isinglab.landscape import (
     basin_descriptors,
@@ -51,7 +52,7 @@ def _mixing_reference(x, frac):
 
 def _force_chunk(monkeypatch, config, steps):
     """Make the step iterator walk `config`'s schedule in chunks of `steps` steps."""
-    monkeypatch.setattr(quantum, "TABLE_BYTES", steps * softspin._schedule(config)[0])
+    monkeypatch.setattr(clock, "TABLE_BYTES", steps * softspin._schedule(config)[0])
 
 
 class TestSoftEnergy:
@@ -732,14 +733,14 @@ class TestSpinMajorKernels:
             step_bytes, coefficients = softspin._schedule(cfg)
             if block is not None:
                 _force_chunk(monkeypatch, cfg, block)
-            chunk = max(1, quantum.TABLE_BYTES // step_bytes)  # `block` when forced
+            chunk = max(1, clock.TABLE_BYTES // step_bytes)  # `block` when forced
             lengths = []  # steps per coefficients call
 
             def counted(ts):
                 lengths.append(len(ts) - 1)
                 return coefficients(ts)
 
-            got = list(quantum._fixed_steps(repeat(False, cfg.steps), dt, step_bytes, counted))
+            got = list(clock._fixed_steps(repeat(False, cfg.steps), dt, step_bytes, counted))
             assert sum(lengths) == len(got) == cfg.steps and 0 < lengths[-1] <= chunk
             assert lengths[:-1] == [chunk] * (len(lengths) - 1)
             t, want_t, want_p = 0.0, [], []
