@@ -185,17 +185,21 @@ def _family_shares(spins: np.ndarray) -> tuple[float, float, float]:
 
 def _sweep_configs(cfg: dict, j: float) -> tuple[list, QAConfig | None, dict]:
     """Every solver config of one sweep point, built before any work is done."""
-    from . import quantum, softspin
+    from . import softspin
 
     soft, cim3 = cfg["softspin"], cfg["cim3"]
     try:
         solvers = [(v, softspin.default_solver_config(j, variant=v, **soft))
                    for v in cfg["variants"] if v != "qa"]
-        qa_cfg = quantum.QAConfig(**cfg["qa"]) if "qa" in cfg["variants"] else None
-        n = cfg["instance"]["n"]
-        if qa_cfg is not None and n <= quantum.MAX_QUBITS:
-            # the half phase's bound needs the instance, so it is checked here, before any run
-            quantum._check_half_phase(graph.build_mobius_ladder(n, j), qa_cfg.h, qa_cfg.dt)
+        qa_cfg = None
+        if "qa" in cfg["variants"]:  # only a sweep with QA loads the state-vector module
+            from . import quantum
+
+            qa_cfg = quantum.QAConfig(**cfg["qa"])
+            n = cfg["instance"]["n"]
+            if n <= quantum.MAX_QUBITS:
+                # the half phase's bound needs the instance, so it is checked here, before any run
+                quantum._check_half_phase(graph.build_mobius_ladder(n, j), qa_cfg.h, qa_cfg.dt)
         # ensembles draw from the top-level seed and take no samples, and cim3 tunes its delta
         ignored = sorted(set(soft) & {"seed", "delta"})
         if soft.get("sample_every", 0):
@@ -217,8 +221,7 @@ def _sweep_configs(cfg: dict, j: float) -> tuple[list, QAConfig | None, dict]:
 
 
 def _sweep_one_j(args) -> list:
-    from . import quantum, softspin
-    from .steps import _step_count
+    from . import softspin
 
     cfg, j, solvers, qa_cfg, tuning = args
     n, runs, seed = cfg["instance"]["n"], cfg["runs"], cfg["seed"]
@@ -242,6 +245,9 @@ def _sweep_one_j(args) -> list:
         sp0, sp1, sp2 = _family_shares(res.spins)
         rows.append([variant, float(j), delta, runs, stats.p_gs, stats.stderr, sp0, sp1, sp2])
     if qa_cfg is not None:
+        from . import quantum
+        from .steps import _step_count
+
         if n > quantum.MAX_QUBITS:
             print(f"# note: QA omitted for n = {n} > {quantum.MAX_QUBITS}", file=sys.stderr)
         else:

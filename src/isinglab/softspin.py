@@ -12,7 +12,11 @@ as s_i = sign(x_i).  The landscape of E at a fixed pump (branches, critical
 points, basins and barriers) is the `landscape` module's.
 
 Trajectories and ensembles walk the fixed-step clock of :mod:`isinglab.steps`,
-with each step's pumps and locked flag from `_schedule`.
+with each step's pumps and locked flag from `_schedule`.  Each forward-Euler
+step of a batch is one product with an n x n matrix plus the cubic term,
+x <- (1 + dt c p) x + dt J x - (dt c) x^2 x (see `_integrate_batch`), which
+equals the step of the public `soft_gradient`, `cim2_pump_step` and
+`homogenize_intensities` to rounding.
 """
 
 from __future__ import annotations
@@ -132,22 +136,7 @@ def soft_hessian(x, p, c, J):
 def ht_rhs(x, p, J):
     """Linear Hopfield-Tank right-hand side p x + J x; x is (..., n)."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    _ht_kernel(x.T, J, out.T, np.empty_like(x).T)(p)
-    return out
-
-
-def _ht_kernel(x, J, out, scratch):
-    """ht_rhs of spin-major x (n, runs) as a function of the pump, like `_gradient_kernel`."""
-    xT, JT, coupling = x.T, J.T, scratch.T
-
-    def ht(p):
-        np.multiply(p, x, out)
-        np.matmul(xT, JT, coupling)  # J x, as in _gradient_kernel
-        np.add(out, scratch, out)
-        return out
-
-    return ht
+    return p * x + x @ J.T
 
 
 def pump_tanh(t, p0, eps):
@@ -158,16 +147,7 @@ def pump_tanh(t, p0, eps):
 def cim2_pump_step(p_i, x, eps, dt):
     """Forward-Euler update of the per-spin pumps: p_i += eps (1 - x_i^2) dt."""
     x = np.asarray(x, dtype=float)
-    return np.asarray(p_i, dtype=float) + _pump_increment(x, eps, dt, np.empty_like(x))
-
-
-def _pump_increment(x, eps, dt, out):
-    """The cim2 pump increment eps (1 - x^2) dt, written into out (x's shape)."""
-    np.square(x, out)
-    np.subtract(1.0, out, out)
-    np.multiply(out, eps, out)
-    np.multiply(out, dt, out)
-    return out
+    return np.asarray(p_i, dtype=float) + eps * (1.0 - x**2) * dt
 
 
 def manifold_reduce(x, delta):
@@ -196,9 +176,9 @@ def homogenize_intensities(x, frac):
     """
     x = np.asarray(x, dtype=float)
     frac = _mixing_fraction(frac)
-    out = np.array(np.broadcast_to(x, np.broadcast(x, frac).shape))
-    _mixer(out.T, frac.T, (1.0 - frac).T, _mixed_rows(frac.T))()
-    return out
+    intensity = x * x
+    R = np.mean(intensity, axis=-1, keepdims=True)
+    return np.where(frac > 0.0, np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R), x)
 
 
 def _mixing_fraction(frac) -> np.ndarray:
@@ -209,87 +189,41 @@ def _mixing_fraction(frac) -> np.ndarray:
     return frac
 
 
-def _mixed_rows(frac: np.ndarray):
-    """The `where` mask of :func:`_mixer`: True when every frac is positive."""
-    positive = frac > 0.0
-    return True if positive.all() else positive
+def _mixer(x, sq, mag, sgn, frac):
+    """cim3's homogenization of spin-major x (n, runs) in place, as mix().
 
+    frac holds one range-checked mixing fraction per run (runs,).  Each call
+    of mix() squares x into sq, mixes it into the intensity
+    keep x^2 + frac R, with keep = 1 - frac and R the mean of x^2 over the
+    spin axis (one reduction), and gives x the magnitudes sqrt(intensity),
+    taken into mag, with the signs of x; runs at frac = 0 keep x and x^2.
+    sq then holds the mixed intensity, the square of the new x to rounding.
+    sgn is work space of x's shape; keep is repeated to x's shape, since
+    numpy multiplies by a same-shape array about twice as fast as by a
+    broadcast row.  mix() returns whether it took the `copysign` path.
 
-def _row_sum_ops(m, out, scratch):
-    """Sum of m (n, ...) over its first axis into out (1, ...), as steps (ufunc, *operands).
-
-    Running the steps in order sums in numpy's pairwise order, on views made
-    once.  `np.add.reduce(axis=-1)` sums each contiguous row of m.T
-    pairwise, and the steps add the same numbers in the same order, one
-    whole slice m[i] at a time: below 8 terms in sequence; up to 128 in
-    eight strided accumulators r_k = m[k] + m[k + 8] + ..., combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and followed by the
-    tail in sequence; longer sums split at a multiple of 8 below n / 2 and
-    add the two halves' sums.  scratch (m's shape) holds the accumulators.
+    The signs come by one `np.copysign(mag, x, x)` when every run is mixed
+    and every square x^2 is positive, so x has no exact zero and no NaN.
+    Otherwise they come from `np.sign` and a masked multiply: `copysign`
+    would give an exact-zero component the magnitude sqrt(frac R) and a NaN
+    component a number.
     """
-    n = len(m)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        upper = np.empty_like(out)
-        return [*_row_sum_ops(m[:half], out, scratch), *_row_sum_ops(m[half:], upper, scratch),
-                (np.add, out, upper, out)]
-    if n < 8:
-        ops, tail = [(np.copyto, out, m[:1])], 1
-    else:
-        tail = n - n % 8
-        if tail == 8:
-            r, pairs, ops = m[:8], scratch[:6], []
-        else:
-            r, pairs = scratch[:8], scratch[8:14]
-            ops = [(np.add, m[:8], m[8:16], r)]
-            for i in range(16, tail, 8):
-                ops.append((np.add, r, m[i:i + 8], r))
-        ops += [(np.add, r[0::2], r[1::2], pairs[:4]),
-                (np.add, pairs[0:4:2], pairs[1:4:2], pairs[4:]),
-                (np.add, pairs[4:5], pairs[5:6], out)]
-    for i in range(tail, n):
-        ops.append((np.add, out, m[i:i + 1], out))
-    return ops
-
-
-def _mixer(x, frac, keep, mixed, mag=None, sgn=None, R=None):
-    """The homogenization of :func:`homogenize_intensities` on spin-major x (n, runs), in place.
-
-    Returns mix(), which mixes x once per call and returns True when mag
-    then holds |x|.  frac is range-checked, keep is 1 - frac, and entries
-    of x where `mixed` (from :func:`_mixed_rows`) is False stay as they are.
-    frac and mixed are scalars or rows (1, runs), and keep the same or x's
-    shape, so every operation runs along the contiguous run axis.  Work
-    buffers left as None are allocated: mag and sgn of x's shape and R of
-    its shape with a first axis of 1.  Every view, the row sum's too, is
-    bound here once.  R is the mean intensity as `np.mean` computes it over
-    each row of x.T: the pairwise `_row_sum_ops` (sgn holds its
-    accumulators) divided by n.
-
-    The magnitudes sqrt(keep x^2 + frac R) take their signs by one
-    `np.copysign(mag, x, x)` when every run is mixed and every square x^2
-    is positive, so x has no exact zero and no NaN; mag is then |x|
-    exactly.  Otherwise the sign comes from `np.sign` and a masked multiply:
-    `copysign` would give an exact-zero component the magnitude
-    sqrt(frac R) and a NaN component a number.
-    """
-    mag = np.empty_like(x) if mag is None else mag
-    sgn = np.empty_like(x) if sgn is None else sgn
-    R = np.empty((1,) + x.shape[1:]) if R is None else R
-    fR = R if np.broadcast_shapes(np.shape(frac), R.shape) == R.shape else None  # frac R's buffer
-    row_sum = _row_sum_ops(mag, R, sgn)
-    n = len(x)
-    every_run = mixed is True and x.size > 0  # `min` needs an entry
+    n, runs = x.shape
+    frac = frac.reshape(1, runs)
+    keep = np.repeat(1.0 - frac, n, axis=0)
+    share = frac / n  # frac R is the row sum times frac / n
+    mixed = frac > 0.0
+    mixed = True if mixed.all() else mixed
+    by_copysign_ok = mixed is True and x.size > 0  # `min` needs an entry
+    R = np.empty((1, runs))
 
     def mix():
-        np.square(x, mag)
-        by_copysign = every_run and mag.min() > 0.0  # NaN fails too
-        for op, *args in row_sum:
-            op(*args)
-        np.divide(R, n, R)
-        np.multiply(mag, keep, mag)
-        np.add(mag, np.multiply(frac, R, fR), mag)
-        np.sqrt(mag, mag)
+        np.square(x, sq)
+        by_copysign = by_copysign_ok and sq.min() > 0.0  # NaN fails too
+        np.multiply(np.add.reduce(sq, axis=0, out=R, keepdims=True), share, R)
+        np.multiply(sq, keep, sq)
+        np.add(sq, R, sq)
+        np.sqrt(sq, mag)
         if by_copysign:
             np.copysign(mag, x, x)
         else:
@@ -454,15 +388,18 @@ def _check_scale(J: np.ndarray, config: SolverConfig) -> None:
     """Raise ValueError unless a step's terms stay finite over the divergence box.
 
     Every run starts a step inside the box |x_i| <= L = DIVERGENCE_LIMIT, or
-    is clipped back into it.  There the pumps stay within P = max(|p0|, 1)
-    (pump_tanh runs from p0 towards 1; a cim2 pump moves by eps |1 - x^2| dt
-    <= eps L^2 dt a step, so P grows by eps (t_end + dt) L^2), each gradient
-    term is at most G = max(c, 1) (P L + L^3) + n max_ij |J_ij| L and an
-    amplitude after the Euler step at most X = L + dt G.  The bound is the
-    larger of X^2, which cim3 takes of the unclipped step, and the energy
-    terms n max(c, 1) (P + A^2)^2 + n^2 max_ij |J_ij| A^2 of a sample or the
-    end of a trajectory, at amplitudes up to A = L (A = X for ht, whose runs
-    the box does not clip: a trajectory stops at the step that leaves
+    is clipped back into it, and the square it holds is at most L^2.  There
+    the pumps stay within P = max(|p0|, 1) (pump_tanh runs from p0 towards
+    1; a cim2 pump moves by eps |1 - x^2| dt <= eps L^2 dt a step, so P
+    grows by eps (t_end + dt) L^2).  With G = max(c, 1) (P L + L^3) +
+    n max_ij |J_ij| L, the product |A_s x| is at most L + dt G, and the
+    cubic term dt c |x|^3 and cim2's dt c |p_i - x^2| |x| are each at most
+    dt G, so an amplitude after the step is at most X = L + 2 dt G.  The
+    bound is the largest of n X^2, which the square of the unclipped step
+    and cim3's row sum of it reach, and the energy terms
+    n max(c, 1) (P + A^2)^2 + n^2 max_ij |J_ij| A^2 of a sample or the end
+    of a trajectory, at amplitudes up to A = L (A = X for ht, whose runs the
+    box does not clip: a trajectory stops at the step that leaves
     |x_i| < 1).  The pump schedule's argument eps (t_end + dt) counts too.
     J is a validated coupling matrix.
     """
@@ -473,10 +410,10 @@ def _check_scale(J: np.ndarray, config: SolverConfig) -> None:
     if config.variant == "cim2":
         pump += float(config.eps) * (float(config.t_end) + dt) * limit * limit
     gradient = c_bound * (pump * limit + limit * limit * limit) + n * j_max * limit
-    reach = limit + dt * gradient
+    reach = limit + 2.0 * dt * gradient
     amplitude = reach if config.variant == "ht" else limit
     quartic = pump + amplitude * amplitude
-    bound = max(reach * reach, n * c_bound * quartic * quartic + n * n * j_max * amplitude * amplitude,
+    bound = max(n * reach * reach, n * c_bound * quartic * quartic + n * n * j_max * amplitude * amplitude,
                 float(config.eps) * (float(config.t_end) + dt))
     if not bound < np.inf:
         raise ValueError(f"variant {config.variant} with p0 = {config.p0}, c = {config.c}, "
@@ -493,26 +430,33 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     the (runs, n) pumps at the end of the last step.  HT runs read spins out at
     the first time max|x_i| >= 1 (the linear dynamics has no saturation);
     the other variants stop early once every run's signs have been stable for
-    FREEZE_STEPS steps in the locked regime.  A run whose amplitudes leave
-    [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT] or stop being finite is clipped
-    into that box, flagged as diverged and frozen there.  Each step checks the
-    whole batch with one reduction; per-run masks are built only when it fails.
+    FREEZE_STEPS steps in the locked regime.  A run whose squared amplitudes
+    leave [0, DIVERGENCE_LIMIT^2] or stop being finite is clipped into the
+    box |x_i| <= DIVERGENCE_LIMIT, flagged as diverged and frozen there.
+    Each step checks the whole batch with one reduction; per-run masks are
+    built only when it fails.
+
+    Each Euler step x + dt (c (p x - x^3) + J x) is one product with an
+    (n, n) matrix plus the cubic term: ht steps x <- A_s x with
+    A_s = (1 + dt p_s) I + dt J, cim1 and cim3 x <- A_s x - (dt c) x^2 x
+    with A_s = (1 + dt c p_s) I + dt J, and cim2 x <- A x + (dt c)(p_i - x^2) x
+    with A = I + dt J.  One matrix serves the batch; its diagonal is
+    rewritten each step from the step's pump (J's diagonal is zero).  x^2
+    is the square the step already holds: the divergence check's, and for
+    cim3 the mixed intensity before its square root (`_mixer`).  The cim2
+    pumps then move by (eps dt)(1 - x^2) in place, from amplitudes in the
+    box, so a diverged run's pumps stay bounded.  A step thus agrees with
+    `x + dt * soft_gradient(...)`, `cim2_pump_step` and
+    `homogenize_intensities` to rounding, not bit for bit.
 
     The batch is stored spin-major: x0 is transposed once into a C-contiguous
     (n, runs) array and x back once at the end, so every elementwise
-    operation, the coupling product `J @ x` and the cim3 row sum run along
-    the contiguous run axis.  A step makes no new batch-sized arrays and
-    binds no views: two (n, runs) work buffers, allocated once, hold the
-    gradient and its cube and coupling terms, and the kernels
-    (`_gradient_kernel` or `_ht_kernel`, and cim3's `_mixer`) bind their
-    `.T` views and row-sum slices to them once per batch.  The Euler update
-    is `x += dt g`, the cim2 pumps are updated in place (`_pump_increment`)
-    and the cim3 mixing reuses the same buffers for magnitudes and signs,
-    with frac and the mask of runs at delta = 0 held as (1, runs) rows and
-    keep = 1 - frac repeated to (n, runs).  The divergence check reads max|x|: on the mixing's
-    `copysign` path its magnitude buffer already holds |x| exactly, unless
-    some run has diverged, since the frozen runs are written back after the
-    mixing; otherwise it takes |x| into a work buffer.
+    operation, the product `A @ x` and the cim3 row sum run along the
+    contiguous run axis.  A step makes no new batch-sized arrays: the
+    product goes into a second (n, runs) buffer (for ht it then swaps roles
+    with x; the others write the sum with the cubic term back into x), and
+    two more hold the square and the cubic term (the pump increment, signs
+    and |x| at other times).
 
     Signs are tracked only where they can decide the early stop: from step
     locked_step - FREEZE_STEPS + 1 on (from step 0 when that is negative),
@@ -523,18 +467,13 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     that window, so the step count is the one that tracking every step
     gives.  The tracking swaps a pair of sign buffers each step and
     compares them into one bool mask.
-
-    The public `soft_gradient`, `ht_rhs`, `cim2_pump_step` and
-    `homogenize_intensities` run the same kernels on `.T` views of (rows, n)
-    arrays, so a step is bitwise `x + dt * soft_gradient(...)` followed by
-    one of the other two wherever `J @ x` equals `x @ J.T` bitwise (every
-    n <= 15 checked; for larger n OpenBLAS may order the sum differently).
     """
     if config.p0 is None:
         raise ValueError("SolverConfig.p0 is unset; use default_solver_config(j, ...)")
     _check_scale(J, config)
     runs, n = x0.shape
     c, eps, dt = config.c, config.eps, config.dt
+    dtc = dt * c
     variant = config.variant
     x = np.array(x0.T, order="C")  # spin-major (n, runs)
     steps = config.steps
@@ -544,19 +483,19 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
     grid = ((s + 1) % every == 0 for s in range(steps)) if every else repeat(False, steps)
     samples = []
 
-    g = np.empty_like(x)  # gradient, then magnitudes in the cim3 mixing
-    work = np.empty_like(x)  # cube and coupling terms, pump increments, signs, |x|
-    if variant == "ht":
-        rhs = _ht_kernel(x, J, g, work)
-    else:
-        rhs = _gradient_kernel(x, c, J, g, work)
+    A = np.multiply(J, dt)
+    diagonal = A.reshape(-1)[::n + 1]
+    diagonal.fill(1.0)  # cim2's A = I + dt J; the others rewrite it every step
+    gain = dt if variant == "ht" else dtc
+    new_x = np.empty_like(x)  # the product A x (ht's next x; cim3's magnitudes)
+    sq = np.empty_like(x)  # x^2 held from the last check (the mixed intensity for cim3)
+    work = np.empty_like(x)  # cubic term, pump increment, signs, |x|
+    if variant != "ht":
+        np.square(x, sq)
+    limit_sq = DIVERGENCE_LIMIT * DIVERGENCE_LIMIT
     if variant == "cim3":  # one mixing fraction per run, range-checked once
         frac = np.full(runs, config.delta) if delta_per_run is None else delta_per_run
-        frac = _mixing_fraction(frac).reshape(1, runs)
-        # keep at x's shape: numpy multiplies by a same-shape array about twice
-        # as fast as by a broadcast row
-        keep = np.repeat(1.0 - frac, n, axis=0)
-        mix = _mixer(x, frac, keep, _mixed_rows(frac), g, work, np.empty((1, runs)))
+        mix = _mixer(x, sq, new_x, work, _mixing_fraction(frac))
 
     pump_i = np.full((n, runs), config.p0) if variant == "cim2" else None
     ht_spins = np.zeros((n, runs), dtype=np.int8)
@@ -576,10 +515,11 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
             _fixed_steps(grid, dt, step_bytes, coefficients)):
         if step == track_from:
             np.sign(x, signs)
-        rhs(pump_i if variant == "cim2" else pump)
-        np.multiply(g, dt, g)
-        np.add(x, g, x)
+        if variant != "cim2":
+            diagonal.fill(1.0 + gain * pump)
+        np.matmul(A, x, new_x)
         if variant == "ht":
+            x, new_x = new_x, x
             if np.abs(x, work).max() >= 1.0:
                 hit = (work.max(axis=0) >= 1.0) & ~ht_done
                 if np.any(hit):
@@ -587,19 +527,32 @@ def _integrate_batch(J: np.ndarray, config: SolverConfig, x0: np.ndarray,
                     ht_done[hit] = True
                 all_read = ht_done.all()
         else:
-            magnitudes = variant == "cim3" and mix()  # True: g holds |x|
+            if variant == "cim2":
+                np.subtract(pump_i, sq, work)
+                np.multiply(work, x, work)
+                np.multiply(work, dtc, work)
+                np.add(new_x, work, x)
+            else:
+                np.multiply(sq, x, work)
+                np.multiply(work, dtc, work)
+                np.subtract(new_x, work, x)
+            if variant == "cim3":
+                mix()  # squares x into sq and mixes it there
             if any_diverged:
                 x[:, diverged] = frozen_x[:, diverged]  # diverged runs stay flagged, not evolved
-            absx = g if magnitudes and not any_diverged else np.abs(x, work)
-            if not absx.max() <= DIVERGENCE_LIMIT:  # NaN fails too
-                with np.errstate(invalid="ignore"):
-                    bad = ~np.all(np.isfinite(x), axis=0) | (np.max(np.abs(x), axis=0) > DIVERGENCE_LIMIT)
+            if variant != "cim3" or any_diverged:
+                np.square(x, sq)
+            if not sq.max() <= limit_sq:  # NaN fails too
+                bad = ~(sq.max(axis=0) <= limit_sq)
                 x[:, bad] = np.nan_to_num(np.clip(x[:, bad], -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT))
+                np.square(x, sq)
                 frozen_x[:, bad] = x[:, bad]
                 diverged |= bad
                 any_diverged = True
-            if variant == "cim2":  # from amplitudes in the box, so a diverged run's pumps stay bounded
-                np.add(pump_i, _pump_increment(x, eps, dt, work), pump_i)
+            if variant == "cim2":
+                np.subtract(1.0, sq, work)
+                np.multiply(work, eps * dt, work)
+                np.add(pump_i, work, pump_i)
 
         if sampled:
             pv = pump_i[:, 0].copy() if variant == "cim2" else pump_end

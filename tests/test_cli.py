@@ -102,6 +102,19 @@ class TestSweepCommand:
         golden = Path(__file__).parent / "data" / "sweep_golden.csv"
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_benchmark_instance_matches_the_recorded_sweep(self, tmp_path):
+        # the sweep-n8 benchmark's instance at seed 1, recorded while each soft-spin
+        # step still ran in the operation order of x + dt soft_gradient(x): the
+        # folded step changes amplitudes only by rounding, and this pins that no
+        # readout, tuned delta or QA probability moves
+        cfg = {"instance": {"n": 8, "j": 0.35}, "variants": ["ht", "cim1", "cim2", "cim3", "qa"],
+               "runs": 500, "seed": 1, "cim3": {"prelim_runs": 50}}
+        path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--threads", "1", "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "data" / "sweep_n8_golden.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_row_schema(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -912,12 +925,19 @@ class TestStartup:
         assert self._loaded(self.GRAPH, "isinglab") == {"isinglab", "isinglab.cli",
                                                         "isinglab.graph"}
 
+    SWEEP = json.dumps({"instance": {"n": 4, "j": 0.5}, "variants": ["cim1"], "runs": 2,
+                        "softspin": {"t_end": 10.0}})
+
     @pytest.mark.parametrize("argv", [
         ["trajectory", "--n", "4", "--j", "0.5", "--t-end", "10"],
         ["basins", "--n", "4", "--j", "0.5", "--p", "1", "--samples", "10"],
-    ], ids=["trajectory", "basins"])
-    def test_soft_spin_commands_load_no_state_vector_module(self, argv):
+        ["sweep", "--config", "CONFIG"],
+    ], ids=["trajectory", "basins", "sweep"])
+    def test_soft_spin_commands_load_no_state_vector_module(self, tmp_path, argv):
         # the fixed-step clock lives in steps, so only the commands that run QA load quantum
+        config = tmp_path / "sweep.json"
+        config.write_text(self.SWEEP)
+        argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
         code = f"from isinglab import cli\nassert cli.main({argv + ['--out', os.devnull]!r}) == 0\n"
         loaded = self._loaded(code, "isinglab")
         assert "isinglab.steps" in loaded and "isinglab.quantum" not in loaded

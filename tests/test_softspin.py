@@ -50,6 +50,60 @@ def _mixing_reference(x, frac):
     return np.where(frac > 0.0, np.sign(x) * np.sqrt((1.0 - frac) * intensity + frac * R), x)
 
 
+def _folded_mixing(x, frac):
+    """cim3's mixing as `_integrate_batch` states it: (mixed x, the intensity it holds).
+
+    The intensity (1 - frac) x^2 + frac R with R the sum of x^2 over each
+    row times 1 / n, summed as one reduction over the spin axis of a
+    spin-major copy, as the loop sums it; x itself in rows at frac = 0.
+    """
+    n = x.shape[-1]
+    sq = x * x
+    row_sum = np.add.reduce(np.ascontiguousarray(sq.T), axis=0).T[..., None]
+    intensity = sq * (1.0 - frac) + row_sum * (frac / n)
+    return np.where(frac > 0.0, np.sign(x) * np.sqrt(intensity), x), intensity
+
+
+def _folded_loop(J, cfg, x0, frac=None):
+    """The cim1-3 steps of `_integrate_batch` as plain statements in (runs, n) rows.
+
+    Each step is x <- A_s x - (dt c) x^2 x with A_s = (1 + dt c p) I + dt J
+    (cim2: x <- (I + dt J) x + (dt c)(p_i - x^2) x), x^2 being the square
+    the last step left; then cim3's `_folded_mixing`, the divergence clip
+    and freeze, and cim2's pump update (eps dt)(1 - x^2).  frac is (runs, 1).
+    Yields (step, start pump, x, diverged) after every step.
+    """
+    limit, n = softspin.DIVERGENCE_LIMIT, len(J)
+    dt, dtc = cfg.dt, cfg.dt * cfg.c
+    x, pump, t = x0.copy(), np.full(x0.shape, cfg.p0), 0.0
+    sq = x * x
+    frozen, diverged = np.zeros_like(x), np.zeros(len(x), dtype=bool)
+    for step in range(cfg.steps):
+        p = pump_tanh(t, cfg.p0, cfg.eps)
+        A = dt * J
+        A[np.arange(n), np.arange(n)] = 1.0 if cfg.variant == "cim2" else 1.0 + dtc * p
+        if cfg.variant == "cim2":
+            x = x @ A.T + (pump - sq) * x * dtc
+        else:
+            x = x @ A.T - sq * x * dtc
+        sq = x * x
+        if cfg.variant == "cim3":
+            x, sq = _folded_mixing(x, frac)
+        if diverged.any():
+            x[diverged] = frozen[diverged]
+            sq = x * x
+        bad = ~(sq.max(axis=1) <= limit * limit)
+        if bad.any():
+            x[bad] = np.nan_to_num(np.clip(x[bad], -limit, limit))
+            sq = x * x
+            frozen[bad] = x[bad]
+            diverged |= bad
+        if cfg.variant == "cim2":
+            pump = pump + (1.0 - sq) * (cfg.eps * dt)
+        t += dt
+        yield step, p, x, diverged
+
+
 def _force_chunk(monkeypatch, config, steps):
     """Make the step iterator walk `config`'s schedule in chunks of `steps` steps."""
     monkeypatch.setattr(clock, "TABLE_BYTES", steps * softspin._schedule(config)[0])
@@ -336,6 +390,20 @@ class TestTrajectories:
         res = run_ensemble(J, cfg, runs=4, seed=0)
         assert res.diverged.any()
 
+    @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
+    def test_edge_of_the_divergence_box(self, variant):
+        # the check reads x^2 <= L^2: at J = 0, p0 = L^2 and dt = 2^-10 every term
+        # of a step from |x_i| = L is exact and lands on L again, so those runs
+        # stay in, while one ulp below L sends x_i about 0.23 past L
+        L = softspin.DIVERGENCE_LIMIT
+        dt = 2.0 ** -10
+        cfg = SolverConfig(variant=variant, p0=L * L, dt=dt, t_end=dt, early_stop=False)
+        x0 = np.array([[L, L], [L, np.nextafter(L, 0.0)], [-L, -L]])
+        x, _, diverged, steps, *_ = softspin._integrate_batch(np.zeros((2, 2)), cfg, x0)
+        assert steps == 1
+        np.testing.assert_array_equal(diverged, [False, True, False])
+        np.testing.assert_array_equal(x, [[L, L], [L, L], [-L, -L]])
+
     @pytest.mark.parametrize("pattern, hit", [("s0", True), ("ferro", False)])
     def test_diverged_run_is_read_out_by_its_clipped_signs(self, monkeypatch, pattern, hit):
         # run 0 starts outside the box, overshoots in one step and is clipped there:
@@ -505,18 +573,24 @@ class TestCim3Homogenization:
 
 
 class TestFusedStep:
-    """The in-place step of `_integrate_batch` against the public kernels, bit for bit.
+    """The in-place step of `_integrate_batch` against plain statements of it, bit for bit.
 
     Seeded random batches (sizes, scales, couplings, exact zeros, all-zero
     rows, cim3 rows with delta = 0) run a few steps through the loop and
-    through the reference composition x + dt soft_gradient(x, p, c, J), then
-    cim2_pump_step or the array expression of the cim3 mixing
-    (`_mixing_reference`, which shares no code with the loop); later steps
-    see the earlier steps' cim2 pumps.
+    through `_folded_loop`, which shares no code with it; later steps see
+    the earlier steps' squares and cim2 pumps.  The folded step agrees with
+    the composition x + dt soft_gradient(x, p, c, J), then cim2_pump_step or
+    homogenize_intensities, to rounding.
     """
 
     @staticmethod
     def _reference(J, cfg, x, frac, steps):
+        for _, _, x, _ in _folded_loop(J, replace(cfg, t_end=steps * cfg.dt), x, frac):
+            pass
+        return x
+
+    @staticmethod
+    def _composition(J, cfg, x, frac, steps):
         pump, t = np.full(x.shape, cfg.p0), 0.0
         for _ in range(steps):
             p = pump if cfg.variant == "cim2" else pump_tanh(t, cfg.p0, cfg.eps)
@@ -524,7 +598,7 @@ class TestFusedStep:
             if cfg.variant == "cim2":
                 pump = cim2_pump_step(pump, x, cfg.eps, cfg.dt)
             if cfg.variant == "cim3":
-                x = _mixing_reference(x, frac)
+                x = homogenize_intensities(x, frac)
             t += cfg.dt
         return x
 
@@ -545,12 +619,12 @@ class TestFusedStep:
                            early_stop=False)
         return J, cfg, x0, frac
 
-    def _loop_and_reference(self, rng, variant, n, runs, steps):
+    def _loop_and_reference(self, rng, variant, n, runs, steps, reference=None):
         J, cfg, x0, frac = self._random_case(rng, variant, n, runs, steps)
         x, _, diverged, steps_run, *_ = softspin._integrate_batch(
             J, cfg, x0, delta_per_run=frac[:, 0] if variant == "cim3" else None)
         assert steps_run == steps and not diverged.any()
-        return x, self._reference(J, cfg, x0, frac, steps)
+        return x, (reference or self._reference)(J, cfg, x0, frac, steps)
 
     @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
     def test_steps_equal_the_reference_composition(self, variant):
@@ -561,16 +635,27 @@ class TestFusedStep:
 
     @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
     def test_single_runs_and_up_to_15_spins(self, variant):
-        # the spin-major loop's J @ x equals the reference's x @ J.T bitwise up to n = 15
+        # the spin-major loop's A @ x equals the reference's x @ A.T bitwise up to n = 15
         rng = np.random.default_rng(10 + softspin.VARIANTS.index(variant))
         for n in range(2, 16):
             for runs in (1, int(rng.integers(2, 300))):
                 assert np.array_equal(*self._loop_and_reference(rng, variant, n, runs, 3))
 
     @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
+    def test_steps_agree_with_the_gradient_composition(self, variant):
+        # the folded step is the Euler step of soft_gradient, cim2_pump_step and
+        # homogenize_intensities, to rounding: 1e-12 at the batch's scale (one
+        # cim3 case overshoots to |x| ~ 2e4 in its 3 steps)
+        rng = np.random.default_rng(20 + softspin.VARIANTS.index(variant))
+        for n in range(2, 16):
+            for runs in (1, int(rng.integers(2, 300))):
+                x, want = self._loop_and_reference(rng, variant, n, runs, 3, self._composition)
+                assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("variant", ["cim1", "cim2", "cim3"])
     @pytest.mark.parametrize("n", [16, 20, 24, 32])
     def test_larger_n_agrees_to_rounding(self, variant, n):
-        # from n = 16 on, OpenBLAS may order J @ x's sum differently from x @ J.T
+        # from n = 16 on, OpenBLAS may order A @ x's sum differently from x @ A.T
         rng = np.random.default_rng(n)
         for runs in (1, 7, 250):
             x, want = self._loop_and_reference(rng, variant, n, runs, 3)
@@ -596,11 +681,12 @@ class TestFusedStep:
 
     @staticmethod
     def _mix_spin_major(x, frac):
-        # the kernel as the loop runs it: (mixed x, magnitudes, whether it took the copysign path)
-        xs, mag = np.ascontiguousarray(x.T), np.empty((x.shape[1], len(x)))
-        mixed = softspin._mixed_rows(frac.T)
-        by_copysign = softspin._mixer(xs, frac.T, (1.0 - frac).T, mixed, mag)()
-        return xs.T, mag, by_copysign
+        # the mixing as the loop runs it: (mixed x, intensity, magnitudes, whether it
+        # took the copysign path)
+        xs = np.ascontiguousarray(x.T)
+        sq, mag, sgn = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
+        by_copysign = softspin._mixer(xs, sq, mag, sgn, frac[:, 0])()
+        return xs.T, sq.T, mag.T, by_copysign
 
     @pytest.mark.parametrize("case, copysign", [
         ("nonzero", True), ("signed-zeros", False), ("zero-rows", False), ("delta-0", False),
@@ -608,8 +694,8 @@ class TestFusedStep:
         ("overflowed-square", True),
     ])
     def test_mixing_equals_the_reference_bitwise(self, case, copysign):
-        # every bit, signed zeros included, on either path; on the copysign path
-        # the magnitudes are |x| exactly.  NaNs compare by position: copysign
+        # every bit, signed zeros included, on either path, and the intensity the
+        # loop holds as x^2; on the copysign path the magnitudes are |x| exactly.  NaNs compare by position: copysign
         # gives the NaN of keep * x^2 = 0 * inf (run 0 at delta = 1, with an
         # overflowed square) the sign of x, and the loop clips any NaN to 0
         def bits(a):
@@ -639,31 +725,22 @@ class TestFusedStep:
             elif case == "overflowed-square":
                 x[:2] *= 1e160
             with np.errstate(over="ignore", invalid="ignore"):
-                want = _mixing_reference(x, frac)
-                got, mag, by_copysign = self._mix_spin_major(x, frac)
+                want, want_sq = _folded_mixing(x, frac)
+                got, sq, mag, by_copysign = self._mix_spin_major(x, frac)
                 public = homogenize_intensities(x, frac)
+                public_want = _mixing_reference(x, frac)
             assert by_copysign == copysign
             assert np.array_equal(bits(got), bits(want))
-            assert np.array_equal(bits(public), bits(want))
+            assert np.array_equal(bits(sq), bits(want_sq))
+            assert np.array_equal(bits(public), bits(public_want))
             if by_copysign:
-                assert np.array_equal(bits(mag.T), bits(np.abs(got)))
+                assert np.array_equal(bits(mag), bits(np.abs(got)))
 
     @staticmethod
     def _diverging_reference(J, cfg, x0, frac):
-        # the cim3 loop in (runs, n) rows: check with np.abs on every step,
-        # clip and freeze, track signs on every step; returns (x, diverged, steps run)
-        limit = softspin.DIVERGENCE_LIMIT
-        x, frozen, diverged = x0.copy(), np.zeros_like(x0), np.zeros(len(x0), dtype=bool)
-        signs, last_change, t = np.sign(x), 0, 0.0
-        for step in range(cfg.steps):
-            p = pump_tanh(t, cfg.p0, cfg.eps)
-            x = _mixing_reference(x + cfg.dt * soft_gradient(x, p, cfg.c, J), frac)
-            x[diverged] = frozen[diverged]
-            bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > limit)
-            x[bad] = np.nan_to_num(np.clip(x[bad], -limit, limit))
-            frozen[bad] = x[bad]
-            diverged |= bad
-            t += cfg.dt
+        # the cim3 loop with sign tracking on every step; returns (x, diverged, steps run)
+        signs, last_change = np.sign(x0), 0
+        for step, p, x, diverged in _folded_loop(J, cfg, x0, frac):
             new = np.sign(x)
             if np.any(new != signs):
                 last_change = step
@@ -675,7 +752,7 @@ class TestFusedStep:
     @pytest.mark.parametrize("starts", [{5: 30.0}, {2: 1e200, 4: 1e200, 7: 1e3}],
                              ids=["overshoot-at-step-2", "inf-nan-and-overshoot-at-step-1"])
     def test_cim3_divergence_equals_a_reference_loop(self, starts):
-        # the loop reads max|x| from the mixing's magnitudes until a run diverges;
+        # the loop checks the mixed intensity it holds until a run diverges;
         # run 4 has delta = 1, so keep * x^2 = 0 * inf makes it NaN
         J = graph.build_mobius_ladder(8, 0.35)
         cfg = SolverConfig(variant="cim3", p0=-0.5, eps=0.02, dt=0.1, t_end=300.0)
@@ -707,20 +784,6 @@ class TestFusedStep:
 
 
 class TestSpinMajorKernels:
-    @pytest.mark.parametrize("n", range(2, 301))
-    def test_row_sum_follows_numpy_pairwise_order(self, n):
-        # magnitudes over 300 decades make every change of summation order visible
-        rng = np.random.default_rng(n)
-        runs = int(rng.integers(1, 8))
-        m = 10.0 ** rng.uniform(-150.0, 150.0, (runs, n))
-        m[rng.random((runs, n)) < 0.1] = 0.0
-        want = np.add.reduce(m, axis=-1, keepdims=True)
-        for spin_major in (np.ascontiguousarray(m.T), m.T):
-            out = np.empty((1, runs))
-            for op, *operands in softspin._row_sum_ops(spin_major, out, np.empty((n, runs))):
-                op(*operands)
-            assert np.array_equal(out.T, want)
-
     @pytest.mark.parametrize("block", [4096, 7, None], ids=["4096", "7", "default"])
     def test_schedule_equals_the_scalar_loop(self, monkeypatch, block):
         # the steps `_fixed_steps` walks over `_schedule`, in chunks of `block` steps
@@ -801,17 +864,10 @@ class TestEarlyStopWindow:
 
     @staticmethod
     def _reference(J, cfg, x0, frac):
-        # the early stop as a plain loop over the public kernels; returns
+        # the early stop as a plain loop over the folded steps; returns
         # (x, steps run, first locked step, the steps at which some sign changed)
-        x, pump, t = x0.copy(), np.full(x0.shape, cfg.p0), 0.0
-        signs, changes, first_locked = np.sign(x), [], None
-        for step in range(int(round(cfg.t_end / cfg.dt))):
-            p = pump_tanh(t, cfg.p0, cfg.eps)
-            x = x + cfg.dt * soft_gradient(x, pump if cfg.variant == "cim2" else p, cfg.c, J)
-            if cfg.variant == "cim2":
-                pump = cim2_pump_step(pump, x, cfg.eps, cfg.dt)
-            if cfg.variant == "cim3":
-                x = homogenize_intensities(x, frac)
+        signs, changes, first_locked, t = np.sign(x0), [], None, 0.0
+        for step, p, x, _ in _folded_loop(J, cfg, x0, frac):
             t += cfg.dt
             new = np.sign(x)
             if np.any(new != signs):
