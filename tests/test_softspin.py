@@ -784,6 +784,25 @@ class TestFusedStep:
 
 
 class TestSpinMajorKernels:
+    @pytest.mark.parametrize("n", range(2, 301))
+    def test_row_sum_follows_numpy_pairwise_order(self, n):
+        # cim3's R is one reduction over the spin axis, summed in spin order; it
+        # follows numpy's pairwise row sum to the bound of either order, n-1
+        # roundings of the sum's size each.  Squares over 600 decades, zeros and
+        # both signs span the inputs R can meet.  At frac = 1 every intensity is R.
+        rng = np.random.default_rng(n)
+        runs = int(rng.integers(1, 8))
+        m = 10.0 ** rng.uniform(-150.0, 150.0, (runs, n))
+        m[rng.random((runs, n)) < 0.1] = 0.0
+        m *= np.where(rng.random((runs, n)) < 0.5, -1.0, 1.0)
+        want = np.add.reduce(m * m, axis=-1) / n
+        for spin_major in (np.ascontiguousarray(m.T), m.copy().T):
+            sq, mag, sgn = (np.empty((n, runs)) for _ in range(3))
+            softspin._mixer(spin_major, sq, mag, sgn, np.ones(runs))()
+            assert np.array_equal(sq, np.broadcast_to(sq[:1], sq.shape))
+            assert np.all(np.abs(sq[0] - want) <= n * np.finfo(float).eps * want)
+            np.testing.assert_array_equal(spin_major, np.sign(m.T) * np.sqrt(sq))
+
     @pytest.mark.parametrize("block", [4096, 7, None], ids=["4096", "7", "default"])
     def test_schedule_equals_the_scalar_loop(self, monkeypatch, block):
         # the steps `_fixed_steps` walks over `_schedule`, in chunks of `block` steps
